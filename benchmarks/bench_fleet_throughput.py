@@ -55,7 +55,6 @@ WORKLOADS = (
 def _env():
     env = dict(os.environ)
     env["PYTHONPATH"] = str(pathlib.Path(repro.__file__).resolve().parents[1])
-    env["PYTHONHASHSEED"] = "0"
     return env
 
 

@@ -9,7 +9,7 @@ scheduler control, realizing the paper's formal model:
   threads (``enabled(alpha)``) and the search strategy picks one;
 * :meth:`Execution.execute` runs the chosen thread for one step,
   updating happens-before clocks, race-detector state, the preemption
-  count NP (Appendix A.1), and the state fingerprint;
+  count NP (Appendix A.1), and the dirty marks of the state fingerprint;
 * the engine records every bug (assertion failure, deadlock, data
   race, use-after-free, ...) with the witness schedule and its
   preemption count.
@@ -40,10 +40,9 @@ from ..errors import (
 )
 from ..races.goldilocks import GoldilocksDetector
 from ..races.happens_before import HBTracker
-from ..races.vectorclock import VectorClock
 from .effects import Effect, EffectKind
 from .heap import HeapRef
-from .objects import BugSignal, SharedObject
+from .objects import DIGEST_MASK, BugSignal, SharedObject
 from .program import Program
 from .sync import CondVar, Event, Mutex
 from .thread import ThreadHandle, ThreadId, ThreadState, ThreadStatus
@@ -106,10 +105,6 @@ class StepRecord:
     preempting: bool
     #: Every shared access performed in this step: (kind, target name).
     accesses: Tuple[Tuple[EffectKind, Optional[str]], ...]
-    #: The thread's vector clock after the step.
-    clock: VectorClock
-    #: State fingerprint after the step.
-    fingerprint: int
     #: Preemption count NP after the step.
     preemptions: int
 
@@ -173,6 +168,9 @@ class Execution:
         self.failed = False
         self.completed = False
         self.deadlocked = False
+        #: Per-step caches, cleared by :meth:`execute`.
+        self._enabled: Optional[Tuple[ThreadId, ...]] = None
+        self._fingerprint: Optional[int] = None
 
         #: Optional Instrumentation, bound by ProgramStateSpace; the
         #: race-check sites below time and count through it.
@@ -220,13 +218,15 @@ class Execution:
         """The set enabled(alpha): threads whose pending step can run."""
         if self.failed:
             return ()
-        enabled = [
-            t.tid
-            for t in self.threads.values()
-            if t.pending is not None and self._effect_enabled(t, t.pending)
-        ]
-        enabled.sort(key=lambda tid: tid.path)
-        return tuple(enabled)
+        if self._enabled is None:
+            enabled = [
+                t.tid
+                for t in self.threads.values()
+                if t.pending is not None and self._effect_enabled(t, t.pending)
+            ]
+            enabled.sort(key=lambda tid: tid.path)
+            self._enabled = tuple(enabled)
+        return self._enabled
 
     def _effect_enabled(self, thread: ThreadState, effect: Effect) -> bool:
         kind = effect.kind
@@ -297,18 +297,18 @@ class Execution:
         return frozenset(names)
 
     def fingerprint(self) -> int:
-        """Canonical hash of the current program state.
+        """Canonical 64-bit digest of the current program state.
 
-        Combines the shared-state snapshot with each thread's local
-        fingerprint (steps executed plus input hash chain).  Equal
-        happens-before relations produce equal fingerprints, making
-        this the paper's HB-based state representation in incremental
-        form.
+        Shared-state digest plus each thread's (path, steps, input chain)
+        digest, mod 2**64: equal happens-before relations give equal
+        fingerprints.  Computed on demand and cached until the next step.
         """
-        threads_fp = frozenset(
-            (t.tid.path, t.local_fingerprint()) for t in self.threads.values()
-        )
-        return hash((self.world.fingerprint(), threads_fp))
+        if self._fingerprint is None:
+            total = self.world.fingerprint()
+            for thread in self.threads.values():
+                total += thread.digest()
+            self._fingerprint = total & DIGEST_MASK
+        return self._fingerprint
 
     # -- bug reporting -------------------------------------------------------
 
@@ -380,9 +380,10 @@ class Execution:
             self._apply_one(thread, effect, accesses)
             if self.failed or not thread.alive or thread.pending is None:
                 break
-            if self.config.policy is SchedulingPolicy.EVERY_ACCESS:
-                break
-            if self._is_scheduling_point(thread.pending):
+            if (
+                self.config.policy is SchedulingPolicy.EVERY_ACCESS
+                or thread.pending.kind not in _DATA_KINDS  # a scheduling point
+            ):
                 break
             budget -= 1
             if budget <= 0:
@@ -396,13 +397,14 @@ class Execution:
                 )
                 break
 
+        thread._digest = None
+        self._enabled = None
+        self._fingerprint = None
         record = StepRecord(
             index=len(self.step_records),
             tid=tid,
             preempting=preempting,
             accesses=tuple(accesses),
-            clock=self.hb.clock_of(tid),
-            fingerprint=self.fingerprint(),
             preemptions=self.preemptions,
         )
         self.step_records.append(record)
@@ -428,12 +430,6 @@ class Execution:
                 monitor.on_terminal(self)
         return record
 
-    def _is_scheduling_point(self, effect: Effect) -> bool:
-        """Whether the *next* pending effect starts a new step."""
-        if effect.kind in _DATA_KINDS:
-            return False
-        return True
-
     # -- effect interpretation -----------------------------------------------
 
     def _apply_one(
@@ -443,17 +439,15 @@ class Execution:
         accesses: List[Tuple[EffectKind, Optional[str]]],
     ) -> None:
         target = effect.target
+        if target is not None:
+            self.world.mark_dirty(target)
         try:
             guard: Optional[HeapRef] = getattr(target, "guard", None)
             if guard is not None:
                 guard.check_alive(f"{effect.kind} on {target.name}")
             value, advance = self._dispatch(thread, effect)
         except BugSignal as signal:
-            self.report_bug(
-                signal.kind, signal.message, thread=thread.tid, details=signal.details
-            )
-            thread.status = ThreadStatus.FAILED
-            thread.pending = None
+            self._fail(thread, signal.kind, signal.message, signal.details)
             return
 
         thread.steps += 1
@@ -563,53 +557,54 @@ class Execution:
                 # write to each field and let the race detectors flag an
                 # unordered free even when the access executed first.
                 assert isinstance(target, HeapRef)
-                obs = self.obs
                 for fld in target.fields.values():
-                    t0 = obs.race_check_start() if obs is not None else 0.0
-                    found = 0
-                    _, races = self.hb.data_access(tid, fld, True)
-                    if self._use_vc_races and races:
-                        self._note_races(thread, races)
-                        found += len(races)
-                    if self.goldilocks is not None:
-                        race = self.goldilocks.on_data(tid, fld, True)
-                        if race:
-                            self._note_races(thread, [race])
-                            found += 1
-                    if obs is not None:
-                        obs.race_checked(found, t0)
+                    self._check_data_access(thread, fld, True)
             return value, True
 
         if kind in _DATA_KINDS:
             value = target.apply(effect, thread)
-            is_write = target.is_write(effect)
-            obs = self.obs
-            t0 = obs.race_check_start() if obs is not None else 0.0
-            found = 0
-            clock, races = self.hb.data_access(tid, target, is_write)
-            if self._use_vc_races and races:
-                self._note_races(thread, races)
-                found += len(races)
-            if self.goldilocks is not None:
-                race = self.goldilocks.on_data(tid, target, is_write)
-                if race:
-                    self._note_races(thread, [race])
-                    found += 1
-            if obs is not None:
-                obs.race_checked(found, t0)
+            self._check_data_access(thread, target, target.is_write(effect))
             return value, True
 
         value = target.apply(effect, thread)
         self._sync_hb(thread, effect, [target])
         return value, True
 
+    def _check_data_access(
+        self, thread: ThreadState, obj: SharedObject, is_write: bool
+    ) -> None:
+        """Run the race detectors on one data access to ``obj``."""
+        obs = self.obs
+        t0 = obs.race_check_start() if obs is not None else 0.0
+        found = 0
+        _, races = self.hb.data_access(thread.tid, obj, is_write)
+        if self._use_vc_races and races:
+            self._note_races(thread, races)
+            found += len(races)
+        if self.goldilocks is not None:
+            race = self.goldilocks.on_data(thread.tid, obj, is_write)
+            if race:
+                self._note_races(thread, [race])
+                found += 1
+        if obs is not None:
+            obs.race_checked(found, t0)
+
     def _sync_hb(
         self, thread: ThreadState, effect: Effect, objects: List[SharedObject]
     ) -> None:
         self.hb.sync_access(thread.tid, objects)
+        for obj in objects:
+            self.world.mark_dirty(obj)
         if self.goldilocks is not None:
             for obj in objects:
                 self.goldilocks.on_sync(thread.tid, obj, effect.kind)
+
+    def _fail(self, thread: ThreadState, kind: BugKind, message: str,
+              details: Tuple[Tuple[str, Any], ...] = ()) -> None:
+        """Report a bug raised by ``thread``'s step and retire the thread."""
+        self.report_bug(kind, message, thread=thread.tid, details=details)
+        thread.status = ThreadStatus.FAILED
+        thread.pending = None
 
     def _advance(self, thread: ThreadState, value: Any) -> None:
         """Send ``value`` into the generator and capture its next effect."""
@@ -621,25 +616,13 @@ class Execution:
             thread.pending = Effect(EffectKind.EXIT)
             return
         except ProgramAssertionError as exc:
-            self.report_bug(BugKind.ASSERTION, exc.message, thread=thread.tid)
-            thread.status = ThreadStatus.FAILED
-            thread.pending = None
+            self._fail(thread, BugKind.ASSERTION, exc.message)
             return
         except BugSignal as signal:
-            self.report_bug(
-                signal.kind, signal.message, thread=thread.tid, details=signal.details
-            )
-            thread.status = ThreadStatus.FAILED
-            thread.pending = None
+            self._fail(thread, signal.kind, signal.message, signal.details)
             return
         except Exception as exc:  # noqa: BLE001 - program-under-test fault
-            self.report_bug(
-                BugKind.UNCAUGHT_EXCEPTION,
-                f"{type(exc).__name__}: {exc}",
-                thread=thread.tid,
-            )
-            thread.status = ThreadStatus.FAILED
-            thread.pending = None
+            self._fail(thread, BugKind.UNCAUGHT_EXCEPTION, f"{type(exc).__name__}: {exc}")
             return
         if not isinstance(effect, Effect):
             raise ProgramDefinitionError(

@@ -13,14 +13,64 @@ the happens-before relation.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Hashable, Optional
+import enum
+from hashlib import blake2b
+from typing import TYPE_CHECKING, Any, Callable, Dict, Hashable
 
-from ..errors import BugKind
+from ..errors import BugKind, ProgramDefinitionError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .effects import Effect
     from .thread import ThreadState
     from .world import World
+
+
+#: Digests are 64-bit; sums of digests are taken modulo 2**64.
+DIGEST_MASK = (1 << 64) - 1
+
+
+def _encode_str(value: str) -> bytes:
+    data = value.encode("utf-8", "surrogatepass")
+    return b"s%d:" % len(data) + data
+
+
+#: Self-delimiting encoder per type; thread ids register in thread.py.
+ENCODERS: Dict[type, Callable[[Any], bytes]] = {
+    type(None): lambda value: b"N",
+    type(Ellipsis): lambda value: b"E",
+    type(NotImplemented): lambda value: b"I",
+    bool: lambda value: b"T" if value else b"F",
+    int: lambda value: b"i%d;" % value,
+    float: lambda value: b"f" + float.hex(value).encode() + b";",
+    str: _encode_str,
+    tuple: lambda value: b"(%d:" % len(value) + b"".join(map(encode, value)),
+    list: lambda value: b"[%d:" % len(value) + b"".join(map(encode, value)),
+    frozenset: lambda value: b"{%d:" % len(value) + b"".join(sorted(map(encode, value))),
+    enum.Enum: lambda value: b"e"
+    + _encode_str(f"{type(value).__module__}.{type(value).__qualname__}:{value.name}"),
+}
+
+
+def encode(value: Any) -> bytes:
+    """Canonical bytes for a state value, the same in every process.
+
+    Covers the types in :data:`ENCODERS` and their subclasses.  Anything
+    else raises :class:`ProgramDefinitionError`: a ``repr`` or identity
+    fallback would make fingerprints differ between processes.
+    """
+    cls = type(value)
+    encoder = ENCODERS.get(cls)
+    if encoder is None:
+        base = next((base for base in cls.__mro__ if base in ENCODERS), None)
+        if base is None:
+            raise ProgramDefinitionError(f"type {cls.__qualname__!r} has no canonical state encoding")
+        encoder = ENCODERS[cls] = ENCODERS[base]
+    return encoder(value)
+
+
+def digest(data: bytes) -> int:
+    """64-bit BLAKE2b digest of ``data`` as an unsigned integer."""
+    return int.from_bytes(blake2b(data, digest_size=8).digest(), "little")
 
 
 class BugSignal(Exception):
@@ -47,19 +97,20 @@ class SharedObject:
       execute now (``False`` means the issuing thread is blocked).
     * :meth:`apply` -- perform the effect, returning the value sent
       back into the thread generator.
-    * :meth:`snapshot` -- a hashable summary of the object's current
-      state, folded into the execution's state fingerprint.
+    * :meth:`snapshot` -- a summary of the object's current state in
+      values :func:`encode` accepts, folded into the state fingerprint.
     """
 
     #: Whether accesses to this object are synchronization accesses.
     is_sync: bool = True
+    #: The digest held in the world's running sum; whether it is stale.
+    _digest: int = 0
+    _dirty: bool = False
 
     def __init__(self, world: "World", name: str) -> None:
         self.world = world
         self.name = name
-        #: Registration index; deterministic across replays because
-        #: worlds are rebuilt by the same setup function every time.
-        self.index = world._register(self)
+        world._register(self)
 
     # -- semantics ----------------------------------------------------
 
@@ -74,18 +125,15 @@ class SharedObject:
         )
 
     def snapshot(self) -> Hashable:
-        """Hashable summary of current state for fingerprinting."""
+        """Summary of current state for fingerprinting."""
         raise NotImplementedError
 
-    # -- release notification -----------------------------------------
-
-    def release_edge_source(self) -> Optional["SharedObject"]:
-        """The object whose clock a release-style access publishes to.
-
-        Most objects publish to themselves; heap fields publish to
-        their owning reference.  Used by the happens-before tracker.
-        """
-        return self
+    def digest(self) -> int:
+        """Fresh digest of ``encode((name, snapshot()))``."""
+        try:
+            return digest(b"(2:" + _encode_str(self.name) + encode(self.snapshot()))
+        except ProgramDefinitionError as exc:
+            raise ProgramDefinitionError(f"{exc} (shared object {self.name!r})") from None
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r}>"
@@ -93,7 +141,10 @@ class SharedObject:
     def __hash__(self) -> int:
         # Hash by (stable, per-execution-unique) name so that shared
         # objects can be *stored as values* in shared variables without
-        # breaking fingerprint determinism across replays: the default
+        # breaking determinism across replays: the default
         # identity hash differs between the fresh worlds of two
         # executions of the same schedule.  Equality stays identity.
         return hash(self.name)
+
+
+ENCODERS[SharedObject] = lambda value: b"o" + _encode_str(value.name)

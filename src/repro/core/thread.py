@@ -19,9 +19,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from hashlib import blake2b
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional, Sequence, Tuple, Union
 
-from .hashing import stable_hash
+from ..errors import ProgramDefinitionError
+from .objects import ENCODERS, digest, encode
 
 if TYPE_CHECKING:  # pragma: no cover
     from .effects import Effect
@@ -113,6 +115,11 @@ class ThreadHandle:
         return f"<handle {self.tid}>"
 
 
+# Identity is the path alone, so labels stay out of the encoding.
+ENCODERS[ThreadId] = lambda value: b"t" + encode(value.path)
+ENCODERS[ThreadHandle] = lambda value: b"h" + encode(value.tid.path)
+
+
 class ThreadState:
     """Mutable per-execution state of one thread.
 
@@ -122,6 +129,10 @@ class ThreadState:
     thread's local state, which lets state fingerprints identify
     program states without snapshotting generator frames.
     """
+
+    #: Cached :meth:`digest`, cleared by the engine when the thread steps.
+    _digest: Optional[int] = None
+    _chain: Any = None  # running BLAKE2b of the delivered values' encodings
 
     def __init__(
         self,
@@ -147,8 +158,6 @@ class ThreadState:
         self.steps = 0
         #: Number of potentially-blocking steps executed (B in Table 1).
         self.blocking_steps = 0
-        #: Rolling hash of all values delivered into the generator.
-        self.input_chain = 0
         #: Counter for canonical naming of spawned children and
         #: heap allocations performed by this thread.
         self.spawn_counter = 0
@@ -157,18 +166,19 @@ class ThreadState:
     # -- bookkeeping ----------------------------------------------------
 
     def record_input(self, value: Any) -> None:
-        """Fold a delivered value into the input hash chain.
-
-        Uses :func:`stable_hash` so the chain (and therefore every
-        state fingerprint downstream of it) agrees across processes
-        under a pinned ``PYTHONHASHSEED`` -- most delivered values are
-        ``None``, which id-hashes before Python 3.12.
-        """
+        """Fold a delivered value's canonical encoding into the chain."""
         try:
-            h = stable_hash(value)
-        except TypeError:
-            h = hash(repr(value))
-        self.input_chain = hash((self.input_chain, h))
+            data = encode(value)
+        except ProgramDefinitionError as exc:
+            raise ProgramDefinitionError(f"{exc} (delivered to thread {self.tid})") from None
+        if self._chain is None:
+            self._chain = blake2b(digest_size=8)
+        self._chain.update(data)
+
+    @property
+    def input_chain(self) -> int:
+        """Digest of all values delivered so far (0 before the first)."""
+        return 0 if self._chain is None else int.from_bytes(self._chain.digest(), "little")
 
     @property
     def alive(self) -> bool:
@@ -176,8 +186,14 @@ class ThreadState:
         return self.status in (ThreadStatus.NEW, ThreadStatus.ACTIVE)
 
     def local_fingerprint(self) -> Tuple[Any, ...]:
-        """Hashable summary of the thread's local state."""
+        """Summary of the thread's local state."""
         return (self.status.value, self.steps, self.input_chain)
+
+    def digest(self) -> int:
+        """Digest of ``encode((tid, local_fingerprint()))``, cached."""
+        if self._digest is None:
+            self._digest = digest(encode((self.tid, self.local_fingerprint())))
+        return self._digest
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

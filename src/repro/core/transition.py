@@ -16,7 +16,7 @@ import abc
 from typing import TYPE_CHECKING, Hashable, Optional, Tuple
 
 from ..errors import BugReport
-from .execution import Execution, ExecutionConfig, Schedule
+from .execution import Execution, ExecutionConfig, RaceDetection, Schedule, SchedulingPolicy
 from .program import Program
 from .thread import ThreadId
 
@@ -102,9 +102,11 @@ class ProgramStateSpace(StateSpace):
         #: Optional static analysis backing :meth:`analysis_prunable`.
         self.analysis = analysis
         self._current: Optional[Execution] = None
+        #: The schedule ``_current`` was last positioned at.
+        self._state: Optional[Schedule] = None
         #: Number of fresh re-executions performed.
         self.replays = 0
-        #: Total scheduling steps executed, including replayed ones.
+        #: Scheduling steps re-executed to reach requested states.
         self.replay_steps = 0
 
     def attach_obs(self, obs: Optional["Instrumentation"]) -> None:
@@ -118,26 +120,32 @@ class ProgramStateSpace(StateSpace):
     def _materialize(self, schedule: Schedule) -> Execution:
         """Return a live execution positioned exactly at ``schedule``."""
         current = self._current
-        if current is not None and tuple(current.schedule) == schedule:
-            return current
+        done = len(current.schedule) if current is not None else 0
         if (
             current is not None
-            and not current.finished
-            and len(current.schedule) < len(schedule)
-            and tuple(current.schedule) == schedule[: len(current.schedule)]
+            and done == len(schedule)
+            # Identity: the most common query, the state last reached.
+            and (schedule is self._state or tuple(current.schedule) == schedule)
         ):
-            for tid in schedule[len(current.schedule) :]:
-                current.execute(tid)
-                self.replay_steps += 1
+            self._state = schedule
             return current
-        execution = Execution(self.program, self.config)
-        execution.obs = self.obs
-        self.replays += 1
-        for tid in schedule:
-            execution.execute(tid)
-            self.replay_steps += 1
-        self._current = execution
-        return execution
+        fresh = not (
+            current is not None
+            and not current.finished
+            and done < len(schedule)
+            and tuple(current.schedule) == schedule[:done]
+        )
+        if current is None or fresh:
+            current, done = Execution(self.program, self.config), 0
+            current.obs = self.obs
+        for tid in schedule[done:]:
+            current.execute(tid)
+        self._current, self._state = current, schedule
+        self.replays += fresh
+        self.replay_steps += len(schedule) - done
+        if self.obs is not None:
+            self.obs.replayed(int(fresh), len(schedule) - done)
+        return current
 
     def execution_at(self, state: object) -> Execution:
         """The live execution for ``state`` (replaying if needed)."""
@@ -154,28 +162,24 @@ class ProgramStateSpace(StateSpace):
         return ()
 
     def enabled(self, state: object) -> Tuple[ThreadId, ...]:
-        obs = self.obs
-        if obs is None:
-            return self.execution_at(state).enabled_threads()
         # The "schedule" phase covers everything needed to answer a
         # scheduling query, including any stateless replay it forces.
-        t0 = obs.hook_schedule.start()
+        obs = self.obs
+        t0 = obs.hook_schedule.start() if obs is not None else 0.0
         result = self.execution_at(state).enabled_threads()
-        obs.hook_schedule.stop(t0)
+        if obs is not None:
+            obs.hook_schedule.stop(t0)
         return result
 
     def execute(self, state: object, tid: ThreadId) -> Schedule:
         obs = self.obs
-        if obs is None:
-            execution = self.execution_at(state)
-            execution.execute(tid)
-            return tuple(execution.schedule)
-        t0 = obs.hook_execute.start()
+        t0 = obs.hook_execute.start() if obs is not None else 0.0
         execution = self.execution_at(state)
         execution.execute(tid)
-        result = tuple(execution.schedule)
-        obs.hook_execute.stop(t0)
-        return result
+        successor = self._state = tuple(execution.schedule)
+        if obs is not None:
+            obs.hook_execute.stop(t0)
+        return successor
 
     def last_thread(self, state: object) -> Optional[ThreadId]:
         schedule = self._as_schedule(state)
@@ -186,11 +190,10 @@ class ProgramStateSpace(StateSpace):
 
     def fingerprint(self, state: object) -> Hashable:
         obs = self.obs
-        if obs is None:
-            return self.execution_at(state).fingerprint()
-        t0 = obs.hook_fingerprint.start()
+        t0 = obs.hook_fingerprint.start() if obs is not None else 0.0
         result = self.execution_at(state).fingerprint()
-        obs.hook_fingerprint.stop(t0)
+        if obs is not None:
+            obs.hook_fingerprint.stop(t0)
         return result
 
     def is_terminal(self, state: object) -> bool:
@@ -230,7 +233,6 @@ class ProgramStateSpace(StateSpace):
         if analysis is None or not analysis.reduction_enabled:
             return False
         from ..analysis.summary import PRUNABLE_KINDS
-        from .execution import RaceDetection, SchedulingPolicy
 
         config = self.config
         if config.policy is not SchedulingPolicy.EVERY_ACCESS and not (
@@ -247,8 +249,6 @@ class ProgramStateSpace(StateSpace):
     @property
     def supports_por(self) -> bool:
         """Whether pending footprints are exact (EVERY_ACCESS only)."""
-        from .execution import SchedulingPolicy
-
         return self.config.policy is SchedulingPolicy.EVERY_ACCESS
 
     def pending_footprint(self, state: object, tid: ThreadId) -> frozenset:

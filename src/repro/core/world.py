@@ -3,8 +3,8 @@
 A fresh :class:`World` is built for every execution by the program's
 setup function, so replays always start from identical initial state --
 the engine's determinism rests on this.  The world provides factory
-methods for every kind of shared object and computes the shared-state
-part of the execution's state fingerprint.
+methods for every kind of shared object and maintains the shared-state
+part of the execution's state fingerprint incrementally.
 """
 
 from __future__ import annotations
@@ -12,9 +12,8 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from ..errors import ProgramDefinitionError
-from .hashing import stable_hash
 from .heap import HeapRef
-from .objects import SharedObject
+from .objects import DIGEST_MASK, SharedObject
 from .sync import (
     Barrier,
     CondVar,
@@ -39,10 +38,13 @@ class World:
     def __init__(self) -> None:
         self._objects: List[SharedObject] = []
         self._by_name: Dict[str, SharedObject] = {}
+        #: Sum of the cached object digests; objects whose digest is stale.
+        self._sum = 0
+        self._dirty: List[SharedObject] = []
 
     # -- registration ---------------------------------------------------
 
-    def _register(self, obj: SharedObject) -> int:
+    def _register(self, obj: SharedObject) -> None:
         if obj.name in self._by_name:
             raise ProgramDefinitionError(
                 f"duplicate shared object name {obj.name!r}; shared object "
@@ -50,7 +52,13 @@ class World:
             )
         self._by_name[obj.name] = obj
         self._objects.append(obj)
-        return len(self._objects) - 1
+        self.mark_dirty(obj)
+
+    def mark_dirty(self, obj: SharedObject) -> None:
+        """Note that ``obj``'s state may have changed (see :meth:`fingerprint`)."""
+        if not obj._dirty:
+            obj._dirty = True
+            self._dirty.append(obj)
 
     @property
     def objects(self) -> List[SharedObject]:
@@ -123,12 +131,15 @@ class World:
     # -- fingerprinting ---------------------------------------------------
 
     def fingerprint(self) -> int:
-        """Order-independent hash of all shared-object states.
+        """Order-independent digest of all shared-object states.
 
-        Snapshots are reduced with :func:`stable_hash` so fingerprints
-        agree across processes under a pinned ``PYTHONHASHSEED``
-        (``None`` inside a snapshot would otherwise id-hash).
+        The sum modulo 2**64 of every object's digest, kept as a running
+        total that re-digests only objects marked dirty since the last
+        call: new objects, and every object an engine step touches.
         """
-        return hash(
-            frozenset((o.name, stable_hash(o.snapshot())) for o in self._objects)
-        )
+        for obj in self._dirty:
+            fresh = obj.digest()
+            self._sum = (self._sum + fresh - obj._digest) & DIGEST_MASK
+            obj._digest, obj._dirty = fresh, False
+        self._dirty.clear()
+        return self._sum

@@ -282,6 +282,11 @@ class Instrumentation:
             if self.bus.active:
                 self.bus.emit(RaceChecked(self.now(), races))
 
+    def replayed(self, replays: int, steps: int) -> None:
+        """Stateless replay: ``replays`` fresh executions, ``steps`` steps."""
+        self.metrics.add("replays", replays)
+        self.metrics.add("replay_steps", steps)
+
     def cache_lookup(self, hit: bool) -> None:
         registry = self.metrics
         registry.counters["cache_lookups"] = (

@@ -323,6 +323,9 @@ class MetricsSnapshot:
                 f"race checks: {self.counters['race_checks']} "
                 f"({self.counters.get('races_found', 0)} hit)"
             )
+        if self.counters.get("replays"):
+            steps = self.counters.get("replay_steps", 0)
+            lines.append(f"replays: {self.counters['replays']} ({steps} steps re-executed)")
         service = [
             ("checkpoints saved", self.counters.get("checkpoints_saved", 0)),
             ("checkpoint resumes", self.counters.get("checkpoint_resumes", 0)),

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import dataclasses
 import multiprocessing
-import os
 import pickle
 import queue
 import time
@@ -86,9 +85,7 @@ class ParallelSettings:
     #: Coordinator result-queue poll interval in seconds.
     poll_interval: float = 0.05
     #: ``multiprocessing`` start method; ``None`` prefers ``fork``
-    #: (state fingerprints use the per-process hash seed, which fork
-    #: inherits; under ``spawn`` the coordinator pins PYTHONHASHSEED
-    #: for the children and requires a picklable program).
+    #: (any other method requires a picklable program).
     start_method: Optional[str] = None
     #: Seconds to wait for workers to exit before terminating them.
     join_timeout: float = 5.0
@@ -277,10 +274,7 @@ class ParallelCoordinator:
             available = multiprocessing.get_all_start_methods()
             method = "fork" if "fork" in available else None
         if method is not None and method != "fork":
-            # Children must agree with each other on str/bytes hashing
-            # for fingerprints to be unionable, and must be able to
-            # rebuild the program by unpickling.
-            os.environ.setdefault("PYTHONHASHSEED", "0")
+            # Children must be able to rebuild the program by unpickling.
             try:
                 pickle.dumps((self.program, self.config))
             except Exception as exc:

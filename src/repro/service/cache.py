@@ -26,8 +26,8 @@ cut short by wall clock is not.
 without constructing a state space or executing a single transition.
 Distinct states are restored as synthetic ``("cached", bound, i)``
 fingerprints carrying the per-bound histogram -- counts, certificates
-and bug reports are exact; only the raw fingerprint values (which are
-``PYTHONHASHSEED``-dependent anyway) are gone.  Served results carry
+and bug reports are exact; only the raw fingerprint values, which no
+verdict depends on, are not stored.  Served results carry
 ``extras["cache_hit"] = True`` and ``extras["served_from"]``.
 
 **Corpus fast path.**  Independently of exact-key hits, a cache built

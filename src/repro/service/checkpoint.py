@@ -1,4 +1,4 @@
-"""Durable checkpoints of a live ICB search (format v1).
+"""Durable checkpoints of a live ICB search (format v2).
 
 A checkpoint freezes everything the iterative context-bounding loop
 needs to continue after process death: the current preemption bound,
@@ -18,13 +18,12 @@ and ``BugReport.identity`` set of an uninterrupted run -- the property
 
 **Identity.**  A checkpoint binds to a search via a *fingerprint*:
 program name + thread-structure hash, the replay-relevant
-``ExecutionConfig`` knobs, the strategy shape (name, state caching,
-analysis reduction) and a hash probe.  State fingerprints are Python
-hashes and therefore depend on ``PYTHONHASHSEED``; the probe --
-``hash("repro-checkpoint-probe")`` recorded at save time -- detects a
-mismatched hash seed at load time and fails with
-:class:`CheckpointMismatch` instead of silently merging incomparable
-fingerprints.  Budgets (``SearchLimits``) and ``max_bound`` are
+``ExecutionConfig`` knobs and the strategy shape (name, state caching,
+analysis reduction).  State fingerprints are pure functions of program
+state (see ``Execution.fingerprint``), so any process can resume any
+checkpoint of the same search.  Version 1 files hold fingerprints from
+an earlier, hash-seed-dependent scheme and are refused: they cannot be
+resumed, only re-run.  Budgets (``SearchLimits``) and ``max_bound`` are
 deliberately *excluded* from the fingerprint: resuming an interrupted
 run with a bigger budget or a deeper bound is the point of the
 exercise.
@@ -66,15 +65,11 @@ from ..trace.format import ProgramFingerprint, config_from_json, config_to_json
 CHECKPOINT_FORMAT = "repro-checkpoint"
 #: Bumped on every incompatible schema change; loaders reject unknown
 #: versions instead of guessing.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+#: v1 fingerprints came from the hash-seed-dependent ``hash()``.
+_V1_REFUSED = "; v1 state fingerprints cannot be resumed: delete it and re-run the check"
 #: Canonical file suffix for checkpoint files.
 CHECKPOINT_SUFFIX = ".ckpt.json"
-
-#: The string whose hash is stored in every checkpoint.  Two processes
-#: agree on all state fingerprints iff they agree on this one value,
-#: so comparing probes at load time detects a PYTHONHASHSEED mismatch
-#: before any fingerprint is trusted.
-HASH_PROBE_TEXT = "repro-checkpoint-probe"
 
 #: Default save cadence of the serial engine, in processed work items.
 DEFAULT_STRIDE = 128
@@ -87,16 +82,11 @@ class CheckpointError(ReproError):
 class CheckpointMismatch(CheckpointError):
     """A checkpoint belongs to a different search than the one resuming.
 
-    Raised when the program fingerprint, execution config, strategy
-    shape or hash probe recorded in the checkpoint disagrees with the
-    resuming process.  Resuming anyway would silently corrupt state
-    and bug accounting, so this is always fatal.
+    Raised when the program fingerprint, execution config or strategy
+    shape recorded in the checkpoint disagrees with the resuming
+    process.  Resuming anyway would silently corrupt state and bug
+    accounting, so this is always fatal.
     """
-
-
-def hash_probe() -> int:
-    """This process's value of the fingerprint-compatibility probe."""
-    return hash(HASH_PROBE_TEXT)
 
 
 def _require(data: Dict[str, Any], key: str, kind: type, where: str) -> Any:
@@ -130,7 +120,6 @@ def search_fingerprint(
         "strategy": strategy,
         "state_caching": state_caching,
         "analysis": analysis,
-        "hash_probe": hash_probe(),
     }
 
 
@@ -427,6 +416,7 @@ class Checkpoint:
             raise CheckpointError(
                 f"unsupported checkpoint version {version} "
                 f"(this build reads {CHECKPOINT_VERSION})"
+                + (_V1_REFUSED if version == 1 else "")
             )
         fingerprint = _require(data, "fingerprint", dict, where)
         threads = _ThreadTable.decode(_require(data, "threads", list, where), "threads")
@@ -557,24 +547,14 @@ class Checkpoint:
     def validate(self, fingerprint: Dict[str, Any]) -> None:
         """Fail with :class:`CheckpointMismatch` unless this checkpoint
         belongs to the search described by ``fingerprint``."""
-        saved, current = dict(self.fingerprint), dict(fingerprint)
-        saved_probe = saved.pop("hash_probe", None)
-        current_probe = current.pop("hash_probe", None)
-        if saved != current:
-            differing = sorted(
-                key
-                for key in set(saved) | set(current)
-                if saved.get(key) != current.get(key)
-            )
+        saved = self.fingerprint
+        differing = sorted(
+            key for key in set(saved) | set(fingerprint) if saved.get(key) != fingerprint.get(key)
+        )
+        if differing:
             raise CheckpointMismatch(
                 "checkpoint belongs to a different search "
                 f"(differs in: {', '.join(differing)})"
-            )
-        if saved_probe != current_probe:
-            raise CheckpointMismatch(
-                "checkpoint was written under a different PYTHONHASHSEED; "
-                "state fingerprints are not comparable across hash seeds "
-                "(pin PYTHONHASHSEED to resume across processes)"
             )
 
     def restore_context(self, ctx: SearchContext) -> None:

@@ -103,7 +103,7 @@ class TestThreadState:
 
     def test_input_chain_handles_unhashable(self):
         thread = self.make()
-        thread.record_input([1, 2])  # falls back to repr hashing
+        thread.record_input([1, 2])  # lists encode element-wise
         assert thread.input_chain != 0
 
     def test_local_fingerprint_changes_with_progress(self):

@@ -6,6 +6,7 @@ import pytest
 
 from repro import Execution, Program, World, sched_yield, spawn
 from repro.core.effects import Effect, EffectKind
+from repro.core.execution import ExecutionConfig, SchedulingPolicy
 from repro.core.program import _normalize_threads
 from repro.errors import ProgramDefinitionError
 
@@ -32,11 +33,24 @@ class TestWorld:
         assert [o.name for o in w.objects] == names
 
     def test_fingerprint_changes_with_values(self):
-        w = World()
-        v = w.var("x", 0)
-        before = w.fingerprint()
-        v.value = 1
-        assert w.fingerprint() != before
+        # Shared state changes only through the engine, which marks
+        # every object a step touches for re-digesting.
+        def setup(w):
+            v = w.var("x", 0)
+
+            def writer():
+                yield v.write(1)
+
+            return {"writer": writer}
+
+        config = ExecutionConfig(policy=SchedulingPolicy.EVERY_ACCESS)
+        ex = Execution(Program("p", setup), config)
+        (writer,) = ex.enabled_threads()
+        ex.execute(writer)  # START
+        before = ex.world.fingerprint()
+        ex.execute(writer)  # the write
+        assert ex.world.find("x").value == 1
+        assert ex.world.fingerprint() != before
 
     def test_fingerprint_is_name_keyed(self):
         w1 = World()

@@ -20,7 +20,6 @@ from repro.service.daemon import CheckingService
 def _env():
     env = dict(os.environ)
     env["PYTHONPATH"] = str(pathlib.Path(repro.__file__).resolve().parents[1])
-    env["PYTHONHASHSEED"] = "0"
     return env
 
 

@@ -108,9 +108,6 @@ def test_two_daemons_one_root_every_job_exactly_once(tmp_path):
 def _env():
     env = dict(os.environ)
     env["PYTHONPATH"] = str(pathlib.Path(repro.__file__).resolve().parents[1])
-    # Checkpoints bind to the hash seed (state fingerprints use it);
-    # a takeover resumes another process's checkpoint, so pin it.
-    env["PYTHONHASHSEED"] = "0"
     return env
 
 

@@ -43,6 +43,15 @@ class TestMetricsOut:
         assert sum(snap.executions_by_bound.values()) == executions
         assert sum(snap.states_by_bound.values()) == states
 
+    def test_stats_reports_replay_counters(self, capsys, tmp_path):
+        _, path, _ = run_check(capsys, tmp_path)
+        snap = MetricsSnapshot.load(path)
+        replays, steps = snap.counters["replays"], snap.counters["replay_steps"]
+        assert replays > 0 and steps > 0
+        assert main(["stats", str(path)]) == 0
+        stats = capsys.readouterr().out
+        assert f"replays: {replays} ({steps} steps re-executed)" in stats
+
     def test_clean_program_writes_metrics_too(self, capsys, tmp_path):
         path = tmp_path / "clean.json"
         code = main(

@@ -35,6 +35,20 @@ class TestParallelMetricsParity:
         assert p.executions_by_bound == s.executions_by_bound
         assert p.counters.get("bugs_found") == s.counters.get("bugs_found")
 
+    def test_replay_counters_equal_serial(self):
+        """Each worker replays exactly the prefixes the serial engine
+        replays for the same work items, so the merged stateless-replay
+        counters equal the serial run's."""
+        serial_obs, parallel_obs = Instrumentation(), Instrumentation()
+        ChessChecker(bluetooth(buggy=True)).check(max_bound=1, obs=serial_obs)
+        ChessChecker(bluetooth(buggy=True)).check(
+            max_bound=1, workers=2, obs=parallel_obs
+        )
+        s, p = serial_obs.snapshot(), parallel_obs.snapshot()
+        assert s.counters["replays"] > 0 and s.counters["replay_steps"] > 0
+        assert p.counters["replays"] == s.counters["replays"]
+        assert p.counters["replay_steps"] == s.counters["replay_steps"]
+
     def test_parallel_snapshot_matches_merged_context(self):
         obs = Instrumentation()
         result = ChessChecker(bluetooth(buggy=True)).check(

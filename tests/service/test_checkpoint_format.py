@@ -99,16 +99,19 @@ class TestValidation:
         with pytest.raises(CheckpointMismatch):
             checkpoint.validate(search_fingerprint(program, analysis=True))
 
-    def test_hash_probe_guards_against_a_different_hash_seed(self, tmp_path):
+    def test_v1_checkpoint_is_refused_with_a_rerun_hint(self, tmp_path):
+        # v1 files hold hash-seed-dependent state fingerprints: resuming
+        # one would silently treat every visited state as new.
         path = _interrupted_checkpoint(tmp_path)
         data = json.loads(path.read_text())
-        data["fingerprint"]["hash_probe"] = data["fingerprint"]["hash_probe"] + 1
+        data["version"] = 1
+        data["fingerprint"]["hash_probe"] = 12345
         path.write_text(json.dumps(data))
-        with pytest.raises(CheckpointMismatch) as excinfo:
-            Checkpoint.load(path).validate(
-                search_fingerprint(resolve_builtin("wsq:pop-race"))
-            )
-        assert "hash" in str(excinfo.value).lower()
+        with pytest.raises(CheckpointError) as excinfo:
+            Checkpoint.load(path)
+        message = str(excinfo.value)
+        assert "v1" in message and "re-run" in message
+        assert "cannot be resumed" in message
 
     def test_resuming_someone_elses_checkpoint_fails_loudly(self, tmp_path):
         path = _interrupted_checkpoint(tmp_path)

@@ -27,9 +27,6 @@ KILL_SPECS = ["wsq:pop-race", "dryad:use-after-free"]
 def _env():
     env = dict(os.environ)
     env["PYTHONPATH"] = str(pathlib.Path(repro.__file__).resolve().parents[1])
-    # Checkpoints bind to the hash seed (state fingerprints use it);
-    # resuming in a different process requires pinning it.
-    env["PYTHONHASHSEED"] = "0"
     return env
 
 
