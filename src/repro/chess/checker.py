@@ -161,7 +161,8 @@ class ChessChecker:
         Args:
             strategy: overrides the search strategy (any strategy from
                 :mod:`repro.search`); mutually exclusive with
-                ``max_bound`` and ``state_caching``.
+                ``max_bound``, ``state_caching``, ``workers``,
+                ``checkpoint`` and ``cache``.
             max_bound: stop ICB after completing this preemption bound.
             limits: execution/transition/time budgets.
             state_caching: enable Algorithm 1's work-item table.
@@ -172,7 +173,8 @@ class ChessChecker:
                 coordinator's per-bound barrier.  Mutually exclusive
                 with ``strategy`` and ``state_caching`` (a per-process
                 work-item table defeats its purpose; see
-                ``docs/parallel.md``).
+                ``docs/parallel.md``).  Composes with ``analysis``:
+                every worker prunes with the one analysis run here.
             parallel_settings: tuning/robustness knobs for ``workers``.
             trace_dir: when set, every deduplicated bug's witness is
                 persisted there as a ``*.trace.json`` file (see
@@ -193,9 +195,6 @@ class ChessChecker:
                 program is used as-is.  Proven thread-local accesses
                 stop generating ICB deferrals; any TOP summary
                 disables the reduction, making the flag always safe.
-                Not supported together with ``workers`` (the frontier
-                shards would each re-derive it; run the analysis once
-                and shard the already-pruned search instead).
             checkpoint: path of a durable checkpoint file (see
                 :mod:`repro.service` and ``docs/service.md``).  When
                 the file exists the search *resumes* from it instead
@@ -215,11 +214,30 @@ class ChessChecker:
                 budget bypass the cache entirely.  Only the default
                 ICB strategy supports this.
         """
-        if workers is not None and workers < 1:
-            raise ValueError("workers must be at least 1")
-        if strategy is not None and (checkpoint is not None or cache is not None):
+        icb: Optional[IterativeContextBounding] = None
+        if strategy is None:
+            if workers is None or workers == 1:
+                icb = IterativeContextBounding(
+                    max_bound=max_bound, state_caching=state_caching
+                )
+            else:
+                from ..parallel.coordinator import ParallelCoordinator
+
+                icb = ParallelCoordinator(
+                    workers=workers,
+                    max_bound=max_bound,
+                    state_caching=state_caching,
+                    settings=parallel_settings,
+                    trace_dir=trace_dir,
+                    trace_spec=trace_spec,
+                )
+            strategy = icb
+        elif state_caching or any(
+            arg is not None for arg in (max_bound, workers, checkpoint, cache)
+        ):
             raise ValueError(
-                "checkpoint/cache only apply to the default ICB strategy"
+                "max_bound, state_caching, workers, checkpoint and cache "
+                "apply only to the default ICB strategy"
             )
         cache_key: Optional[str] = None
         if cache is not None and cache.cacheable(limits):
@@ -243,62 +261,16 @@ class ChessChecker:
                 fastpath = cache.corpus_fastpath(self.program, self.config)
                 if fastpath is not None:
                     return fastpath
-        if workers is not None and workers > 1:
-            if analysis:
-                raise ValueError(
-                    "analysis is not supported with parallel workers yet"
-                )
-            if strategy is not None:
-                raise ValueError("workers only applies to the default ICB strategy")
-            if state_caching:
-                raise ValueError(
-                    "state_caching is per-process and defeats its purpose under "
-                    "parallel exploration; run serially for the ZING configuration"
-                )
-            from ..parallel.coordinator import ParallelCoordinator
-
-            coordinator = ParallelCoordinator(
-                self.program,
-                self.config,
-                workers=workers,
-                max_bound=max_bound,
-                settings=parallel_settings,
-                trace_dir=trace_dir,
-                trace_spec=trace_spec,
-                obs=obs,
-                checkpointer=self._checkpointer(
-                    checkpoint, checkpoint_stride, obs=obs
-                ),
-            )
-            result = coordinator.run(limits=limits)
-            check_result = CheckResult(
-                program=self.program.name,
-                search=result,
-                certified_bound=result.extras.get("completed_bound"),
-            )
-            if trace_dir is not None:
-                self.save_traces(check_result.bugs, trace_dir, spec=trace_spec)
-            if cache is not None and cache_key is not None:
-                cache.store(cache_key, check_result)
-            self._report_invivo(obs)
-            return check_result
-        if strategy is None:
-            resolved = self._resolve_analysis(analysis, obs)
-            strategy = IterativeContextBounding(
-                max_bound=max_bound,
+        if icb is not None:
+            # Built only on a cache miss: it fingerprints the program.
+            icb.checkpointer = self._checkpointer(
+                checkpoint,
+                checkpoint_stride,
                 state_caching=state_caching,
-                checkpointer=self._checkpointer(
-                    checkpoint,
-                    checkpoint_stride,
-                    state_caching=state_caching,
-                    analysis=resolved is not None,
-                    obs=obs,
-                ),
+                analysis=bool(analysis),
+                obs=obs,
             )
-        elif max_bound is not None:
-            raise ValueError("pass max_bound only when using the default strategy")
-        else:
-            resolved = self._resolve_analysis(analysis, obs)
+        resolved = self._resolve_analysis(analysis, obs)
         result = strategy.run(
             self.space(obs=obs, analysis=resolved), limits=limits, obs=obs
         )

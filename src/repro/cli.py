@@ -47,11 +47,12 @@ from __future__ import annotations
 import argparse
 import importlib
 import sys
-from typing import Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 from .chess.checker import ChessChecker
 from .core.execution import ExecutionConfig, RaceDetection, SchedulingPolicy
 from .core.program import Program
+from .errors import ReproError
 from .programs import builtin_registry
 from .search import (
     DepthFirstSearch,
@@ -202,7 +203,7 @@ def _add_check_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--analysis", action="store_true",
                         help="run the static analysis pass first and apply "
                         "the scheduling-point reduction it proves sound "
-                        "(see docs/analysis.md; not with --workers)")
+                        "(see docs/analysis.md)")
     parser.add_argument("--checkpoint", default=None, metavar="FILE",
                         help="durable checkpoint file: resume from it if it "
                         "exists, journal the search into it while running "
@@ -246,6 +247,16 @@ def _finish_obs(args: argparse.Namespace, obs) -> None:
         from .obs import Profiler
 
         print(Profiler.render(snapshot.profile, snapshot.elapsed), file=sys.stderr)
+
+
+def _run_checker(entry: Callable[..., Any], **kwargs: Any) -> Any:
+    """Call a :class:`ChessChecker` entry point; an input it refuses (an
+    unsupported argument combination, an unusable checkpoint, ...) ends
+    the command with its one-line message instead of a traceback."""
+    try:
+        return entry(**kwargs)
+    except (ReproError, ValueError) as exc:
+        raise SystemExit(str(exc))
 
 
 def _parallel_settings(args: argparse.Namespace):
@@ -403,7 +414,8 @@ def _cmd_trace_save(args: argparse.Namespace) -> int:
         stop_on_first_bug=True,
     )
     obs = _make_obs(args, limits)
-    bug = checker.find_bug(
+    bug = _run_checker(
+        checker.find_bug,
         max_bound=args.bound, limits=limits, workers=args.workers, obs=obs,
         analysis=args.analysis,
     )
@@ -645,7 +657,6 @@ def _cmd_results(args: argparse.Namespace) -> int:
     else:
         if args.root is None or args.job is None:
             raise SystemExit("results needs ROOT and JOB (or --server URL JOB)")
-        from .errors import ReproError
         from .service import CheckingService
 
         service = CheckingService(args.root)
@@ -949,14 +960,6 @@ def main(argv: Optional[list] = None) -> int:
         stop_on_first_bug=args.stop_on_first_bug or args.command == "explain",
     )
 
-    if args.workers is not None and args.workers < 1:
-        raise SystemExit("--workers must be at least 1")
-    if args.workers is not None and args.strategy != "icb":
-        raise SystemExit("--workers requires the default icb strategy")
-    if args.analysis and args.workers is not None and args.workers > 1:
-        raise SystemExit("--analysis is not supported with --workers")
-    if args.checkpoint is not None and args.strategy != "icb":
-        raise SystemExit("--checkpoint requires the default icb strategy")
     parallel_settings = _parallel_settings(args)
     cache = _result_cache(args)
     obs = _make_obs(args, limits)
@@ -965,7 +968,8 @@ def main(argv: Optional[list] = None) -> int:
         from .trace.format import TraceRecord
         from .trace.replay import replay_trace
 
-        bug = checker.find_bug(
+        bug = _run_checker(
+            checker.find_bug,
             max_bound=args.bound, limits=limits, workers=args.workers,
             parallel_settings=parallel_settings,
             trace_dir=args.trace_dir, trace_spec=spec, obs=obs,
@@ -984,7 +988,8 @@ def main(argv: Optional[list] = None) -> int:
         print(replay_trace(trace, program, config=checker.config).explain())
         return 1
 
-    result = checker.check(
+    result = _run_checker(
+        checker.check,
         strategy=_make_strategy(args),
         max_bound=args.bound,
         limits=limits,

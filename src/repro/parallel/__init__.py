@@ -2,15 +2,16 @@
 
 The subsystem has three layers:
 
-* :mod:`repro.parallel.workitem` -- serializable work items: a
-  frontier state is its schedule prefix, reconstructible anywhere by
+* :mod:`repro.parallel.workitem` -- serializable shards: a frontier
+  state is its schedule prefix, reconstructible anywhere by
   deterministic replay;
 * :mod:`repro.parallel.worker` -- the worker process loop, reusing the
   serial per-item ICB exploration so parallel and serial runs explore
   identical executions;
-* :mod:`repro.parallel.coordinator` -- shard dispatch, the per-bound
-  barrier preserving the paper's minimal-preemption guarantee, global
-  budget enforcement, and crash/timeout recovery.
+* :mod:`repro.parallel.coordinator` -- ``ParallelCoordinator``, the
+  serial ICB loop with its per-bound step replaced by shard dispatch
+  behind a barrier (preserving the paper's minimal-preemption
+  guarantee), global budget enforcement and crash/timeout recovery.
 
 See ``docs/parallel.md`` for the architecture and the bound-barrier
 argument.

@@ -20,7 +20,8 @@ Workers communicate exclusively through the result queue:
 * ``("bug", worker_id, report)`` -- streamed immediately on discovery
   (deduplicated coordinator-side, so resending after a retry is safe);
 * ``("done", worker_id, shard_id, outcome)`` -- the shard's final
-  :class:`~repro.parallel.workitem.ShardOutcome`.
+  :class:`~repro.parallel.workitem.ShardOutcome`, which the coordinator
+  folds into the run's live context with ``SearchContext.absorb``.
 
 Budgets are honored cooperatively: the context checks the
 coordinator-broadcast stop event and the shared wall-clock deadline
@@ -34,7 +35,10 @@ import os
 import queue
 import time
 from dataclasses import replace
-from typing import Any, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, List, Optional
+
+if TYPE_CHECKING:  # pragma: no cover - type-only import
+    from ..analysis import ProgramAnalysis
 
 from ..core.execution import ExecutionConfig
 from ..core.program import Program
@@ -42,8 +46,8 @@ from ..core.transition import ProgramStateSpace
 from ..errors import BugReport, SearchBudgetExceeded, SearchInterrupted
 from ..obs.instrument import Instrumentation
 from ..search.icb import IterativeContextBounding
-from ..search.strategy import SearchContext, SearchLimits, SearchResult
-from .workitem import ShardOutcome, ShardTask, WorkItem
+from ..search.strategy import SearchContext, SearchLimits
+from .workitem import Pair, ShardOutcome, ShardTask
 
 #: Result-queue message tags (kept as constants so coordinator and
 #: worker cannot drift apart silently).
@@ -54,6 +58,10 @@ MSG_DONE = "done"
 
 #: Task-queue sentinel telling a worker to exit its loop.
 STOP_TASK = "stop"
+
+#: How many budget checks pass between polls of the coordinator's
+#: stop event, the shared deadline and the parent process.
+STOP_CHECK_INTERVAL = 64
 
 
 class WorkerContext(SearchContext):
@@ -68,7 +76,7 @@ class WorkerContext(SearchContext):
       clocks are system-wide on the supported platforms), so every
       worker times out together;
     * the coordinator's stop event is polled every
-      ``stop_check_interval`` budget checks;
+      :data:`STOP_CHECK_INTERVAL` budget checks;
     * executions/transitions are streamed as deltas every
       ``progress_interval`` transitions for global budget accounting.
     """
@@ -80,7 +88,6 @@ class WorkerContext(SearchContext):
         stop_event: Any,
         result_queue: Any,
         deadline: Optional[float],
-        stop_check_interval: int = 64,
         progress_interval: int = 256,
         obs: Optional[Instrumentation] = None,
         parent_pid: Optional[int] = None,
@@ -92,7 +99,6 @@ class WorkerContext(SearchContext):
         self.stop_event = stop_event
         self.result_queue = result_queue
         self.deadline = deadline
-        self.stop_check_interval = max(1, stop_check_interval)
         self.progress_interval = max(1, progress_interval)
         self.parent_pid = parent_pid
         self._checks = 0
@@ -104,7 +110,7 @@ class WorkerContext(SearchContext):
     def _check_budget(self) -> None:
         super()._check_budget()
         self._checks += 1
-        if self._checks % self.stop_check_interval == 0:
+        if self._checks % STOP_CHECK_INTERVAL == 0:
             if self.stop_event.is_set():
                 raise SearchBudgetExceeded("coordinator stop")
             if self.deadline is not None and time.monotonic() >= self.deadline:
@@ -129,62 +135,22 @@ class WorkerContext(SearchContext):
             self._reported_executions = self.executions
             self._reported_transitions = self.transitions
 
-    @property
-    def residual_executions(self) -> int:
-        return self.executions - self._reported_executions
-
-    @property
-    def residual_transitions(self) -> int:
-        return self.transitions - self._reported_transitions
-
     # -- bug streaming -------------------------------------------------------
 
-    def note_bug(self, bug: BugReport) -> None:
-        before = self.bugs.get(bug.signature)
-        super().note_bug(bug)
-        after = self.bugs[bug.signature]
-        if after is not before:
+    def note_bug(self, bug: BugReport) -> bool:
+        kept = super().note_bug(bug)
+        if kept:
             # New defect, or a better (fewer-preemption) witness.
-            self.result_queue.put((MSG_BUG, self.worker_id, after))
+            self.result_queue.put((MSG_BUG, self.worker_id, bug))
+        return kept
 
     # -- shipping ------------------------------------------------------------
 
     def snapshot(self) -> SearchContext:
         """A queue-free copy safe to pickle back to the coordinator."""
         ctx = SearchContext(self.limits)
-        ctx.states = dict(self.states)
-        ctx.bugs = dict(self.bugs)
-        ctx.executions = self.executions
-        ctx.transitions = self.transitions
-        ctx.history = list(self.history)
-        ctx.max_steps = self.max_steps
-        ctx.max_blocking = self.max_blocking
-        ctx.max_preemptions = self.max_preemptions
+        ctx.absorb(self)
         return ctx
-
-
-class _DeferSink:
-    """Adapter letting ``_search_item`` defer into :class:`WorkItem` s.
-
-    The serial loop appends raw ``(state, tid)`` pairs; here every
-    deferred pair is wrapped with its prefix preemption count.  The
-    query is cheap: at the moment of deferral the space's live
-    execution is positioned exactly at ``state``.
-    """
-
-    def __init__(self, space: ProgramStateSpace) -> None:
-        self.space = space
-        self.items: List[WorkItem] = []
-
-    def append(self, pair: Tuple[object, Any]) -> None:
-        state, tid = pair
-        self.items.append(
-            WorkItem(
-                schedule=tuple(state),  # type: ignore[arg-type]
-                tid=tid,
-                preemptions=self.space.preemptions(state),
-            )
-        )
 
 
 def explore_shard(
@@ -194,41 +160,31 @@ def explore_shard(
 ) -> ShardOutcome:
     """Explore every item of ``task`` within the current bound.
 
-    Uses the serial ICB item loop verbatim, so a shard's exploration
-    is indistinguishable from the same items being drained by the
-    serial engine.  Stops early (``completed=False``) only when a
-    budget or the coordinator's stop event fires.
+    Uses the serial ICB item loop verbatim (including the static
+    analysis reduction when the space carries an analysis), so a
+    shard's exploration is indistinguishable from the same items being
+    drained by the serial engine.  Stops early (``completed=False``)
+    only when a budget or the coordinator's stop event fires.
     """
 
     icb = IterativeContextBounding()
-    sink = _DeferSink(space)
+    prune = space.analysis_prunable if space.analysis is not None else None
+    deferred: List[Pair] = []
     completed, reason = True, "shard exhausted"
-    explored = 0
     ctx.record_initial(space, space.initial_state())
     for item in task.items:
         try:
-            icb._search_item(space, ctx, item.as_pair(), sink, None)
-            explored += 1
+            icb._search_item(space, ctx, item, deferred, None, prune)  # type: ignore[arg-type]
         except (SearchBudgetExceeded, SearchInterrupted) as exc:
             completed, reason = False, str(exc)
             break
     ctx.flush_progress()
     return ShardOutcome(
         shard_id=task.shard_id,
-        worker_id=ctx.worker_id,
-        items_explored=explored,
         completed=completed,
         stop_reason=reason,
-        search=SearchResult(
-            strategy="icb-shard",
-            completed=completed,
-            stop_reason=reason,
-            context=ctx.snapshot(),
-            extras={"shard_id": task.shard_id, "bound": task.bound},
-        ),
-        deferred=tuple(sink.items),
-        residual_executions=0,  # flushed above
-        residual_transitions=0,
+        context=ctx.snapshot(),
+        deferred=tuple(deferred),
         metrics=ctx.obs.snapshot() if ctx.obs is not None else None,
     )
 
@@ -237,12 +193,12 @@ def worker_main(
     worker_id: int,
     program: Program,
     config: Optional[ExecutionConfig],
+    analysis: Optional["ProgramAnalysis"],
     task_queue: Any,
     result_queue: Any,
     stop_event: Any,
     limits: SearchLimits,
     deadline: Optional[float],
-    stop_check_interval: int,
     progress_interval: int,
     crash_on_first_claim: bool = False,
     collect_metrics: bool = False,
@@ -262,7 +218,7 @@ def worker_main(
     """
 
     parent_pid = os.getppid()
-    space = ProgramStateSpace(program, config)
+    space = ProgramStateSpace(program, config, analysis=analysis)
     while True:
         try:
             task = task_queue.get(timeout=0.2)
@@ -302,7 +258,6 @@ def worker_main(
             stop_event,
             result_queue,
             deadline,
-            stop_check_interval=stop_check_interval,
             progress_interval=progress_interval,
             obs=obs,
             parent_pid=parent_pid,

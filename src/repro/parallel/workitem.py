@@ -3,55 +3,55 @@
 The stateless checker makes parallel search almost trivial: a frontier
 state *is* its schedule, so any process can reconstruct it by
 deterministic replay through :class:`~repro.core.execution.Execution`.
-A :class:`WorkItem` is exactly one entry of the serial ICB work queue
--- ``(schedule_prefix, next_tid)`` -- plus the preemption count of the
-prefix, so the coordinator can account items to bounds without
-replaying them itself.
+Shards therefore carry the serial ICB work queue's own entries,
+``(schedule_prefix, next_tid)`` pairs, and a :class:`WorkItem` is the
+same pair in the form checkpoints persist.
 
 Everything in this module must stay picklable with the standard
-library pickler: work items and shard outcomes cross process
-boundaries through ``multiprocessing`` queues.
+library pickler: shard tasks and outcomes cross process boundaries
+through ``multiprocessing`` queues.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from ..core.execution import Schedule
 from ..core.thread import ThreadId
-from ..search.strategy import SearchResult
+from ..search.strategy import SearchContext
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from ..obs.metrics import MetricsSnapshot
 
+#: One ICB work-queue entry of a stateless space: ``(schedule, tid)``.
+Pair = Tuple[Schedule, ThreadId]
+
 
 @dataclass(frozen=True)
 class WorkItem:
-    """One deferred exploration obligation.
+    """One deferred exploration obligation, as a checkpoint stores it.
 
     Attributes:
         schedule: the scheduling choices reaching the frontier state
             (a complete replay recipe, per the stateless design).
         tid: the thread to run next from that state.
         preemptions: preempting context switches already spent along
-            ``schedule`` (NP of the prefix).  Purely bookkeeping: the
-            replay recomputes it, but the coordinator uses it to
-            sanity-check bound accounting without replaying.
+            ``schedule``.  Advisory only: the replay recomputes it.
     """
 
     schedule: Schedule
     tid: ThreadId
     preemptions: int = 0
 
-    def as_pair(self) -> Tuple[Schedule, ThreadId]:
-        """The ``(state, tid)`` pair the serial ICB loop consumes."""
+    def as_pair(self) -> Pair:
+        """The ``(state, tid)`` pair the ICB loop consumes."""
         return (self.schedule, self.tid)
 
 
 @dataclass(frozen=True)
 class ShardTask:
-    """A batch of work items dispatched to one worker.
+    """A batch of work-queue entries dispatched to one worker.
 
     ``attempt`` counts prior dispatches of this shard: the coordinator
     bumps it on every crash requeue, so a requeued task is
@@ -61,7 +61,7 @@ class ShardTask:
 
     shard_id: int
     bound: int
-    items: Tuple[WorkItem, ...]
+    items: Tuple[Pair, ...]
     attempt: int = 0
 
 
@@ -69,27 +69,20 @@ class ShardTask:
 class ShardOutcome:
     """What a worker reports back for one explored shard.
 
-    ``search`` carries the shard's full statistics as an ordinary
-    :class:`~repro.search.strategy.SearchResult`, so the coordinator
-    can fold shards together with :meth:`SearchResult.merge`.
-    ``residual_executions``/``residual_transitions`` are the counts
-    *not yet* streamed through progress messages, letting the
-    coordinator keep a running global total for budget enforcement
-    without double counting.
+    ``context`` carries the shard's statistics, which the coordinator
+    folds into the run's live context with
+    :meth:`~repro.search.strategy.SearchContext.absorb`; ``deferred``
+    holds the next-bound entries the shard produced.
     """
 
     shard_id: int
-    worker_id: int
-    items_explored: int
     completed: bool
     stop_reason: str
-    search: SearchResult
-    deferred: Tuple[WorkItem, ...] = ()
-    residual_executions: int = 0
-    residual_transitions: int = 0
+    context: SearchContext
+    deferred: Tuple[Pair, ...] = ()
     #: Frozen per-shard metrics when the run is instrumented
-    #: (``None`` otherwise); the coordinator folds these with
-    #: :meth:`MetricsSnapshot.merge`.
+    #: (``None`` otherwise); the coordinator absorbs these into the
+    #: run's metrics.
     metrics: Optional["MetricsSnapshot"] = None
 
 
@@ -103,19 +96,10 @@ class ShardState:
     claimed_at: Optional[float] = None
 
 
-def chunk_frontier(
-    items: List[WorkItem], workers: int, overpartition: int, chunk_size: Optional[int]
-) -> List[Tuple[WorkItem, ...]]:
-    """Partition a frontier into contiguous shards.
-
-    With ``chunk_size`` unset the frontier is cut into roughly
-    ``workers * overpartition`` chunks: enough slack that a fast
-    worker keeps pulling new shards while a slow one grinds, without
-    paying one queue round-trip per item.
-    """
+def chunk_frontier(items: Sequence[Pair], shards: int) -> List[Tuple[Pair, ...]]:
+    """Partition a frontier into at most ``shards`` contiguous chunks."""
 
     if not items:
         return []
-    if chunk_size is None:
-        chunk_size = max(1, -(-len(items) // max(1, workers * overpartition)))
-    return [tuple(items[i : i + chunk_size]) for i in range(0, len(items), chunk_size)]
+    size = max(1, -(-len(items) // max(1, shards)))
+    return [tuple(items[i : i + size]) for i in range(0, len(items), size)]

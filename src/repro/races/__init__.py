@@ -12,8 +12,6 @@ checked for data races.  This package provides:
   algorithm (Elmas, Qadeer, Tasiran), the detector the paper's CHESS
   uses; provided both for fidelity and as a cross-check of the
   vector-clock detector.
-* :mod:`repro.races.eraser` -- the classic Eraser lockset algorithm, an
-  over-approximate baseline used in ablation benchmarks.
 """
 
 from .goldilocks import GoldilocksDetector

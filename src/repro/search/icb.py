@@ -24,7 +24,7 @@ Consequences (Section 2 of the paper), all preserved here:
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from ..service.checkpoint import Checkpointer
@@ -32,6 +32,7 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import
 
 from ..core.thread import ThreadId
 from ..core.transition import StateSpace
+from ..errors import SearchInterrupted
 from .statecache import WorkItemCache
 from .strategy import SearchContext, Strategy
 
@@ -67,6 +68,9 @@ class IterativeContextBounding(Strategy):
     """
 
     name = "icb"
+    #: Extras recorded in each checkpoint's ``parallel`` section (the
+    #: parallel engine's cumulative bookkeeping; none for serial runs).
+    checkpoint_extras: Tuple[str, ...] = ()
 
     def __init__(
         self,
@@ -120,60 +124,90 @@ class IterativeContextBounding(Strategy):
                 ctx.note_terminal(space, initial)
 
         obs = ctx.obs
-        while True:
-            if obs is not None:
-                obs.bound_started(bound, len(work_queue))
-            while work_queue:
-                item = work_queue.popleft()
-                self._search_item(space, ctx, item, next_queue, cache, prune)
-                if checkpointer is not None and checkpointer.note_item():
+        try:
+            while True:
+                if obs is not None:
+                    obs.bound_started(bound, len(work_queue))
+                self._explore_bound(
+                    space, ctx, bound, work_queue, next_queue, cache, prune, extras
+                )
+                # All executions with at most `bound` preemptions explored.
+                extras["completed_bound"] = bound
+                if obs is not None:
+                    obs.bound_completed(bound, ctx.executions, len(ctx.states))
+                if checkpointer is not None:
                     self._save_checkpoint(
-                        checkpointer, bound, work_queue, next_queue, ctx, cache,
-                        extras["completed_bound"],
+                        bound, work_queue, next_queue, ctx, cache, extras
                     )
-            # All executions with at most `bound` preemptions explored.
-            extras["completed_bound"] = bound
-            if obs is not None:
-                obs.bound_completed(bound, ctx.executions, len(ctx.states))
-            if checkpointer is not None:
-                self._save_checkpoint(
-                    checkpointer, bound, work_queue, next_queue, ctx, cache, bound
-                )
-            if not next_queue:
-                break
-            if self.max_bound is not None and bound >= self.max_bound:
-                break
-            bound += 1
-            if self.prioritizer is not None:
-                next_queue = deque(
-                    self.prioritizer.sort_frontier(space, next_queue)
-                )
-            work_queue, next_queue = next_queue, deque()
-        extras["final_frontier"] = len(next_queue)
-        extras["analysis_pruned"] = ctx.analysis_pruned
-        if cache is not None:
-            extras["cache_hits"] = cache.hits
-            extras["cache_size"] = len(cache)
+                if ctx.limits.stop_on_first_bug and ctx.bugs:
+                    # A run that holds a bug at the end of a bound (the
+                    # parallel engine's, or one resumed with bugs) stops
+                    # here; the serial engine stops at the bug itself.
+                    raise SearchInterrupted("stopping at first bug")
+                if not next_queue:
+                    break
+                if self.max_bound is not None and bound >= self.max_bound:
+                    break
+                bound += 1
+                if self.prioritizer is not None:
+                    next_queue = deque(
+                        self.prioritizer.sort_frontier(space, next_queue)
+                    )
+                work_queue, next_queue = next_queue, deque()
+        finally:
+            extras["final_frontier"] = len(next_queue)
+            extras["analysis_pruned"] = ctx.analysis_pruned
+            if cache is not None:
+                extras["cache_hits"] = cache.hits
+                extras["cache_size"] = len(cache)
 
-    @staticmethod
-    def _save_checkpoint(
-        checkpointer: "Checkpointer",
+    def _explore_bound(
+        self,
+        space: StateSpace,
+        ctx: SearchContext,
         bound: int,
         work_queue: Deque[WorkItem],
         next_queue: Deque[WorkItem],
+        cache: Optional[WorkItemCache],
+        prune: Optional[_PruneTest],
+        extras: Dict[str, Any],
+    ) -> None:
+        """Drain ``work_queue``: explore every item within ``bound``,
+        deferring each preempting choice into ``next_queue``.
+
+        Raises ``SearchBudgetExceeded``/``SearchInterrupted`` when the
+        bound cannot complete.  The parallel engine overrides this
+        step only (see :mod:`repro.parallel.coordinator`).
+        """
+        checkpointer = self.checkpointer
+        while work_queue:
+            item = work_queue.popleft()
+            self._search_item(space, ctx, item, next_queue, cache, prune)
+            if checkpointer is not None and checkpointer.note_item():
+                self._save_checkpoint(
+                    bound, work_queue, next_queue, ctx, cache, extras
+                )
+
+    def _save_checkpoint(
+        self,
+        bound: int,
+        work_queue: Iterable[WorkItem],
+        next_queue: Iterable[WorkItem],
         ctx: SearchContext,
         cache: Optional[WorkItemCache],
-        completed_bound: Optional[int],
+        extras: Dict[str, Any],
     ) -> None:
         from ..service.checkpoint import normalize_items
 
-        checkpointer.save_state(
+        assert self.checkpointer is not None
+        self.checkpointer.save_state(
             bound,
             normalize_items(work_queue),
             normalize_items(next_queue),
             ctx,
-            completed_bound,
+            extras["completed_bound"],
             cache=cache,
+            parallel={key: extras[key] for key in self.checkpoint_extras},
         )
 
     def _search_item(

@@ -72,13 +72,14 @@ def _witness_key(bug: BugReport) -> Tuple[int, int, Tuple[Tuple[int, ...], ...]]
     return (bug.preemptions, len(bug.schedule), tuple(t.path for t in bug.schedule))
 
 
-def _better_witness(challenger: BugReport, incumbent: BugReport) -> bool:
-    """Whether ``challenger`` is the witness to keep.
+def _better_witness(challenger: BugReport, incumbent: Optional[BugReport]) -> bool:
+    """Whether ``challenger`` is the witness to keep over ``incumbent``
+    (``None`` when the defect is new).
 
     Deterministic regardless of discovery or arrival order, which is
     what makes cross-process bug deduplication well-defined.
     """
-    return _witness_key(challenger) < _witness_key(incumbent)
+    return incumbent is None or _witness_key(challenger) < _witness_key(incumbent)
 
 
 class SearchContext:
@@ -154,19 +155,21 @@ class SearchContext:
             self.obs.execution_finished(self.executions, len(self.states))
         self._check_budget()
 
-    def note_bug(self, bug: BugReport) -> None:
+    def note_bug(self, bug: BugReport) -> bool:
         """Record a bug, keeping the canonical minimal witness.
 
-        The kept witness follows the same total order the parallel
-        merge uses (fewest preemptions, then shortest, then smallest
+        The kept witness follows the same total order :meth:`absorb`
+        uses (fewest preemptions, then shortest, then smallest
         schedule), so the witness -- and therefore
         :attr:`BugReport.identity` -- is a pure function of the
         explored space: serial, parallel and interrupted-then-resumed
-        runs all converge on the same report.
+        runs all converge on the same report.  Returns whether ``bug``
+        became the kept witness.
         """
         signature = bug.signature
         known = self.bugs.get(signature)
-        if known is None or _better_witness(bug, known):
+        kept = _better_witness(bug, known)
+        if kept:
             self.bugs[signature] = bug
         if self.obs is not None and (
             known is None or bug.preemptions < known.preemptions
@@ -177,6 +180,53 @@ class SearchContext:
             self.obs.bug_found(bug, new=known is None)
         if self.limits.stop_on_first_bug:
             raise SearchInterrupted("stopping at first bug")
+        return kept
+
+    def absorb(self, other: "SearchContext") -> None:
+        """Fold the statistics of a disjoint exploration into this one.
+
+        Used by the parallel engine to fold each shard into the run's
+        live context, and by :meth:`SearchResult.merge`:
+
+        * executions, transitions and analysis-pruned deferrals are
+          summed;
+        * distinct states are unioned, each keeping the minimum
+          preemption count;
+        * bugs are deduplicated by :attr:`BugReport.signature`, keeping
+          the witness :meth:`note_bug` would keep, so the result does
+          not depend on the order parts arrive in;
+        * per-execution maxima (K, B, c of Table 1) take the maximum;
+        * ``other``'s coverage history is appended with its execution
+          counts offset by this context's (cross-part state overlap
+          makes the distinct counts approximate; the series is forced
+          monotone).
+
+        Never raises and emits nothing: budgets and
+        ``stop_on_first_bug`` are the caller's to check afterwards.
+        """
+        states = self.states
+        for fingerprint, preemptions in other.states.items():
+            known = states.get(fingerprint)
+            if known is None or preemptions < known:
+                states[fingerprint] = preemptions
+        bugs = self.bugs
+        for bug in other.bugs.values():
+            if _better_witness(bug, bugs.get(bug.signature)):
+                bugs[bug.signature] = bug
+        history = self.history
+        high_water = history[-1][1] if history else 0
+        points: List[Tuple[int, int]] = []
+        for executions, distinct in other.history:
+            high_water = max(high_water, distinct)
+            points.append((self.executions + executions, high_water))
+        if points:
+            self._history.extend_raw(points)
+        self.executions += other.executions
+        self.transitions += other.transitions
+        self.analysis_pruned += other.analysis_pruned
+        self.max_steps = max(self.max_steps, other.max_steps)
+        self.max_blocking = max(self.max_blocking, other.max_blocking)
+        self.max_preemptions = max(self.max_preemptions, other.max_preemptions)
 
     # -- coverage history ----------------------------------------------------
 
@@ -320,52 +370,19 @@ class SearchResult:
     ) -> "SearchResult":
         """Fold results of disjoint explorations into one.
 
-        Used by the parallel engine to combine per-shard results, and
-        usable for any partition of a search (e.g. per-bound runs):
-
-        * executions and transitions are summed;
-        * distinct states are unioned, each keeping the minimum
-          preemption count over all parts;
-        * bugs are deduplicated by :attr:`BugReport.signature`, keeping
-          the minimal-preemption witness with a deterministic
-          tie-break, so the merged ``first_bug`` does not depend on
-          the order parts arrived in;
-        * per-execution maxima (K, B, c of Table 1) take the maximum;
-        * the coverage history concatenates parts with their execution
-          counts offset (cross-part state overlap makes the distinct
-          counts approximate; the series is forced monotone).
-
-        ``completed`` defaults to all-parts-completed; ``stop_reason``
-        to the first incomplete part's reason.
+        Usable for any partition of a search (e.g. per-bound runs):
+        the parts' contexts are folded in order with
+        :meth:`SearchContext.absorb`.  ``completed`` defaults to
+        all-parts-completed; ``stop_reason`` to the first incomplete
+        part's reason; ``extras["completed_bound"]`` to the parts'
+        minimum (``None`` if any part certified nothing).
         """
         if not results:
             raise ValueError("merge needs at least one result")
         merged = SearchContext(results[0].context.limits)
         merged.started_at = min(r.context.started_at for r in results)
-        exec_offset = 0
-        high_water = 0
-        merged_history: List[Tuple[int, int]] = []
         for result in results:
-            ctx = result.context
-            for fingerprint, preemptions in ctx.states.items():
-                known = merged.states.get(fingerprint)
-                if known is None or preemptions < known:
-                    merged.states[fingerprint] = preemptions
-            for bug in ctx.bugs.values():
-                known_bug = merged.bugs.get(bug.signature)
-                if known_bug is None or _better_witness(bug, known_bug):
-                    merged.bugs[bug.signature] = bug
-            merged.executions += ctx.executions
-            merged.transitions += ctx.transitions
-            merged.analysis_pruned += getattr(ctx, "analysis_pruned", 0)
-            merged.max_steps = max(merged.max_steps, ctx.max_steps)
-            merged.max_blocking = max(merged.max_blocking, ctx.max_blocking)
-            merged.max_preemptions = max(merged.max_preemptions, ctx.max_preemptions)
-            for executions, distinct in ctx.history:
-                high_water = max(high_water, distinct)
-                merged_history.append((exec_offset + executions, high_water))
-            exec_offset += ctx.executions
-        merged.history_recorder.extend_raw(merged_history)
+            merged.absorb(result.context)
         if completed is None:
             completed = all(r.completed for r in results)
         if stop_reason is None:

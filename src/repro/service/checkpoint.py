@@ -58,7 +58,7 @@ from ..obs.instrument import Instrumentation
 from ..obs.metrics import MetricsSnapshot
 from ..parallel.workitem import WorkItem
 from ..search.statecache import WorkItemCache
-from ..search.strategy import SearchContext, SearchLimits, SearchResult
+from ..search.strategy import SearchContext
 from ..trace.format import ProgramFingerprint, config_from_json, config_to_json
 
 #: Identifies a file as a checkpoint regardless of extension.
@@ -595,33 +595,6 @@ class Checkpoint:
             cache.restore_state(
                 self.cache["items"], self.cache["hits"], self.cache["misses"]
             )
-
-    def as_base_result(self, limits: Optional[SearchLimits] = None) -> SearchResult:
-        """This checkpoint's statistics as a mergeable shard result.
-
-        The parallel coordinator seeds its per-run result list with
-        this, so ``SearchResult.merge`` folds pre-interruption work in
-        exactly like any completed shard.  The ``bound: -1`` extra
-        sorts it before every real shard, keeping merge order (and the
-        merged coverage history) deterministic.
-        """
-        ctx = SearchContext(limits)
-        ctx.states = dict(self.states)
-        ctx.bugs = {bug.signature: bug for bug in self.bugs}
-        ctx.executions = self.executions
-        ctx.transitions = self.transitions
-        ctx.analysis_pruned = self.analysis_pruned
-        ctx.max_steps = self.max_steps
-        ctx.max_blocking = self.max_blocking
-        ctx.max_preemptions = self.max_preemptions
-        ctx.history = list(self.history)
-        return SearchResult(
-            strategy="icb-checkpoint",
-            completed=False,
-            stop_reason="resumed from checkpoint",
-            context=ctx,
-            extras={"bound": -1, "shard_id": -1},
-        )
 
 
 class Checkpointer:

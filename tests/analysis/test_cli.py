@@ -143,6 +143,9 @@ class TestCheckAnalysis:
         code = main(["check", "toy:chain", "--analysis", "--bound", "1"])
         assert code == 0
 
-    def test_analysis_with_workers_is_rejected(self):
-        with pytest.raises(SystemExit, match="--workers"):
-            main(["check", "toy:chain", "--analysis", "--workers", "2"])
+    def test_analysis_composes_with_workers(self):
+        assert main(["check", "toy:chain", "--analysis", "--workers", "2"]) == 0
+        code = main(
+            ["check", "toy:stats-race", "--analysis", "--workers", "2", "--bound", "1"]
+        )
+        assert code != 0

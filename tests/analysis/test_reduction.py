@@ -95,10 +95,17 @@ class TestErrorPaths:
         with pytest.raises(ValueError, match="racy-counter"):
             checker.check(max_bound=1, analysis=wrong)
 
-    def test_analysis_with_parallel_workers_is_rejected(self):
-        checker = ChessChecker(toy.stats_race())
-        with pytest.raises(ValueError, match="parallel workers"):
-            checker.check(max_bound=1, workers=2, analysis=True)
+
+class TestParallelWorkers:
+    def test_workers_prune_like_serial(self):
+        serial = ChessChecker(toy.stats_race()).check(max_bound=1, analysis=True)
+        parallel = ChessChecker(toy.stats_race()).check(
+            max_bound=1, workers=2, analysis=True
+        )
+        assert identities(parallel) == identities(serial)
+        assert parallel.transitions == serial.transitions
+        pruned = parallel.search.extras["analysis_pruned"]
+        assert pruned == serial.search.extras["analysis_pruned"] > 0
 
 
 class TestPrioritizer:

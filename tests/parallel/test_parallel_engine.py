@@ -11,8 +11,10 @@ from repro import (
     ParallelSettings,
     SearchLimits,
 )
-from repro.programs import toy
+from repro.programs import resolve_builtin, toy
 from repro.programs.bluetooth import bluetooth
+
+from ..service._parity import BOUNDS
 
 
 def summary(check_result):
@@ -79,6 +81,39 @@ class TestSerialEquivalence:
             checker.check(strategy=DepthFirstSearch(), workers=2)
         with pytest.raises(ValueError):
             checker.check(workers=2, state_caching=True)
+
+
+@pytest.mark.parametrize("spec", sorted(BOUNDS))
+def test_analysis_composes_with_workers(spec):
+    """Workers prune with the checker's one analysis, so the reduced
+    search is the serial reduced search, sharded."""
+
+    def reduced(workers):
+        result = ChessChecker(resolve_builtin(spec)).check(
+            max_bound=BOUNDS[spec], analysis=True, workers=workers
+        )
+        return summary(result), result.search.extras["analysis_pruned"]
+
+    assert reduced(2) == reduced(None)
+
+
+@pytest.mark.parametrize("workers", [None, 2])
+@pytest.mark.parametrize(
+    "limits",
+    [
+        SearchLimits(),
+        SearchLimits(max_transitions=300),
+        SearchLimits(stop_on_first_bug=True),
+    ],
+    ids=["complete", "transition-budget", "first-bug"],
+)
+def test_every_exit_carries_the_same_extras(workers, limits):
+    result = ChessChecker(bluetooth(buggy=True)).check(
+        max_bound=1, limits=limits, workers=workers
+    )
+    assert {"completed_bound", "final_frontier", "analysis_pruned"} <= set(
+        result.search.extras
+    )
 
 
 class TestDeterminism:
@@ -183,19 +218,19 @@ class TestRobustness:
 
 
 class TestCoordinatorDirect:
-    """The coordinator API without the checker facade."""
+    """The coordinator as a strategy, without the checker facade."""
 
     def test_run_returns_parallel_strategy_result(self):
-        coordinator = ParallelCoordinator(
-            bluetooth(buggy=True), workers=2, max_bound=1
-        )
-        result = coordinator.run()
+        coordinator = ParallelCoordinator(workers=2, max_bound=1)
+        result = coordinator.run(ChessChecker(bluetooth(buggy=True)).space())
         assert result.strategy == "icb-parallel"
         assert result.extras["completed_bound"] == 1
         assert result.extras["workers"] == 2
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
-            ParallelCoordinator(bluetooth(), workers=0)
+            ParallelCoordinator(workers=0)
         with pytest.raises(ValueError):
-            ParallelCoordinator(bluetooth(), workers=2, max_bound=-1)
+            ParallelCoordinator(workers=2, max_bound=-1)
+        with pytest.raises(ValueError):
+            ParallelCoordinator(workers=2, state_caching=True)

@@ -1,4 +1,4 @@
-"""Goldilocks and Eraser detectors, and detector agreement."""
+"""The Goldilocks detector, and detector agreement."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from repro.core.effects import EffectKind
 from repro.core.thread import ThreadId
 from repro.core.variables import AtomicVar, SharedVar
 from repro.core.world import World
-from repro.races.eraser import EraserDetector
 from repro.races.goldilocks import GoldilocksDetector
 
 T0 = ThreadId((0,), "t0")
@@ -65,46 +64,6 @@ class TestGoldilocksUnit:
         detector.on_data(T0, data, True)
         # No release: the lockset never gains the lock element.
         detector.on_sync(T1, lock, EffectKind.ACQUIRE)
-        assert detector.on_data(T1, data, True) is not None
-
-
-class TestEraserUnit:
-    def test_exclusive_phase_unchecked(self):
-        _, _, data = make_world()
-        detector = EraserDetector()
-        assert detector.on_data(T0, data, True) is None
-        assert detector.on_data(T0, data, True) is None
-
-    def test_consistent_lock_discipline_accepted(self):
-        _, lock, data = make_world()
-        detector = EraserDetector()
-        for tid in (T0, T1):
-            detector.on_sync(tid, lock, EffectKind.ACQUIRE)
-            assert detector.on_data(tid, data, True) is None
-            detector.on_sync(tid, lock, EffectKind.RELEASE)
-
-    def test_unprotected_shared_write_flagged(self):
-        _, _, data = make_world()
-        detector = EraserDetector()
-        detector.on_data(T0, data, True)
-        assert detector.on_data(T1, data, True) is not None
-
-    def test_shared_reads_tolerated(self):
-        _, _, data = make_world()
-        detector = EraserDetector()
-        detector.on_data(T0, data, False)
-        assert detector.on_data(T1, data, False) is None
-
-    def test_false_positive_on_fork_join_publication(self):
-        """Eraser's known weakness: lock-free publication idioms."""
-        world = World()
-        data = SharedVar(world, "data")
-        created = AtomicVar(world, "created")
-        detector = EraserDetector()
-        detector.on_data(T0, data, True)
-        detector.on_sync(T0, created, EffectKind.SPAWN)
-        detector.on_sync(T1, created, EffectKind.START)
-        # Correctly ordered, but Eraser flags it: no common lock.
         assert detector.on_data(T1, data, True) is not None
 
 

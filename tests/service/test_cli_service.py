@@ -157,3 +157,31 @@ def test_sigkilled_parallel_check_resumes_to_serial_parity(spec, tmp_path):
     assert resumed["identities"] == sorted(
         [kind] + [str(t) for t in rest] for (kind, *rest) in identities(base)
     )
+
+
+@pytest.mark.parametrize("refusal", ["v1", "mismatch"])
+def test_refused_checkpoint_is_a_one_line_error(refusal, tmp_path):
+    """A checkpoint the checker refuses ends `repro check` with its
+    one-line message on stderr, not a traceback."""
+    path = tmp_path / "refused.ckpt.json"
+    from repro import ChessChecker, SearchLimits
+    from repro.programs import resolve_builtin
+
+    ChessChecker(resolve_builtin("wsq:pop-race")).check(
+        max_bound=2,
+        limits=SearchLimits(max_transitions=300),
+        checkpoint=path,
+        checkpoint_stride=8,
+    )
+    if refusal == "v1":
+        data = json.loads(path.read_text())
+        data["version"] = 1
+        path.write_text(json.dumps(data))
+        program, expected = "wsq:pop-race", "re-run"
+    else:
+        program, expected = "bluetooth", "different search"
+    proc = _run("check", program, "--checkpoint", str(path), check=False)
+    assert proc.returncode != 0
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and expected in lines[0], proc.stderr
