@@ -119,9 +119,7 @@ class FleetDaemon:
                 if now - last_sweep >= self.sync_interval:
                     self.sync.anti_entropy()
                     last_sweep = now
-                if once and not any(
-                    job.status == "queued" for job in self.service.queue.jobs()
-                ):
+                if once and self.service.queue.next_queued() is None:
                     return handled
                 if not once:
                     time.sleep(poll_interval)

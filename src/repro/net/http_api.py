@@ -2,8 +2,8 @@
 
 ``ServiceAPI`` is the transport-free core: ``handle(method, path,
 body)`` maps one request to ``(status, wire body)``, holding **no
-state of its own** -- every request re-folds the journal and re-reads
-the cache directory, so whatever the HTTP layer reports can always be
+state of its own** -- every request folds the journal's newly appended
+records and re-reads the cache directory, so whatever the HTTP layer reports can always be
 rebuilt from the service root (killing the front-end loses nothing).
 ``HttpFrontend`` binds that core to a ``ThreadingHTTPServer`` running
 on a daemon thread beside the claim loop.

@@ -10,7 +10,7 @@ journaled as ordinary queue events:
     on a queued job carrying exactly the next fencing token, so when
     two daemons race, both appends land but journal order arbitrates:
     the first wins, the second folds to a no-op.  The claimant learns
-    whether it won by re-folding the journal after its append -- the
+    whether it won by folding the journal again after its append -- the
     append-only file is the lock.
 ``renewed``
     Pushes ``expires`` forward while the job runs.  A
@@ -59,9 +59,9 @@ class Lease:
 class LeaseManager:
     """Claims, renews and releases leases for one daemon.
 
-    Every operation re-folds the journal first and appends after, so
-    concurrent managers on different hosts agree on the lease table
-    without any channel besides the journal itself.
+    Every operation folds the journal's newly appended records first
+    and appends after, so concurrent managers on different hosts agree
+    on the lease table without any channel besides the journal itself.
     """
 
     def __init__(
@@ -89,25 +89,24 @@ class LeaseManager:
         """
         now = self.clock()
         expired: List[Job] = []
-        for job in self.queue.jobs():
-            if (
-                job.status == RUNNING
-                and job.lease_expires is not None
-                and job.lease_expires < now
-            ):
-                self.queue.append_expiry(
-                    job.id,
-                    job.fence,
-                    self.daemon_id,
-                    error=f"lease of {job.owner} expired",
-                )
-                record = self.queue.get(job.id)
-                if record is not None and record.status == QUEUED:
-                    expired.append(record)
-                    if self.obs is not None:
-                        self.obs.lease_takeover(
-                            job.id, job.fence, str(job.owner or "")
-                        )
+        for job in self.queue.select(
+            lambda job: job.status == RUNNING
+            and job.lease_expires is not None
+            and job.lease_expires < now
+        ):
+            self.queue.append_expiry(
+                job.id,
+                job.fence,
+                self.daemon_id,
+                error=f"lease of {job.owner} expired",
+            )
+            record = self.queue.get(job.id)
+            if record is not None and record.status == QUEUED:
+                expired.append(record)
+                if self.obs is not None:
+                    self.obs.lease_takeover(
+                        job.id, job.fence, str(job.owner or "")
+                    )
         return expired
 
     # -- claim ---------------------------------------------------------------
@@ -119,10 +118,9 @@ class LeaseManager:
         the race for the job it picked; callers just poll again.
         """
         self.expire_stale()
-        queued = [job for job in self.queue.jobs() if job.status == QUEUED]
-        if not queued:
+        job = self.queue.next_queued()
+        if job is None:
             return None
-        job = min(queued, key=lambda j: (-j.priority, j.seq))
         fence = job.fence + 1
         expires = self.clock() + self.ttl
         self.queue.append_claim(job.id, self.daemon_id, fence, expires)

@@ -106,7 +106,7 @@ class RaceCandidatePrioritizer:
         hot = self.hot
 
         def coldness(item: Tuple[object, ThreadId]) -> int:
-            state, tid = item
+            state, tid = item[0], item[1]
             effect = execution_at(state).pending_effect(tid)
             target = getattr(effect, "target", None)
             name = getattr(target, "name", None)

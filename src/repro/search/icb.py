@@ -36,7 +36,9 @@ from ..errors import SearchInterrupted
 from .statecache import WorkItemCache
 from .strategy import SearchContext, Strategy
 
-WorkItem = Tuple[object, ThreadId]
+#: ``(state, tid)``; with the work-item table on, pushed and deferred
+#: items append the state's fingerprint (see ``_search_item``).
+WorkItem = Tuple[Any, ...]
 
 #: space.analysis_prunable, bound to the space (see FrontierPrioritizer
 #: in :mod:`repro.search.heuristics` for the companion ordering hook).
@@ -224,19 +226,28 @@ class IterativeContextBounding(Strategy):
         Explores everything reachable from ``item`` without an
         additional preemption, deferring each preempting alternative
         into ``next_queue``.
+
+        With the work-item table on, every item this pushes or defers
+        carries its state's fingerprint as a third element, computed
+        by ``ctx.visit`` on the live execution: looking it up in the
+        table then needs no replay.  Initial and resumed items are
+        plain pairs and pay for ``space.fingerprint``.
         """
         obs = ctx.obs
         stack: List[WorkItem] = [item]
         while stack:
-            state, tid = stack.pop()
+            item = stack.pop()
+            state, tid = item[0], item[1]
             if cache is not None:
-                hit = cache.seen(space.fingerprint(state), tid)
+                fingerprint = item[2] if len(item) > 2 else space.fingerprint(state)
+                hit = cache.seen(fingerprint, tid)
                 if obs is not None:
                     obs.cache_lookup(hit)
                 if hit:
                     continue
             successor = space.execute(state, tid)
-            ctx.visit(space, successor)
+            fingerprint = ctx.visit(space, successor)
+            carried = () if cache is None else (fingerprint,)
             if space.is_terminal(successor):
                 ctx.note_terminal(space, successor)
                 continue
@@ -244,7 +255,7 @@ class IterativeContextBounding(Strategy):
             if tid in enabled:
                 # The running thread may continue: scheduling any other
                 # enabled thread here would be a preemption.
-                stack.append((successor, tid))
+                stack.append((successor, tid) + carried)
                 if (
                     prune is not None
                     and len(enabled) > 1
@@ -257,9 +268,9 @@ class IterativeContextBounding(Strategy):
                     continue
                 for other in enabled:
                     if other != tid:
-                        next_queue.append((successor, other))
+                        next_queue.append((successor, other) + carried)
             else:
                 # The running thread blocked or finished: switching is
                 # nonpreempting and free, so explore every choice now.
                 for other in reversed(enabled):
-                    stack.append((successor, other))
+                    stack.append((successor, other) + carried)

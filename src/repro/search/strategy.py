@@ -124,8 +124,9 @@ class SearchContext:
             if self.obs is not None:
                 self.obs.state_discovered(0, len(self.states))
 
-    def visit(self, space: StateSpace, state: object) -> None:
-        """Record a state reached by one ``execute`` transition."""
+    def visit(self, space: StateSpace, state: object) -> Hashable:
+        """Record a state reached by one ``execute`` transition;
+        returns its fingerprint."""
         self.transitions += 1
         fingerprint = space.fingerprint(state)
         preemptions = space.preemptions(state)
@@ -137,6 +138,7 @@ class SearchContext:
         for bug in space.bugs(state):
             self.note_bug(bug)
         self._check_budget()
+        return fingerprint
 
     def note_terminal(self, space: StateSpace, state: object) -> None:
         """Record a completed (or budget/depth-pruned) execution."""

@@ -277,9 +277,15 @@ def normalize_items(raw_items: Iterable[Tuple[object, ThreadId]]) -> List[WorkIt
 
     A stateless state *is* its schedule, so ``tuple(state)`` is the
     replay recipe; the preemption count is advisory (``as_pair``
-    discards it on the way back in) and recorded as zero.
+    discards it on the way back in) and recorded as zero.  A
+    fingerprint carried as a third element (see
+    :meth:`~repro.search.icb.IterativeContextBounding._search_item`)
+    is dropped: a resumed item recomputes it.
     """
-    return [WorkItem(schedule=tuple(state), tid=tid) for state, tid in raw_items]  # type: ignore[arg-type]
+    return [
+        WorkItem(schedule=tuple(item[0]), tid=item[1])  # type: ignore[arg-type]
+        for item in raw_items
+    ]
 
 
 @dataclass

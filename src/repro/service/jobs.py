@@ -2,14 +2,16 @@
 
 The queue's entire state is the fold of ``jobs.jsonl``: every mutation
 (``submitted``, ``started``, ``completed``, ``failed``, ``requeued``)
-is one appended, fsynced line, and the in-memory view is rebuilt by
-replaying the journal from the top.  That makes the queue trivially
-crash-safe -- a killed daemon loses at most the *acknowledgement* of
-work, never the work itself: :meth:`JobQueue.recover` folds the
-journal, finds jobs stuck ``running`` with no live owner, and requeues
-them.  Re-running a recovered job is cheap by construction, because
-the daemon gives every job a durable checkpoint file
-(:mod:`repro.service.checkpoint`) and a shared result cache
+is one appended, fsynced line.  A :class:`JobQueue` keeps its fold in
+memory and, on every call, folds only the records appended since its
+last one -- so separate processes still see each other's events, and
+any fresh process rebuilds exactly the same state from the file.  That
+makes the queue trivially crash-safe -- a killed daemon loses at most
+the *acknowledgement* of work, never the work itself:
+:meth:`JobQueue.recover` finds jobs stuck ``running`` with no live
+owner and requeues them.  Re-running a recovered job is cheap by
+construction, because the daemon gives every job a durable checkpoint
+file (:mod:`repro.service.checkpoint`) and a shared result cache
 (:mod:`repro.service.cache`).
 
 Scheduling is by ``(-priority, submission order)``; submissions are
@@ -31,7 +33,8 @@ partial final line with no terminating newline.  Such a record was
 never committed: the fold ignores it, and the next append (or
 :meth:`JobQueue.recover`) truncates the journal back to the last valid
 record.  A newline-*terminated* garbage line is real corruption and
-still raises :class:`JobQueueError`.
+raises :class:`JobQueueError` on every call until the journal is
+fixed.
 """
 
 from __future__ import annotations
@@ -40,8 +43,10 @@ import hashlib
 import json
 import os
 import pathlib
+import threading
+from copy import copy
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from ..errors import ReproError
 
@@ -169,181 +174,248 @@ def _fence_current(event: Dict[str, Any], job: Job) -> bool:
     return _fence_of(event) == job.fence
 
 
+def _parse_line(line: str) -> Optional[Dict[str, Any]]:
+    """One journal record, or ``None`` if the line is not one."""
+    try:
+        event = json.loads(line)
+    except json.JSONDecodeError:
+        return None
+    if not isinstance(event, dict) or "event" not in event:
+        return None
+    return event
+
+
+def _apply(jobs: Dict[str, Job], event: Dict[str, Any]) -> None:
+    """Fold one journal record into the job table.
+
+    Raises ``ValueError``/``TypeError`` for a record that cannot be
+    folded, before changing anything.
+    """
+    kind = event["event"]
+    if kind == "submitted":
+        data = event.get("job")
+        if not isinstance(data, dict) or "id" not in data:
+            raise ValueError("submitted event without a job object")
+        job = Job(
+            id=str(data["id"]),
+            seq=int(data.get("seq", 0)),
+            **{name: data.get(name) for name in _JOB_FIELDS},
+        )
+        job.priority = int(job.priority or 0)
+        job.stop_on_first_bug = bool(job.stop_on_first_bug)
+        job.state_caching = bool(job.state_caching)
+        jobs[job.id] = job
+        return
+    job = jobs.get(str(event.get("id")))
+    if job is None:
+        # An event for an unknown job: tolerate (a truncated
+        # journal head) rather than refuse to serve the rest.
+        return
+    if kind == "started":
+        job.status = RUNNING
+        job.attempts += 1
+    elif kind == "claimed":
+        # A lease claim is honoured only on a queued job and only with
+        # the next fencing token; the loser of a two-daemon race
+        # appends a claim that fails one of the two tests and folds to
+        # a no-op.
+        if job.status == QUEUED and _fence_of(event) == job.fence + 1:
+            job.status = RUNNING
+            job.attempts += 1
+            job.owner = str(event.get("daemon", ""))
+            job.fence += 1
+            job.lease_expires = _expires_of(event)
+    elif kind == "renewed":
+        if (
+            job.status == RUNNING
+            and _fence_of(event) == job.fence
+            and str(event.get("daemon", "")) == job.owner
+        ):
+            job.lease_expires = _expires_of(event)
+    elif kind == "lease_expired":
+        # A takeover: some daemon observed the lease deadline pass and
+        # requeued the job.  The fence check means an expiry raced
+        # against a newer claim cannot clobber it.
+        if job.status == RUNNING and _fence_of(event) == job.fence:
+            job.status = QUEUED
+            job.owner = None
+            job.lease_expires = None
+            job.error = event.get("error", job.error)
+    elif kind == "completed":
+        if _fence_current(event, job):
+            job.status = DONE
+            job.result_path = event.get("result_path")
+            job.cache_hit = bool(event.get("cache_hit"))
+            job.owner = None
+            job.lease_expires = None
+    elif kind == "failed":
+        if _fence_current(event, job):
+            job.status = FAILED
+            job.error = event.get("error")
+            job.owner = None
+            job.lease_expires = None
+    elif kind == "requeued":
+        if _fence_current(event, job):
+            job.status = QUEUED
+            job.error = event.get("error", job.error)
+            job.owner = None
+            job.lease_expires = None
+
+
 class JobQueue:
     """Fold-of-a-journal job queue (see module docstring).
 
     Not safe for *concurrent writers*: the intended topology is one
     ``repro serve`` daemon owning the journal, with ``submit``/
     ``status`` CLI invocations running between daemon polls.  Each
-    public method re-reads the journal, so separate processes always
-    see each other's appended events.
+    public method first folds the records appended since its previous
+    call, so separate processes always see each other's events.
+    Threads may share one queue: a lock guards the cached fold, and
+    every :class:`Job` a method returns is a copy the caller owns.
     """
 
     def __init__(self, root: Union[str, pathlib.Path]) -> None:
         self.root = pathlib.Path(root)
         self.journal = self.root / JOURNAL_NAME
+        # The cached fold: the job table as of byte ``_offset`` (just
+        # past the last folded record, line ``_lineno``) of the file
+        # ``_file`` names by ``(st_dev, st_ino)``.  ``_size`` is how
+        # much of that file the last fold saw, torn tail included.
+        self._lock = threading.Lock()
+        self._jobs: Dict[str, Job] = {}
+        self._file: Optional[Tuple[int, int]] = None
+        self._offset = 0
+        self._lineno = 0
+        self._size = 0
 
-    # -- journal primitives --------------------------------------------------
+    # -- journal primitives (callers hold ``_lock``) -------------------------
 
-    def _append(self, event: Dict[str, Any]) -> None:
+    def _reset(self, file: Optional[Tuple[int, int]]) -> None:
+        self._jobs = {}
+        self._file = file
+        self._offset = 0
+        self._lineno = 0
+        self._size = 0
+
+    def _sync(self) -> None:
+        """Fold the records appended since the last call.
+
+        A record is committed iff its line is newline-terminated:
+        appends write line+newline in one call, so only a crash
+        mid-append leaves an *unterminated* tail, and such a tail --
+        whatever its bytes -- was never acknowledged and stays beyond
+        ``_offset`` (then truncated by :meth:`repair`).  A
+        newline-terminated line that fails to parse is real corruption
+        and raises; the offset stops in front of it, so it raises
+        again on every call and the records before it fold only once.
+        The fold restarts from byte 0 when the journal was replaced,
+        shrank, or no longer ends a record where the fold stopped.
+        """
+        try:
+            with open(self.journal, "rb") as fh:
+                stat = os.fstat(fh.fileno())
+                file = (stat.st_dev, stat.st_ino)
+                stale = file != self._file or stat.st_size < self._offset
+                if not stale and self._offset:
+                    fh.seek(self._offset - 1)
+                    stale = fh.read(1) != b"\n"
+                if stale:
+                    self._reset(file)
+                fh.seek(self._offset)
+                tail = fh.read()
+        except FileNotFoundError:
+            self._reset(None)
+            return
+        except OSError as exc:
+            raise JobQueueError(f"cannot read journal {self.journal}: {exc}") from exc
+        base = self._offset
+        self._size = base + len(tail)
+        start = 0
+        while True:
+            end = tail.find(b"\n", start)
+            if end == -1:
+                return
+            line = tail[start:end].decode("utf-8", errors="replace").strip()
+            if line:
+                event = _parse_line(line)
+                try:
+                    if event is None:
+                        raise ValueError("not a valid journal record")
+                    _apply(self._jobs, event)
+                except (TypeError, ValueError) as exc:
+                    raise JobQueueError(
+                        f"{self.journal}:{self._lineno + 1}: {exc}"
+                    ) from exc
+            self._lineno += 1
+            start = end + 1
+            self._offset = base + start
+
+    def _truncate_torn_tail(self) -> bool:
+        """Cut what the last :meth:`_sync` saw beyond the last record."""
+        if self._size <= self._offset:
+            return False
+        with open(self.journal, "r+b") as fh:
+            fh.truncate(self._offset)
+            fh.flush()
+            os.fsync(fh.fileno())
+        self._size = self._offset
+        return True
+
+    def _write(self, event: Dict[str, Any]) -> None:
+        """Append one record after a :meth:`_sync`; the next sync folds it."""
         self.root.mkdir(parents=True, exist_ok=True)
-        self.repair()
+        self._truncate_torn_tail()
         line = json.dumps(event, sort_keys=True)
         with open(self.journal, "a", encoding="utf-8") as fh:
             fh.write(line + "\n")
             fh.flush()
             os.fsync(fh.fileno())
 
-    @staticmethod
-    def _parse_line(line: str) -> Optional[Dict[str, Any]]:
-        """One journal record, or ``None`` if the line is not one."""
-        try:
-            event = json.loads(line)
-        except json.JSONDecodeError:
-            return None
-        if not isinstance(event, dict) or "event" not in event:
-            return None
-        return event
+    def _append(self, event: Dict[str, Any]) -> None:
+        with self._lock:
+            self._sync()
+            self._write(event)
 
-    def _read(self) -> Tuple[List[Dict[str, Any]], int]:
-        """Parse the journal; returns ``(events, valid_length)``.
-
-        ``valid_length`` is the byte offset just past the last
-        committed record.  A record is committed iff its line is
-        newline-terminated: appends write line+newline in one call, so
-        only a crash mid-append leaves an *unterminated* tail, and
-        such a tail -- whatever its bytes -- was never acknowledged
-        and is ignored (then truncated by :meth:`repair`).  A
-        newline-terminated line that fails to parse is real corruption
-        and raises.
-        """
-        try:
-            raw = self.journal.read_bytes()
-        except FileNotFoundError:
-            return [], 0
-        except OSError as exc:
-            raise JobQueueError(f"cannot read journal {self.journal}: {exc}") from exc
-        events: List[Dict[str, Any]] = []
-        offset = 0
-        lineno = 0
-        while offset < len(raw):
-            lineno += 1
-            end = raw.find(b"\n", offset)
-            if end == -1:
-                # Torn tail: a crashed append never committed this
-                # record.  valid_length excludes it.
-                return events, offset
-            line = raw[offset:end].decode("utf-8", errors="replace").strip()
-            if line:
-                event = self._parse_line(line)
-                if event is None:
-                    raise JobQueueError(
-                        f"{self.journal}:{lineno}: not a valid journal record"
-                    )
-                events.append(event)
-            offset = end + 1
-        return events, offset
-
-    def _events(self) -> List[Dict[str, Any]]:
-        return self._read()[0]
+    def _best_queued(self) -> Optional[Job]:
+        queued = (job for job in self._jobs.values() if job.status == QUEUED)
+        return min(queued, key=lambda job: (-job.priority, job.seq), default=None)
 
     def repair(self) -> bool:
-        """Truncate a torn final record (see :meth:`_read`); returns
+        """Truncate a torn final record (see :meth:`_sync`); returns
         whether anything was cut."""
-        if not self.journal.exists():
-            return False
-        _, valid = self._read()
-        if valid >= self.journal.stat().st_size:
-            return False
-        with open(self.journal, "r+b") as fh:
-            fh.truncate(valid)
-            fh.flush()
-            os.fsync(fh.fileno())
-        return True
-
-    def _fold(self) -> Dict[str, Job]:
-        """Replay the journal into the current job table."""
-        jobs: Dict[str, Job] = {}
-        for event in self._events():
-            kind = event["event"]
-            if kind == "submitted":
-                data = event.get("job")
-                if not isinstance(data, dict) or "id" not in data:
-                    raise JobQueueError("submitted event without a job object")
-                job = Job(
-                    id=str(data["id"]),
-                    seq=int(data.get("seq", 0)),
-                    **{name: data.get(name) for name in _JOB_FIELDS},
-                )
-                job.priority = int(job.priority or 0)
-                job.stop_on_first_bug = bool(job.stop_on_first_bug)
-                job.state_caching = bool(job.state_caching)
-                jobs[job.id] = job
-                continue
-            job = jobs.get(str(event.get("id")))
-            if job is None:
-                # An event for an unknown job: tolerate (a truncated
-                # journal head) rather than refuse to serve the rest.
-                continue
-            if kind == "started":
-                job.status = RUNNING
-                job.attempts += 1
-            elif kind == "claimed":
-                # A lease claim is honoured only on a queued job and
-                # only with the next fencing token; the loser of a
-                # two-daemon race appends a claim that fails one of
-                # the two tests and folds to a no-op.
-                if job.status == QUEUED and _fence_of(event) == job.fence + 1:
-                    job.status = RUNNING
-                    job.attempts += 1
-                    job.owner = str(event.get("daemon", ""))
-                    job.fence += 1
-                    job.lease_expires = _expires_of(event)
-            elif kind == "renewed":
-                if (
-                    job.status == RUNNING
-                    and _fence_of(event) == job.fence
-                    and str(event.get("daemon", "")) == job.owner
-                ):
-                    job.lease_expires = _expires_of(event)
-            elif kind == "lease_expired":
-                # A takeover: some daemon observed the lease deadline
-                # pass and requeued the job.  The fence check means an
-                # expiry raced against a newer claim cannot clobber it.
-                if job.status == RUNNING and _fence_of(event) == job.fence:
-                    job.status = QUEUED
-                    job.owner = None
-                    job.lease_expires = None
-                    job.error = event.get("error", job.error)
-            elif kind == "completed":
-                if _fence_current(event, job):
-                    job.status = DONE
-                    job.result_path = event.get("result_path")
-                    job.cache_hit = bool(event.get("cache_hit"))
-                    job.owner = None
-                    job.lease_expires = None
-            elif kind == "failed":
-                if _fence_current(event, job):
-                    job.status = FAILED
-                    job.error = event.get("error")
-                    job.owner = None
-                    job.lease_expires = None
-            elif kind == "requeued":
-                if _fence_current(event, job):
-                    job.status = QUEUED
-                    job.error = event.get("error", job.error)
-                    job.owner = None
-                    job.lease_expires = None
-        return jobs
+        with self._lock:
+            self._sync()
+            return self._truncate_torn_tail()
 
     # -- public API ----------------------------------------------------------
 
+    def select(self, predicate: Callable[[Job], bool]) -> List[Job]:
+        """Copies of the jobs ``predicate`` accepts, in submission order.
+
+        ``predicate`` sees the cached jobs themselves and must not
+        change them; only the accepted ones are copied.
+        """
+        with self._lock:
+            self._sync()
+            chosen = [job for job in self._jobs.values() if predicate(job)]
+        return [copy(job) for job in sorted(chosen, key=lambda job: job.seq)]
+
     def jobs(self) -> List[Job]:
         """Every known job, in submission order."""
-        return sorted(self._fold().values(), key=lambda job: job.seq)
+        return self.select(lambda job: True)
 
     def get(self, job_id: str) -> Optional[Job]:
-        return self._fold().get(job_id)
+        with self._lock:
+            self._sync()
+            job = self._jobs.get(job_id)
+            return None if job is None else copy(job)
+
+    def next_queued(self) -> Optional[Job]:
+        """The job :meth:`claim` would take next, or ``None``."""
+        with self._lock:
+            self._sync()
+            job = self._best_queued()
+            return None if job is None else copy(job)
 
     def submit(
         self,
@@ -357,7 +429,6 @@ class JobQueue:
         state_caching: bool = False,
     ) -> Job:
         """Append a new job, or return the active duplicate if any."""
-        jobs = self._fold()
         candidate = Job(
             id="",
             spec=spec,
@@ -369,36 +440,46 @@ class JobQueue:
             max_transitions=max_transitions,
             state_caching=state_caching,
         )
-        for job in sorted(jobs.values(), key=lambda j: j.seq):
-            if job.status in (QUEUED, RUNNING) and job.work_key() == candidate.work_key():
-                return job
-        seq = 1 + max((job.seq for job in jobs.values()), default=0)
-        candidate.id = f"job-{seq:06d}"
-        candidate.seq = seq
-        payload = asdict(candidate)
-        # Lifecycle and lease fields are derived from later events,
-        # not recorded at submission.
-        for name in (
-            "status",
-            "attempts",
-            "result_path",
-            "error",
-            "cache_hit",
-            "owner",
-            "fence",
-            "lease_expires",
-        ):
-            payload.pop(name, None)
-        self._append({"event": "submitted", "job": payload})
+        work = candidate.work_key()
+        with self._lock:
+            self._sync()
+            jobs = self._jobs.values()
+            active = [
+                job
+                for job in jobs
+                if job.status in (QUEUED, RUNNING) and job.work_key() == work
+            ]
+            if active:
+                return copy(min(active, key=lambda job: job.seq))
+            seq = 1 + max((job.seq for job in jobs), default=0)
+            candidate.id = f"job-{seq:06d}"
+            candidate.seq = seq
+            payload = asdict(candidate)
+            # Lifecycle and lease fields are derived from later events,
+            # not recorded at submission.
+            for name in (
+                "status",
+                "attempts",
+                "result_path",
+                "error",
+                "cache_hit",
+                "owner",
+                "fence",
+                "lease_expires",
+            ):
+                payload.pop(name, None)
+            self._write({"event": "submitted", "job": payload})
         return candidate
 
     def claim(self) -> Optional[Job]:
         """Take the best queued job and mark it running."""
-        queued = [job for job in self._fold().values() if job.status == QUEUED]
-        if not queued:
-            return None
-        job = min(queued, key=lambda j: (-j.priority, j.seq))
-        self._append({"event": "started", "id": job.id})
+        with self._lock:
+            self._sync()
+            best = self._best_queued()
+            if best is None:
+                return None
+            self._write({"event": "started", "id": best.id})
+            job = copy(best)
         job.status = RUNNING
         job.attempts += 1
         return job
@@ -493,9 +574,8 @@ class JobQueue:
         """
         self.repair()
         recovered: List[Job] = []
-        for job in self.jobs():
-            if job.status == RUNNING:
-                self.fail(job.id, "daemon died while running", requeue=True)
-                job.status = QUEUED
-                recovered.append(job)
+        for job in self.select(lambda job: job.status == RUNNING):
+            self.fail(job.id, "daemon died while running", requeue=True)
+            job.status = QUEUED
+            recovered.append(job)
         return recovered

@@ -4,6 +4,11 @@ crash recovery."""
 from __future__ import annotations
 
 import json
+import os
+import random
+import sys
+import threading
+import time
 
 import pytest
 
@@ -161,3 +166,214 @@ def test_recover_repairs_a_torn_tail(tmp_path):
     recovered = JobQueue(tmp_path).recover()
     assert recovered == []
     assert journal.read_bytes().endswith(b"\n")
+
+
+# -- the incremental fold ----------------------------------------------------
+
+
+def _reference_fold(journal):
+    """The job table, folded from scratch by a parser independent of
+    JobQueue's: every newline-terminated record, in order."""
+    jobs = {}
+    raw = journal.read_bytes() if journal.exists() else b""
+    for line in raw.split(b"\n")[:-1]:  # what follows the last \n is torn
+        if not line.strip():
+            continue
+        event = json.loads(line)
+        kind = event["event"]
+        if kind == "submitted":
+            job = Job(**event["job"])
+            jobs[job.id] = job
+            continue
+        job = jobs.get(event["id"])
+        if job is None:
+            continue
+        fence = event.get("fence", job.fence)
+        if kind == "started":
+            job.status = "running"
+            job.attempts += 1
+        elif kind == "claimed":
+            if job.status == "queued" and fence == job.fence + 1:
+                job.status = "running"
+                job.attempts += 1
+                job.owner = event["daemon"]
+                job.fence = fence
+                job.lease_expires = event["expires"]
+        elif kind == "renewed":
+            if (
+                job.status == "running"
+                and fence == job.fence
+                and event["daemon"] == job.owner
+            ):
+                job.lease_expires = event["expires"]
+        elif kind == "lease_expired":
+            if job.status == "running" and fence == job.fence:
+                job.status = "queued"
+                job.owner = job.lease_expires = None
+                job.error = event["error"]
+        elif fence == job.fence:
+            job.owner = job.lease_expires = None
+            if kind == "completed":
+                job.status = "done"
+                job.result_path = event["result_path"]
+                job.cache_hit = event["cache_hit"]
+            elif kind == "failed":
+                job.status = "failed"
+                job.error = event["error"]
+            elif kind == "requeued":
+                job.status = "queued"
+                job.error = event["error"]
+    return sorted(jobs.values(), key=lambda job: job.seq)
+
+
+def _random_operation(rng, queue, journal):
+    """One random queue operation (or outside edit of the journal)."""
+    jobs = _reference_fold(journal)
+    job = rng.choice(jobs) if jobs else None
+    kind = rng.choice(
+        ["submit"] * 4
+        + ["claim"] * 2
+        + ["complete", "fail", "requeue", "lease", "renew", "expire"]
+        + ["fenced", "torn", "replace"]
+    )
+    if kind == "submit" or job is None:
+        queue.submit(rng.choice(["a", "b", "c", "d"]), priority=rng.randrange(3))
+    elif kind == "claim":
+        queue.claim()
+    elif kind == "complete":
+        queue.complete(job.id, result_path=f"{job.id}.json", cache_hit=rng.random() < 0.5)
+    elif kind in ("fail", "requeue"):
+        queue.fail(job.id, f"error {rng.randrange(9)}", requeue=kind == "requeue")
+    elif kind == "lease":
+        fence = job.fence + rng.choice([0, 1, 1, 2])
+        queue.append_claim(job.id, rng.choice(["alpha", "beta"]), fence, rng.random())
+    elif kind == "renew":
+        queue.append_renewal(job.id, job.owner or "alpha", job.fence, rng.random())
+    elif kind == "expire":
+        queue.append_expiry(job.id, job.fence - rng.randrange(2), "beta", "lease lost")
+    elif kind == "fenced":
+        fence = job.fence - rng.randrange(2)
+        if rng.random() < 0.5:
+            queue.complete(job.id, result_path="r.json", daemon="alpha", fence=fence)
+        else:
+            queue.fail(job.id, "stale", requeue=rng.random() < 0.5, daemon="beta", fence=fence)
+    elif kind == "torn":
+        with open(journal, "ab") as fh:
+            fh.write(b'{"event": "completed", "id": "' + job.id.encode()[: rng.randrange(9)])
+        if rng.random() < 0.5:
+            queue.repair()
+    else:
+        # A rewritten copy renamed over the journal: drop a few records,
+        # then pad it past the old length with records for unknown jobs,
+        # so only the file's identity tells a cached fold to restart.
+        raw = journal.read_bytes()
+        lines = raw[: raw.rfind(b"\n") + 1].splitlines(keepends=True)
+        copy = b"".join(lines[: max(0, len(lines) - rng.randrange(1, 4))])
+        while len(copy) < len(raw):
+            copy += json.dumps({"event": "renewed", "id": "job-999999"}).encode() + b"\n"
+        replacement = journal.with_name("jobs.jsonl.tmp")
+        replacement.write_bytes(copy)
+        os.replace(replacement, journal)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_incremental_fold_matches_a_fold_from_scratch(tmp_path, seed):
+    rng = random.Random(seed)
+    journal = tmp_path / JOURNAL_NAME
+    queues = [JobQueue(tmp_path), JobQueue(tmp_path)]
+    for _ in range(120):
+        _random_operation(rng, rng.choice(queues), journal)
+        expected = _reference_fold(journal)
+        for queue in queues:
+            assert queue.jobs() == expected
+
+
+@pytest.mark.parametrize(
+    "bad_line", ["not json", json.dumps({"event": "submitted"})]
+)
+def test_corruption_raises_on_every_call_and_folds_nothing_twice(tmp_path, bad_line):
+    queue = JobQueue(tmp_path)
+    job = queue.submit("bluetooth")
+    assert queue.get(job.id).attempts == 0
+    journal = tmp_path / JOURNAL_NAME
+    with open(journal, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps({"event": "started", "id": job.id}) + "\n")
+        fh.write(bad_line + "\n")
+    for _ in range(2):
+        with pytest.raises(JobQueueError, match=r"jobs\.jsonl:3: "):
+            queue.jobs()
+    # Cutting the bad line out (in place) heals the queue; the record
+    # before it was folded exactly once.
+    lines = journal.read_bytes().splitlines(keepends=True)
+    journal.write_bytes(b"".join(lines[:2]))
+    assert queue.get(job.id).attempts == 1
+    assert queue.jobs() == JobQueue(tmp_path).jobs()
+
+
+def test_journal_rewritten_in_place_is_folded_again(tmp_path):
+    queue = JobQueue(tmp_path)
+    queue.submit("short")
+    assert [job.spec for job in queue.jobs()] == ["short"]
+    # Same file, new bytes: where the cached fold stopped is now the
+    # middle of a longer record, so the fold starts over.
+    other = JobQueue(tmp_path / "other")
+    other.submit("a-much-longer-spec")
+    with open(tmp_path / JOURNAL_NAME, "r+b") as fh:
+        fh.write(other.journal.read_bytes())
+    assert [job.spec for job in queue.jobs()] == ["a-much-longer-spec"]
+
+
+def test_returned_jobs_are_copies(tmp_path):
+    queue = JobQueue(tmp_path)
+    job = queue.submit("bluetooth")
+    returned = [
+        queue.get(job.id),
+        queue.submit("bluetooth"),  # the active duplicate
+        queue.jobs()[0],
+        queue.claim(),
+    ]
+    for copy in returned:
+        copy.status = "failed"
+        copy.attempts = 99
+        copy.owner = "someone"
+    after = queue.get(job.id)
+    assert (after.status, after.attempts, after.owner) == ("running", 1, None)
+    assert after == JobQueue(tmp_path).get(job.id)
+
+
+def test_threads_share_one_queue(tmp_path):
+    # Lease renewers and HTTP handlers call the daemon's queue from
+    # their own threads; a lost or doubled fold update would show as a
+    # fold that differs from a fresh instance's.
+    queue = JobQueue(tmp_path)
+    first = queue.submit("renewed")
+    stop = threading.Event()
+    errors = []
+
+    def renew():
+        try:
+            while not stop.is_set():
+                job = queue.get(first.id)
+                queue.append_renewal(job.id, "alpha", job.fence, time.time())
+        except Exception as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    renewers = [threading.Thread(target=renew) for _ in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for renewer in renewers:
+            renewer.start()
+        for i in range(200):
+            queue.submit(f"spec-{i}")
+            assert queue.claim() is not None
+    finally:
+        stop.set()
+        for renewer in renewers:
+            renewer.join(timeout=60)
+        sys.setswitchinterval(interval)
+    assert not any(renewer.is_alive() for renewer in renewers)
+    assert errors == []
+    jobs = queue.jobs()
+    assert len({job.id for job in jobs}) == 201
+    assert jobs == JobQueue(tmp_path).jobs()
