@@ -84,6 +84,15 @@ class EffectKind(enum.Enum):
     START = "start"
     EXIT = "exit"
 
+    # Per-member flags, set below from the kind sets: the engine tests
+    # these on every step instead of hashing the member into a set.
+    #: In :data:`BLOCKING_KINDS`.
+    blocks: bool
+    #: In :data:`ENGINE_KINDS`.
+    engine: bool
+    #: In :data:`DATA_KINDS`.
+    data: bool
+
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
 
@@ -125,6 +134,18 @@ ENGINE_KINDS = frozenset(
     }
 )
 
+#: Plain data accesses: race-checked, and under the ``SYNC_ONLY``
+#: policy never a scheduling point.
+DATA_KINDS = frozenset(
+    {EffectKind.READ, EffectKind.WRITE, EffectKind.HEAP_READ, EffectKind.HEAP_WRITE}
+)
+
+for _kind in EffectKind:
+    _kind.blocks = _kind in BLOCKING_KINDS
+    _kind.engine = _kind in ENGINE_KINDS
+    _kind.data = _kind in DATA_KINDS
+del _kind
+
 
 @dataclass(frozen=True)
 class Effect:
@@ -150,7 +171,7 @@ class Effect:
     @property
     def may_block(self) -> bool:
         """Whether this effect can disable the issuing thread."""
-        return self.kind in BLOCKING_KINDS
+        return self.kind.blocks
 
     @property
     def ends_context(self) -> bool:

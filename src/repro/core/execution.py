@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..errors import (
     BugKind,
@@ -96,9 +96,12 @@ class ExecutionConfig:
     free_conflicts: bool = False
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    """One scheduling step (possibly a multi-access big step)."""
+class StepRecord(NamedTuple):
+    """One scheduling step (possibly a multi-access big step).
+
+    A named tuple: immutable, and built on every engine step, live or
+    replayed, so it must be cheap to construct.
+    """
 
     index: int
     tid: ThreadId
@@ -112,26 +115,6 @@ class StepRecord:
     def kind(self) -> EffectKind:
         """The scheduling-visible (first) access of the step."""
         return self.accesses[0][0] if self.accesses else EffectKind.YIELD
-
-
-#: Effect kinds the engine itself interprets.
-_ENGINE_DISPATCH = frozenset(
-    {
-        EffectKind.START,
-        EffectKind.EXIT,
-        EffectKind.SPAWN,
-        EffectKind.JOIN,
-        EffectKind.YIELD,
-        EffectKind.ALLOC,
-        EffectKind.CV_WAIT,
-        EffectKind.CV_NOTIFY,
-        EffectKind.CV_BROADCAST,
-    }
-)
-
-_DATA_KINDS = frozenset(
-    {EffectKind.READ, EffectKind.WRITE, EffectKind.HEAP_READ, EffectKind.HEAP_WRITE}
-)
 
 
 class Execution:
@@ -155,6 +138,10 @@ class Execution:
         world, specs = program.instantiate()
         self.world = world
         self.threads: Dict[ThreadId, ThreadState] = {}
+        #: The threads sorted by path, the order of the enabled set.
+        self._order: List[ThreadState] = []
+        #: Objects the current step touched; consumed by enabled_threads.
+        self._touched: List[SharedObject] = []
         for i, (label, body, args) in enumerate(specs):
             tid = ThreadId((i,), label)
             self._add_thread(tid, body, args, created=True)
@@ -176,6 +163,7 @@ class Execution:
         #: race-check sites below time and count through it.
         self.obs = None
 
+        self._every_access = self.config.policy is SchedulingPolicy.EVERY_ACCESS
         self.hb = HBTracker(strict=self.config.strict_races)
         use_gl = self.config.race_detection in (
             RaceDetection.GOLDILOCKS,
@@ -205,6 +193,10 @@ class Execution:
         thread = ThreadState(tid, body, args, created_event, done_event)
         thread.pending = Effect(EffectKind.START, created_event)
         self.threads[tid] = thread
+        order = self._order
+        order.append(thread)
+        if len(order) > 1 and order[-2].tid.path > tid.path:
+            order.sort(key=lambda t: t.tid.path)
         return thread
 
     # -- state queries -----------------------------------------------------
@@ -215,18 +207,42 @@ class Execution:
         return self.failed or self.completed
 
     def enabled_threads(self) -> Tuple[ThreadId, ...]:
-        """The set enabled(alpha): threads whose pending step can run."""
+        """The set enabled(alpha): threads whose pending step can run.
+
+        Kept up to date step by step rather than rebuilt.  A thread's
+        enabledness depends only on its pending effect and the state of
+        the object that effect waits on (the target; the creation event
+        for START; the joined thread's termination event for JOIN), and
+        a step changes only the objects it touches.  So after a step
+        only two kinds of thread are evaluated again: those the engine
+        marked stale (``enabled is None``: the thread that stepped,
+        waiters a notify rewrote, new children) and those whose pending
+        effect waits on an object the step touched.
+        """
         if self.failed:
             return ()
-        if self._enabled is None:
-            enabled = [
-                t.tid
-                for t in self.threads.values()
-                if t.pending is not None and self._effect_enabled(t, t.pending)
-            ]
-            enabled.sort(key=lambda tid: tid.path)
-            self._enabled = tuple(enabled)
-        return self._enabled
+        enabled = self._enabled
+        if enabled is None:
+            touched = self._touched
+            result = []
+            for thread in self._order:
+                effect = thread.pending
+                if effect is None:
+                    continue
+                ok = thread.enabled
+                if ok is None:
+                    ok = thread.enabled = self._effect_enabled(thread, effect)
+                elif touched:
+                    waits_on = effect.target
+                    if waits_on is None and effect.kind is EffectKind.JOIN:
+                        waits_on = self.threads[effect.args[0].tid].done_event
+                    if waits_on is not None and waits_on in touched:
+                        ok = thread.enabled = self._effect_enabled(thread, effect)
+                if ok:
+                    result.append(thread.tid)
+            touched.clear()
+            enabled = self._enabled = tuple(result)
+        return enabled
 
     def _effect_enabled(self, thread: ThreadState, effect: Effect) -> bool:
         kind = effect.kind
@@ -235,7 +251,7 @@ class Execution:
         if kind is EffectKind.JOIN:
             handle = effect.args[0]
             return self.threads[handle.tid].done_event.is_set
-        if kind in _ENGINE_DISPATCH:
+        if kind.engine:
             return True
         target = effect.target
         if target is None:
@@ -363,27 +379,22 @@ class Execution:
             )
         thread = self.threads[tid]
 
-        preempting = (
-            self.last_tid is not None
-            and tid != self.last_tid
-            and self.last_tid in enabled
-        )
+        last = self.last_tid
+        preempting = last is not None and last != tid and last in enabled
         if preempting:
             self.preemptions += 1
         self.schedule.append(tid)
 
         accesses: List[Tuple[EffectKind, Optional[str]]] = []
+        every_access = self._every_access
         budget = self.config.max_accesses_per_step
         while True:
             effect = thread.pending
             assert effect is not None
             self._apply_one(thread, effect, accesses)
-            if self.failed or not thread.alive or thread.pending is None:
+            if self.failed or thread.pending is None:  # a bug, or EXIT
                 break
-            if (
-                self.config.policy is SchedulingPolicy.EVERY_ACCESS
-                or thread.pending.kind not in _DATA_KINDS  # a scheduling point
-            ):
+            if every_access or not thread.pending.kind.data:  # a scheduling point
                 break
             budget -= 1
             if budget <= 0:
@@ -398,8 +409,10 @@ class Execution:
                 break
 
         thread._digest = None
+        thread.enabled = None
         self._enabled = None
         self._fingerprint = None
+        self.world.mark_dirty(*self._touched)
         record = StepRecord(
             index=len(self.step_records),
             tid=tid,
@@ -440,7 +453,7 @@ class Execution:
     ) -> None:
         target = effect.target
         if target is not None:
-            self.world.mark_dirty(target)
+            self._touched.append(target)
         try:
             guard: Optional[HeapRef] = getattr(target, "guard", None)
             if guard is not None:
@@ -452,10 +465,11 @@ class Execution:
 
         thread.steps += 1
         self.total_accesses += 1
-        if effect.may_block or effect.kind is EffectKind.EXIT:
+        kind = effect.kind
+        if kind.blocks or kind is EffectKind.EXIT:
             thread.blocking_steps += 1
         name = target.name if isinstance(target, SharedObject) else None
-        accesses.append((effect.kind, name))
+        accesses.append((kind, name))
 
         if advance:
             self._advance(thread, value)
@@ -464,6 +478,26 @@ class Execution:
         """Execute one effect; return (value for generator, advance?)."""
         kind = effect.kind
         tid = thread.tid
+
+        if not kind.engine:
+            # Object-interpreted effects, the common case.
+            target = effect.target
+            if target is None:
+                raise ProgramDefinitionError(f"effect {effect!r} has no target")
+            value = target.apply(effect, thread)
+            if kind.data:
+                self._check_data_access(thread, target, target.is_write(effect))
+                return value, True
+            self._sync_hb(thread, effect, [target])
+            if kind is EffectKind.FREE and self.config.free_conflicts:
+                # Extension: deallocation conflicts with every concurrent
+                # access to the object's storage, so model the free as a
+                # write to each field and let the race detectors flag an
+                # unordered free even when the access executed first.
+                assert isinstance(target, HeapRef)
+                for fld in target.fields.values():
+                    self._check_data_access(thread, fld, True)
+            return value, True
 
         if kind is EffectKind.START:
             self._sync_hb(thread, effect, [thread.created_event])
@@ -533,49 +567,24 @@ class Execution:
             thread.pending = Effect(EffectKind.WAIT, cv)
             return None, False
 
-        if kind in (EffectKind.CV_NOTIFY, EffectKind.CV_BROADCAST):
-            cv = effect.target
-            assert isinstance(cv, CondVar)
-            count = 1 if kind is EffectKind.CV_NOTIFY else len(cv.waiters)
-            for _ in range(min(count, len(cv.waiters))):
-                waiter_tid, mutex = cv.waiters.pop(0)
-                self.threads[waiter_tid].pending = Effect(EffectKind.ACQUIRE, mutex)
-            self._sync_hb(thread, effect, [cv])
-            return None, True
-
-        # Object-interpreted effects.
-        target = effect.target
-        if target is None:
-            raise ProgramDefinitionError(f"effect {effect!r} has no target")
-
-        if kind is EffectKind.FREE:
-            value = target.apply(effect, thread)
-            self._sync_hb(thread, effect, [target])
-            if self.config.free_conflicts:
-                # Extension: deallocation conflicts with every concurrent
-                # access to the object's storage, so model the free as a
-                # write to each field and let the race detectors flag an
-                # unordered free even when the access executed first.
-                assert isinstance(target, HeapRef)
-                for fld in target.fields.values():
-                    self._check_data_access(thread, fld, True)
-            return value, True
-
-        if kind in _DATA_KINDS:
-            value = target.apply(effect, thread)
-            self._check_data_access(thread, target, target.is_write(effect))
-            return value, True
-
-        value = target.apply(effect, thread)
-        self._sync_hb(thread, effect, [target])
-        return value, True
+        # CV_NOTIFY or CV_BROADCAST, the last engine kind.
+        cv = effect.target
+        assert isinstance(cv, CondVar)
+        count = 1 if kind is EffectKind.CV_NOTIFY else len(cv.waiters)
+        for _ in range(min(count, len(cv.waiters))):
+            waiter_tid, mutex = cv.waiters.pop(0)
+            waiter = self.threads[waiter_tid]
+            waiter.pending = Effect(EffectKind.ACQUIRE, mutex)
+            waiter.enabled = None
+        self._sync_hb(thread, effect, [cv])
+        return None, True
 
     def _check_data_access(
         self, thread: ThreadState, obj: SharedObject, is_write: bool
     ) -> None:
         """Run the race detectors on one data access to ``obj``."""
         obs = self.obs
-        t0 = obs.race_check_start() if obs is not None else 0.0
+        t0 = obs.hook_race.start() if obs is not None else 0.0
         found = 0
         _, races = self.hb.data_access(thread.tid, obj, is_write)
         if self._use_vc_races and races:
@@ -593,8 +602,7 @@ class Execution:
         self, thread: ThreadState, effect: Effect, objects: List[SharedObject]
     ) -> None:
         self.hb.sync_access(thread.tid, objects)
-        for obj in objects:
-            self.world.mark_dirty(obj)
+        self._touched += objects
         if self.goldilocks is not None:
             for obj in objects:
                 self.goldilocks.on_sync(thread.tid, obj, effect.kind)

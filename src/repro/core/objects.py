@@ -14,8 +14,9 @@ the happens-before relation.
 from __future__ import annotations
 
 import enum
+import functools
 from hashlib import blake2b
-from typing import TYPE_CHECKING, Any, Callable, Dict, Hashable
+from typing import TYPE_CHECKING, Any, Callable, Dict, Hashable, Optional
 
 from ..errors import BugKind, ProgramDefinitionError
 
@@ -29,7 +30,9 @@ if TYPE_CHECKING:  # pragma: no cover
 DIGEST_MASK = (1 << 64) - 1
 
 
+@functools.lru_cache(maxsize=4096)
 def _encode_str(value: str) -> bytes:
+    # Cached: snapshots repeat the same tags and names at every step.
     data = value.encode("utf-8", "surrogatepass")
     return b"s%d:" % len(data) + data
 
@@ -106,6 +109,8 @@ class SharedObject:
     #: The digest held in the world's running sum; whether it is stale.
     _digest: int = 0
     _dirty: bool = False
+    #: ``b"(2:" + encode(name)``, the constant head of :meth:`digest`.
+    _prefix: Optional[bytes] = None
 
     def __init__(self, world: "World", name: str) -> None:
         self.world = world
@@ -130,8 +135,11 @@ class SharedObject:
 
     def digest(self) -> int:
         """Fresh digest of ``encode((name, snapshot()))``."""
+        prefix = self._prefix
+        if prefix is None:
+            prefix = self._prefix = b"(2:" + _encode_str(self.name)
         try:
-            return digest(b"(2:" + _encode_str(self.name) + encode(self.snapshot()))
+            return digest(prefix + encode(self.snapshot()))
         except ProgramDefinitionError as exc:
             raise ProgramDefinitionError(f"{exc} (shared object {self.name!r})") from None
 

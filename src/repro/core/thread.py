@@ -18,9 +18,21 @@ the termination event.
 from __future__ import annotations
 
 import enum
+import functools
+import weakref
 from dataclasses import dataclass
 from hashlib import blake2b
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    ClassVar,
+    Iterator,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from ..errors import ProgramDefinitionError
 from .objects import ENCODERS, digest, encode
@@ -30,17 +42,57 @@ if TYPE_CHECKING:  # pragma: no cover
     from .sync import Event
 
 
-@dataclass(frozen=True, order=True)
+@functools.total_ordering
 class ThreadId:
     """A canonical, hierarchical thread identifier.
 
-    Ordering and hashing use only the path, so labels are free-form
-    display names.  The scheduler's enabled set is sorted by path,
-    giving deterministic exploration order.
+    Equality, ordering and hashing use only the path, so labels are
+    free-form display names.  The scheduler's enabled set is sorted by
+    path, giving deterministic exploration order.
+
+    Identifiers are immutable and interned by ``(path, label)``: the
+    schedules a search hands back to the engine hold the very objects
+    the engine created, so membership tests and dictionary lookups on
+    the hot path usually succeed on identity.  Interning is only a
+    shortcut; two identifiers with the same path are equal whether or
+    not they are the same object (an id rebuilt from a trace with
+    another label, or one made in another process).
     """
 
+    __slots__ = ("path", "label", "_hash", "_encoded", "__weakref__")
+
     path: Tuple[int, ...]
-    label: str = ""
+    label: str
+    _hash: int
+    #: ``encode`` of the id (``b"t"`` + the path's encoding).
+    _encoded: bytes
+
+    _interned: ClassVar[
+        "weakref.WeakValueDictionary[Tuple[Tuple[int, ...], str], ThreadId]"
+    ] = weakref.WeakValueDictionary()
+
+    def __new__(cls, path: Sequence[int], label: str = "") -> "ThreadId":
+        parts = tuple(path)
+        key = (parts, label)
+        self = cls._interned.get(key)
+        if self is None:
+            self = object.__new__(cls)
+            object.__setattr__(self, "path", parts)
+            object.__setattr__(self, "label", label)
+            object.__setattr__(self, "_hash", hash(parts))
+            object.__setattr__(self, "_encoded", b"t" + encode(parts))
+            cls._interned[key] = self
+        return self
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"ThreadId is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"ThreadId is immutable; cannot delete {name!r}")
+
+    def __reduce__(self) -> Tuple[Any, ...]:
+        # Unpickling goes through __new__, so it interns in the new process.
+        return (ThreadId, (self.path, self.label))
 
     def child(self, index: int, label: str = "") -> "ThreadId":
         """The identifier of this thread's ``index``-th spawned child."""
@@ -76,10 +128,15 @@ class ThreadId:
         return cls(parts, label)
 
     def __hash__(self) -> int:
-        return hash(self.path)
+        return self._hash
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, ThreadId) and self.path == other.path
+        return self is other or (isinstance(other, ThreadId) and self.path == other.path)
+
+    def __lt__(self, other: "ThreadId") -> bool:
+        if not isinstance(other, ThreadId):
+            return NotImplemented
+        return self.path < other.path
 
     def __str__(self) -> str:
         return self.label or ".".join(map(str, self.path))
@@ -100,6 +157,14 @@ class ThreadStatus(enum.Enum):
     #: Body raised; the execution is failed.
     FAILED = "failed"
 
+    #: ``encode(value)``, set below; thread digests append it as is.
+    encoded: bytes
+
+
+for _status in ThreadStatus:
+    _status.encoded = encode(_status.value)
+del _status
+
 
 @dataclass(frozen=True)
 class ThreadHandle:
@@ -116,8 +181,8 @@ class ThreadHandle:
 
 
 # Identity is the path alone, so labels stay out of the encoding.
-ENCODERS[ThreadId] = lambda value: b"t" + encode(value.path)
-ENCODERS[ThreadHandle] = lambda value: b"h" + encode(value.tid.path)
+ENCODERS[ThreadId] = lambda value: value._encoded
+ENCODERS[ThreadHandle] = lambda value: b"h" + value.tid._encoded[1:]
 
 
 class ThreadState:
@@ -133,6 +198,9 @@ class ThreadState:
     #: Cached :meth:`digest`, cleared by the engine when the thread steps.
     _digest: Optional[int] = None
     _chain: Any = None  # running BLAKE2b of the delivered values' encodings
+    #: Whether :attr:`pending` can execute now; ``None`` until the
+    #: engine evaluates it (see ``Execution.enabled_threads``).
+    enabled: Optional[bool] = None
 
     def __init__(
         self,
@@ -143,6 +211,8 @@ class ThreadState:
         done_event: "Event",
     ) -> None:
         self.tid = tid
+        #: ``encode((tid, local_fingerprint()))`` up to the three scalars.
+        self._prefix = b"(2:" + tid._encoded + b"(3:"
         self.body = body
         self.args = args
         self.created_event = created_event
@@ -192,7 +262,11 @@ class ThreadState:
     def digest(self) -> int:
         """Digest of ``encode((tid, local_fingerprint()))``, cached."""
         if self._digest is None:
-            self._digest = digest(encode((self.tid, self.local_fingerprint())))
+            self._digest = digest(
+                self._prefix
+                + self.status.encoded
+                + b"i%d;i%d;" % (self.steps, self.input_chain)
+            )
         return self._digest
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

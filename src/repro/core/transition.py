@@ -124,11 +124,13 @@ class ProgramStateSpace(StateSpace):
         if (
             current is not None
             and done == len(schedule)
-            # Identity: the most common query, the state last reached.
             and (schedule is self._state or tuple(current.schedule) == schedule)
         ):
             self._state = schedule
             return current
+        # Re-executing steps: the "replay" phase, whichever query forced it.
+        obs = self.obs
+        t0 = obs.hook_replay.start() if obs is not None else 0.0
         fresh = not (
             current is not None
             and not current.finished
@@ -137,18 +139,28 @@ class ProgramStateSpace(StateSpace):
         )
         if current is None or fresh:
             current, done = Execution(self.program, self.config), 0
-            current.obs = self.obs
+            current.obs = obs
         for tid in schedule[done:]:
             current.execute(tid)
         self._current, self._state = current, schedule
         self.replays += fresh
         self.replay_steps += len(schedule) - done
-        if self.obs is not None:
-            self.obs.replayed(int(fresh), len(schedule) - done)
+        if obs is not None:
+            obs.replayed(int(fresh), len(schedule) - done)
+            if t0:
+                obs.hook_replay.stop(t0)
         return current
 
     def execution_at(self, state: object) -> Execution:
         """The live execution for ``state`` (replaying if needed)."""
+        current = self._current
+        # The most common query: the state last reached, still current.
+        if (
+            state is self._state
+            and current is not None
+            and len(current.schedule) == len(state)
+        ):
+            return current
         return self._materialize(self._as_schedule(state))
 
     @staticmethod
@@ -162,13 +174,15 @@ class ProgramStateSpace(StateSpace):
         return ()
 
     def enabled(self, state: object) -> Tuple[ThreadId, ...]:
-        # The "schedule" phase covers everything needed to answer a
-        # scheduling query, including any stateless replay it forces.
         obs = self.obs
-        t0 = obs.hook_schedule.start() if obs is not None else 0.0
+        if obs is None or not obs.profiling:
+            # The "schedule" phase has no latency histogram: only a
+            # profiling run times it.
+            return self.execution_at(state).enabled_threads()
+        # A stateless replay this query forces is billed to "replay".
+        t0 = obs.hook_schedule.start()
         result = self.execution_at(state).enabled_threads()
-        if obs is not None:
-            obs.hook_schedule.stop(t0)
+        obs.hook_schedule.stop(t0)
         return result
 
     def execute(self, state: object, tid: ThreadId) -> Schedule:
@@ -177,7 +191,7 @@ class ProgramStateSpace(StateSpace):
         execution = self.execution_at(state)
         execution.execute(tid)
         successor = self._state = tuple(execution.schedule)
-        if obs is not None:
+        if obs is not None and t0:
             obs.hook_execute.stop(t0)
         return successor
 
@@ -192,7 +206,7 @@ class ProgramStateSpace(StateSpace):
         obs = self.obs
         t0 = obs.hook_fingerprint.start() if obs is not None else 0.0
         result = self.execution_at(state).fingerprint()
-        if obs is not None:
+        if obs is not None and t0:
             obs.hook_fingerprint.stop(t0)
         return result
 

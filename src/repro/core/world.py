@@ -54,11 +54,12 @@ class World:
         self._objects.append(obj)
         self.mark_dirty(obj)
 
-    def mark_dirty(self, obj: SharedObject) -> None:
-        """Note that ``obj``'s state may have changed (see :meth:`fingerprint`)."""
-        if not obj._dirty:
-            obj._dirty = True
-            self._dirty.append(obj)
+    def mark_dirty(self, *objects: SharedObject) -> None:
+        """Note that each object's state may have changed (see :meth:`fingerprint`)."""
+        for obj in objects:
+            if not obj._dirty:
+                obj._dirty = True
+                self._dirty.append(obj)
 
     @property
     def objects(self) -> List[SharedObject]:

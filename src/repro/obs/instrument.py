@@ -49,7 +49,7 @@ from .events import (
     StateVisited,
     WorkerHeartbeat,
 )
-from .metrics import MetricsRegistry, MetricsSnapshot, SampledTimer
+from .metrics import Histogram, MetricsRegistry, MetricsSnapshot
 from .profile import Profiler
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
@@ -59,28 +59,41 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import
 
 class _PhaseHook:
     """One instrumented call site: optional exact phase timing plus an
-    optional sampled latency histogram.
+    optional stride-sampled latency histogram.
 
-    ``start`` returns 0.0 when this call is not being timed, making
-    the common case one increment and one modulo."""
+    ``start`` reads the clock only under profiling or on every
+    ``stride``-th call, and returns 0.0 otherwise, making the common
+    case one increment and one modulo.  ``stop(0.0)`` does nothing, so
+    hot call sites skip the call when ``start`` returned 0.0.  Under
+    profiling the span is billed its own time only (see
+    :class:`Profiler`); a hook's spans never nest in each other, so one
+    mark per hook suffices.  The histogram is an unbiased sample of
+    per-call latency, not a total."""
 
-    __slots__ = ("phase", "timer", "profiler")
+    __slots__ = ("phase", "hist", "stride", "profiler", "_n", "_mark")
 
     def __init__(
         self,
         phase: str,
-        timer: Optional[SampledTimer],
+        hist: Optional[Histogram],
         profiler: Optional[Profiler],
+        stride: int = 64,
     ) -> None:
         self.phase = phase
-        self.timer = timer
+        self.hist = hist
+        self.stride = max(1, stride)
         self.profiler = profiler
+        self._n = 0
+        self._mark = 0.0
 
     def start(self) -> float:
         if self.profiler is not None:
+            self._mark = self.profiler.total
             return time.perf_counter()
-        if self.timer is not None:
-            return self.timer.start()
+        if self.hist is not None:
+            self._n += 1
+            if not self._n % self.stride:
+                return time.perf_counter()
         return 0.0
 
     def stop(self, t0: float) -> None:
@@ -88,11 +101,11 @@ class _PhaseHook:
             return
         elapsed = time.perf_counter() - t0
         if self.profiler is not None:
-            self.profiler.add(self.phase, elapsed)
-        if self.timer is not None:
+            self.profiler.add_span(self.phase, elapsed, self._mark)
+        if self.hist is not None:
             # Under profiling every call is timed anyway, so the
             # histogram upgrades from sampled to exhaustive.
-            self.timer.hist.record(elapsed)
+            self.hist.record(elapsed)
 
 
 class Instrumentation:
@@ -118,15 +131,14 @@ class Instrumentation:
         registry = self.metrics
         self.hook_schedule = _PhaseHook("schedule", None, profiler)
         self.hook_execute = _PhaseHook(
-            "execute", registry.timer("execute_latency", sample_stride), profiler
+            "execute", registry.histogram("execute_latency"), profiler, sample_stride
         )
+        self.hook_replay = _PhaseHook("replay", None, profiler)
         self.hook_fingerprint = _PhaseHook(
-            "fingerprint",
-            registry.timer("fingerprint_latency", sample_stride),
-            profiler,
+            "fingerprint", registry.histogram("fingerprint_latency"), profiler, sample_stride
         )
         self.hook_race = _PhaseHook(
-            "race-detect", registry.timer("race_check_latency", sample_stride), profiler
+            "race-detect", registry.histogram("race_check_latency"), profiler, sample_stride
         )
         self.hook_cache = _PhaseHook("cache-lookup", None, profiler)
         self.hook_analysis = _PhaseHook("analysis", None, profiler)
@@ -270,11 +282,10 @@ class Instrumentation:
 
     # -- space-level hooks -------------------------------------------------
 
-    def race_check_start(self) -> float:
-        return self.hook_race.start()
-
     def race_checked(self, races: int, t0: float = 0.0) -> None:
-        self.hook_race.stop(t0)
+        """One data access checked; ``t0`` is ``hook_race.start()``'s."""
+        if t0:
+            self.hook_race.stop(t0)
         registry = self.metrics
         registry.counters["race_checks"] = registry.counters.get("race_checks", 0) + 1
         if races:

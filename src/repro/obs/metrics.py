@@ -3,8 +3,8 @@
 A live :class:`MetricsRegistry` is cheap enough to update on the hot
 path: counters are dict increments, per-bound breakdowns are dict
 increments keyed by the current bound, and latency distributions are
-fed by *sampled* timers (:class:`SampledTimer`) that read the clock on
-a stride rather than on every call.
+fed by *sampled* timing (the instrumentation's phase hooks) that reads
+the clock on a stride rather than on every call.
 
 A :class:`MetricsSnapshot` freezes the registry into plain dicts: it
 is picklable, JSON-serializable (versioned, like the trace format) and
@@ -118,32 +118,6 @@ class Histogram:
         self.count += other.count
         self.min = min(self.min, other.min)
         self.max = max(self.max, other.max)
-
-
-class SampledTimer:
-    """A stride-sampled latency probe feeding one histogram.
-
-    ``start`` reads the clock only every ``stride``-th call and
-    returns 0.0 otherwise, so an un-sampled hot-path call costs one
-    increment and one modulo.  The recorded distribution is an
-    unbiased sample of per-call latency (not a total)."""
-
-    __slots__ = ("hist", "stride", "_n")
-
-    def __init__(self, hist: Histogram, stride: int = 64) -> None:
-        self.hist = hist
-        self.stride = max(1, stride)
-        self._n = 0
-
-    def start(self) -> float:
-        self._n += 1
-        if self._n % self.stride:
-            return 0.0
-        return time.perf_counter()
-
-    def stop(self, t0: float) -> None:
-        if t0:
-            self.hist.record(time.perf_counter() - t0)
 
 
 def _merge_int_maps(maps: Sequence[Dict[Any, int]]) -> Dict[Any, int]:
@@ -401,9 +375,6 @@ class MetricsRegistry:
         if hist is None:
             hist = self.histograms[name] = Histogram()
         return hist
-
-    def timer(self, name: str, stride: int = 64) -> SampledTimer:
-        return SampledTimer(self.histogram(name), stride=stride)
 
     # -- cross-process reconciliation --------------------------------------
 

@@ -88,8 +88,13 @@ class HBTracker:
         """The thread's current vector clock."""
         return self._thread_clocks.get(tid, VectorClock.empty())
 
-    def _set_clock(self, tid: ThreadId, clock: VectorClock) -> None:
-        self._thread_clocks[tid] = clock
+    def _tick(self, tid: ThreadId) -> VectorClock:
+        """Advance ``tid``'s own component; return its new clock."""
+        own = self._thread_clocks.get(tid)
+        clocks = own._clocks.copy() if own is not None else {}
+        clocks[tid] = clocks.get(tid, 0) + 1
+        clock = self._thread_clocks[tid] = VectorClock._adopt(clocks)
+        return clock
 
     # -- step processing ----------------------------------------------------
 
@@ -99,30 +104,34 @@ class HBTracker:
         The thread's clock absorbs every object's clock, ticks, and is
         published back to every object.  Returns the step's clock.
         """
-        clock = self.clock_of(tid)
+        own = self._thread_clocks.get(tid)
+        clocks = own._clocks.copy() if own is not None else {}
+        sync_clocks = self._sync_clocks
         for obj in objects:
-            other = self._sync_clocks.get(id(obj))
-            if other is not None:
-                clock = clock.join(other)
-        clock = clock.tick(tid)
+            other = sync_clocks.get(id(obj))
+            # An object whose last access was this thread's holds a
+            # clock this thread's own clock already covers.
+            if other is not None and other is not own:
+                for peer, time in other._clocks.items():
+                    if clocks.get(peer, 0) < time:
+                        clocks[peer] = time
+        clocks[tid] = clocks.get(tid, 0) + 1
+        clock = VectorClock._adopt(clocks)
         for obj in objects:
-            self._sync_clocks[id(obj)] = clock
-        self._set_clock(tid, clock)
+            sync_clocks[id(obj)] = clock
+        self._thread_clocks[tid] = clock
         return clock
 
     def local_step(self, tid: ThreadId) -> VectorClock:
         """Record a step that accesses no shared variable (YIELD)."""
-        clock = self.clock_of(tid).tick(tid)
-        self._set_clock(tid, clock)
-        return clock
+        return self._tick(tid)
 
     def data_access(
         self, tid: ThreadId, variable: SharedObject, is_write: bool
     ) -> Tuple[VectorClock, List[RaceInfo]]:
         """Record a data access; return the step clock and any races."""
-        clock = self.clock_of(tid).tick(tid)
-        self._set_clock(tid, clock)
-        epoch: Epoch = (tid, clock.get(tid))
+        clock = self._tick(tid)
+        epoch: Epoch = (tid, clock._clocks[tid])
 
         state = self._var_state.get(id(variable))
         if state is None:
@@ -158,7 +167,7 @@ class HBTracker:
             prev = state.last_write
             if prev is not None and not clock.covers(prev[0], prev[1]):
                 races.append(RaceInfo(variable.name, prev, True, epoch, False))
-            state.reads[tid] = clock.get(tid)
+            state.reads[tid] = epoch[1]
         return clock, races
 
 

@@ -29,6 +29,13 @@ class VectorClock:
         self._clocks: Dict[ThreadId, int] = dict(clocks) if clocks else {}
 
     @classmethod
+    def _adopt(cls, clocks: Dict[ThreadId, int]) -> "VectorClock":
+        """Wrap ``clocks`` without copying; the caller gives it up."""
+        clock = object.__new__(cls)
+        clock._clocks = clocks
+        return clock
+
+    @classmethod
     def empty(cls) -> "VectorClock":
         """The all-zero clock (shared singleton)."""
         if cls._EMPTY is None:
@@ -52,9 +59,9 @@ class VectorClock:
 
     def tick(self, tid: ThreadId) -> "VectorClock":
         """Increment ``tid``'s component."""
-        clocks = dict(self._clocks)
+        clocks = self._clocks.copy()
         clocks[tid] = clocks.get(tid, 0) + 1
-        return VectorClock(clocks)
+        return VectorClock._adopt(clocks)
 
     def join(self, other: "VectorClock") -> "VectorClock":
         """Componentwise maximum of the two clocks."""
@@ -62,11 +69,11 @@ class VectorClock:
             return self
         if not self._clocks:
             return other
-        clocks = dict(self._clocks)
+        clocks = self._clocks.copy()
         for tid, time in other._clocks.items():
             if clocks.get(tid, 0) < time:
                 clocks[tid] = time
-        return VectorClock(clocks)
+        return VectorClock._adopt(clocks)
 
     def covers(self, tid: ThreadId, time: int) -> bool:
         """Whether the epoch ``(tid, time)`` happens-before this clock."""

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.core.thread import ThreadHandle, ThreadId, ThreadState, ThreadStatus
@@ -22,6 +24,43 @@ class TestThreadId:
     def test_equality_ignores_label(self):
         assert ThreadId((0,), "a") == ThreadId((0,), "b")
         assert hash(ThreadId((0,), "a")) == hash(ThreadId((0,), "b"))
+
+    def test_ordering_ignores_label(self):
+        # Ordering agrees with equality: equal ids are never ordered.
+        a, b = ThreadId((0,), "a"), ThreadId((0,), "b")
+        assert not a < b and not b < a
+        assert not a > b and not b > a
+        assert a <= b and b <= a and a >= b and b >= a
+        assert ThreadId((0,), "z") < ThreadId((1,), "a")
+        assert sorted([ThreadId((1,), "a"), ThreadId((0, 5), "z")]) == [
+            ThreadId((0, 5)),
+            ThreadId((1,)),
+        ]
+
+    def test_interned_by_path_and_label(self):
+        assert ThreadId((0, 1), "w") is ThreadId((0, 1), "w")
+        assert ThreadId.from_path("0.1", "w") is ThreadId((0, 1), "w")
+        # Another label is another object, still equal by path.
+        other = ThreadId((0, 1), "x")
+        assert other is not ThreadId((0, 1), "w")
+        assert other == ThreadId((0, 1), "w") and other.label == "x"
+
+    def test_hash_is_the_path_hash(self):
+        assert hash(ThreadId((3, 1), "t")) == hash((3, 1))
+
+    def test_immutable(self):
+        tid = ThreadId((0,), "t")
+        with pytest.raises(AttributeError):
+            tid.path = (1,)
+        with pytest.raises(AttributeError):
+            tid.label = "other"
+
+    def test_pickle_round_trip(self):
+        tid = ThreadId((2, 0), "child")
+        clone = pickle.loads(pickle.dumps(tid))
+        assert clone is tid
+        assert clone.label == "child"
+        assert hash(clone) == hash(tid)
 
     def test_child_ids(self):
         parent = ThreadId((2,), "main")
