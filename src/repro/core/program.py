@@ -81,6 +81,10 @@ class Program:
             this program (used by the Table 2 experiment harness).
     """
 
+    #: Whether an execution can be restored by fast-forwarding its
+    #: thread generators (``Execution.restore``) instead of replayed.
+    restorable = True
+
     def __init__(
         self,
         name: str,

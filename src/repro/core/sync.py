@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Any, Hashable, List, Optional, Tuple
 
 from ..errors import BugKind
 from .effects import Effect, EffectKind
-from .objects import BugSignal, SharedObject
+from .objects import BugSignal, SharedObject, rebind
 from .variables import AtomicVar
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -103,6 +103,9 @@ class Mutex(SharedObject):
     def snapshot(self) -> Hashable:
         return ("mutex", self.holder)
 
+    def restore(self, state: Any, world: "World") -> None:
+        self.holder = state[1]
+
 
 class CriticalSection(SharedObject):
     """A re-entrant lock modelling Win32 ``CRITICAL_SECTION``.
@@ -164,6 +167,9 @@ class CriticalSection(SharedObject):
 
     def snapshot(self) -> Hashable:
         return ("critsec", self.holder, self.count)
+
+    def restore(self, state: Any, world: "World") -> None:
+        _, self.holder, self.count = state
 
 
 class Event(SharedObject):
@@ -228,6 +234,9 @@ class Event(SharedObject):
     def snapshot(self) -> Hashable:
         return ("event", self.is_set)
 
+    def restore(self, state: Any, world: "World") -> None:
+        self.is_set = state[1]
+
 
 class Semaphore(SharedObject):
     """A counting semaphore.
@@ -291,6 +300,9 @@ class Semaphore(SharedObject):
     def snapshot(self) -> Hashable:
         return ("sem", self.count)
 
+    def restore(self, state: Any, world: "World") -> None:
+        self.count = state[1]
+
 
 class CondVar(SharedObject):
     """A Mesa-style condition variable.
@@ -337,6 +349,13 @@ class CondVar(SharedObject):
 
     def snapshot(self) -> Hashable:
         return ("condvar", tuple(tid for tid, _ in self.waiters))
+
+    def save(self) -> Any:
+        # The snapshot drops each waiter's mutex; restoring needs it.
+        return tuple(self.waiters)
+
+    def restore(self, state: Any, world: "World") -> None:
+        self.waiters = [(tid, rebind(mutex, world)) for tid, mutex in state]
 
 
 class RWLock(SharedObject):
@@ -395,6 +414,14 @@ class RWLock(SharedObject):
 
     def snapshot(self) -> Hashable:
         return ("rwlock", tuple(sorted(map(str, self.readers))), self.writer)
+
+    def save(self) -> Any:
+        # The snapshot renders readers as sorted strings; keep the ids.
+        return (tuple(self.readers), self.writer)
+
+    def restore(self, state: Any, world: "World") -> None:
+        readers, self.writer = state
+        self.readers = list(readers)
 
 
 class Barrier:

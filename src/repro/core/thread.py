@@ -192,12 +192,20 @@ class ThreadState:
     sends into the generator.  Because thread bodies are deterministic,
     the pair (steps executed, input chain) fully determines the
     thread's local state, which lets state fingerprints identify
-    program states without snapshotting generator frames.
+    program states without snapshotting generator frames -- and lets
+    ``Execution.restore`` rebuild the local state by sending a fresh
+    generator the same values.
     """
 
     #: Cached :meth:`digest`, cleared by the engine when the thread steps.
     _digest: Optional[int] = None
     _chain: Any = None  # running BLAKE2b of the delivered values' encodings
+    #: Position in the execution's creation order (roots, then each
+    #: child as it is spawned), the same in every replay of a schedule.
+    index: int = 0
+    #: The effect the body last yielded; :attr:`pending` is this one
+    #: unless the engine rewrote it (START, EXIT, a condition wait).
+    yielded: Optional["Effect"] = None
     #: Whether :attr:`pending` can execute now; ``None`` until the
     #: engine evaluates it (see ``Execution.enabled_threads``).
     enabled: Optional[bool] = None

@@ -79,14 +79,30 @@ class StateSpace(abc.ABC):
 
 
 class ProgramStateSpace(StateSpace):
-    """Stateless (replay-based) state space of a :class:`Program`.
+    """Stateless state space of a :class:`Program`.
 
     A state is the tuple of scheduling choices reaching it.  The space
-    keeps a single live :class:`Execution`; when a strategy asks about
-    a state that is not an extension of the live execution, the program
-    is re-executed from scratch under the state's schedule -- the
-    paper's stateless exploration.  ``replays`` and ``replay_steps``
-    expose the cost of this strategy for the ablation benchmarks.
+    keeps a single live :class:`Execution`.  A state that extends the
+    live execution's schedule is reached by running the extra steps.
+    Any other state is rebuilt -- the paper's stateless exploration --
+    in one of two ways:
+
+    * *restored*: the longest prefix of its schedule that the live
+      execution holds is rebuilt without running the engine
+      (:meth:`Execution.restore`), then only the remaining steps run;
+    * *replayed*: the program is re-executed from scratch.  This is
+      the fallback when no prefix is held, or the live execution
+      cannot be restored (in-vivo programs, monitors, object kinds
+      without ``restore``).
+
+    ``replays`` counts the states rebuilt either way and
+    ``replay_steps`` the steps re-executed to reach requested states,
+    as in a replay-only checker, so both depend only on the sequence of
+    requested states (the parallel engine's merged counters equal the
+    serial engine's).  ``restores`` and ``restore_steps`` say how many
+    of those rebuilds were restores and how many of the steps they
+    rebuilt without the engine: ``replay_steps - restore_steps``
+    engine steps were re-executed.
     """
 
     def __init__(
@@ -104,10 +120,14 @@ class ProgramStateSpace(StateSpace):
         self._current: Optional[Execution] = None
         #: The schedule ``_current`` was last positioned at.
         self._state: Optional[Schedule] = None
-        #: Number of fresh re-executions performed.
+        #: States rebuilt from scratch: replayed or restored.
         self.replays = 0
-        #: Scheduling steps re-executed to reach requested states.
+        #: Steps re-executed to reach requested states.
         self.replay_steps = 0
+        #: Rebuilds that restored a prefix of the live execution.
+        self.restores = 0
+        #: Replayed steps those restores rebuilt without the engine.
+        self.restore_steps = 0
 
     def attach_obs(self, obs: Optional["Instrumentation"]) -> None:
         """(Re)bind instrumentation; workers rebind per shard task."""
@@ -121,32 +141,45 @@ class ProgramStateSpace(StateSpace):
         """Return a live execution positioned exactly at ``schedule``."""
         current = self._current
         done = len(current.schedule) if current is not None else 0
-        if (
-            current is not None
-            and done == len(schedule)
-            and (schedule is self._state or tuple(current.schedule) == schedule)
-        ):
-            self._state = schedule
-            return current
-        # Re-executing steps: the "replay" phase, whichever query forced it.
+        held = 0
+        if current is not None:
+            if done == len(schedule) and schedule is self._state:
+                return current
+            # The longest prefix of ``schedule`` the live path holds.
+            live = current.schedule
+            limit = min(done, len(schedule))
+            while held < limit and (
+                live[held] is schedule[held] or live[held] == schedule[held]
+            ):
+                held += 1
+            if held == done == len(schedule):
+                self._state = schedule
+                return current
+        # Rebuilding or re-executing steps: the "replay" phase,
+        # whichever query forced it.  It has no latency histogram:
+        # only a profiling run times it.
         obs = self.obs
-        t0 = obs.hook_replay.start() if obs is not None else 0.0
-        fresh = not (
-            current is not None
-            and not current.finished
-            and done < len(schedule)
-            and tuple(current.schedule) == schedule[:done]
-        )
-        if current is None or fresh:
-            current, done = Execution(self.program, self.config), 0
-            current.obs = obs
-        for tid in schedule[done:]:
+        t0 = obs.hook_replay.start() if obs is not None and obs.profiling else 0.0
+        rebuilt = restored = 0
+        if current is not None and held == done and not current.finished:
+            steps = len(schedule) - done  # ``schedule`` extends the live execution
+        else:
+            rebuilt, steps = 1, len(schedule)
+            if current is not None and 0 < held < done and current._log is not None:
+                current, restored = current.restore(held), held
+            else:
+                current, held = Execution(self.program, self.config), 0
+                current.obs = obs
+        for tid in schedule[held:]:
             current.execute(tid)
         self._current, self._state = current, schedule
-        self.replays += fresh
-        self.replay_steps += len(schedule) - done
+        self.replays += rebuilt
+        self.replay_steps += steps
+        if restored:
+            self.restores += 1
+            self.restore_steps += restored
         if obs is not None:
-            obs.replayed(int(fresh), len(schedule) - done)
+            obs.replayed(rebuilt, steps, restored)
             if t0:
                 obs.hook_replay.stop(t0)
         return current

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Any, Hashable
 
 from ..errors import BugKind
 from .effects import Effect, EffectKind
-from .objects import BugSignal, SharedObject
+from .objects import BugSignal, SharedObject, rebind
 
 if TYPE_CHECKING:  # pragma: no cover
     from .thread import ThreadState
@@ -73,6 +73,9 @@ class SharedVar(SharedObject):
 
     def snapshot(self) -> Hashable:
         return ("var", self.value)
+
+    def restore(self, state: Any, world: "World") -> None:
+        self.value = rebind(state[1], world)
 
     def is_write(self, effect: Effect) -> bool:
         """Whether ``effect`` modifies this variable (for race checks)."""
@@ -147,6 +150,9 @@ class AtomicVar(SharedObject):
 
     def snapshot(self) -> Hashable:
         return ("atomic", self.value)
+
+    def restore(self, state: Any, world: "World") -> None:
+        self.value = rebind(state[1], world)
 
 
 def make_array(world: "World", name: str, values: list, atomic: bool = False):

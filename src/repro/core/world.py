@@ -9,11 +9,11 @@ part of the execution's state fingerprint incrementally.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Container, Dict, List, Optional
 
 from ..errors import ProgramDefinitionError
 from .heap import HeapRef
-from .objects import DIGEST_MASK, SharedObject
+from .objects import ABSENT, DIGEST_MASK, SharedObject
 from .sync import (
     Barrier,
     CondVar,
@@ -52,7 +52,8 @@ class World:
             )
         self._by_name[obj.name] = obj
         self._objects.append(obj)
-        self.mark_dirty(obj)
+        obj._dirty = True  # new, so not yet in the dirty list
+        self._dirty.append(obj)
 
     def mark_dirty(self, *objects: SharedObject) -> None:
         """Note that each object's state may have changed (see :meth:`fingerprint`)."""
@@ -144,3 +145,36 @@ class World:
             obj._digest, obj._dirty = fresh, False
         self._dirty.clear()
         return self._sum
+
+    def restore(
+        self, states: Dict[str, Any], source: "World", stale: Container[str]
+    ) -> Dict[str, Any]:
+        """Put this world's objects into ``states`` (restore, not replay).
+
+        ``states`` maps names to what each object's ``save`` returned;
+        an object it does not name, or names with ``ABSENT``, keeps its
+        initial state.  ``source`` is the world the states came from:
+        an object whose name is not in ``stale`` is in the same state
+        as its namesake there, so it takes that object's digest instead
+        of being digested again.  Returns the states applied.
+        """
+        applied = {}
+        dirty = []
+        total = 0
+        twins = source._by_name
+        for obj in self._objects:
+            name = obj.name
+            state = states.get(name, ABSENT)
+            if state is not ABSENT:
+                obj.restore(state, self)
+                applied[name] = state
+            if name not in stale:
+                twin = twins[name]
+                if not twin._dirty:
+                    obj._digest, obj._dirty = twin._digest, False
+                    total += twin._digest
+                    continue
+            dirty.append(obj)
+        self._sum = total & DIGEST_MASK
+        self._dirty = dirty
+        return applied

@@ -67,6 +67,10 @@ class InvivoProgram(Program):
             ``import threading`` directly.
     """
 
+    #: Threads run on OS threads, which cannot be fast-forwarded, so
+    #: every state is reached by replay.
+    restorable = False
+
     def __init__(
         self,
         name: str,

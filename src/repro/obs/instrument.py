@@ -23,6 +23,7 @@ can be asserted equal to the context's (the acceptance check in
 
 from __future__ import annotations
 
+import math
 import time
 from typing import TYPE_CHECKING, Optional
 
@@ -63,7 +64,7 @@ class _PhaseHook:
 
     ``start`` reads the clock only under profiling or on every
     ``stride``-th call, and returns 0.0 otherwise, making the common
-    case one increment and one modulo.  ``stop(0.0)`` does nothing, so
+    case one decrement and one test.  ``stop(0.0)`` does nothing, so
     hot call sites skip the call when ``start`` returned 0.0.  Under
     profiling the span is billed its own time only (see
     :class:`Profiler`); a hook's spans never nest in each other, so one
@@ -81,20 +82,24 @@ class _PhaseHook:
     ) -> None:
         self.phase = phase
         self.hist = hist
-        self.stride = max(1, stride)
         self.profiler = profiler
-        self._n = 0
+        # Under profiling every call is timed; a hook with neither a
+        # profiler nor a histogram never is.
+        self.stride: float = 1 if profiler is not None else max(1, stride)
+        if profiler is None and hist is None:
+            self.stride = math.inf
+        #: Calls left until the next timed one.
+        self._n = self.stride
         self._mark = 0.0
 
     def start(self) -> float:
+        self._n -= 1
+        if self._n:
+            return 0.0
+        self._n = self.stride
         if self.profiler is not None:
             self._mark = self.profiler.total
-            return time.perf_counter()
-        if self.hist is not None:
-            self._n += 1
-            if not self._n % self.stride:
-                return time.perf_counter()
-        return 0.0
+        return time.perf_counter()
 
     def stop(self, t0: float) -> None:
         if not t0:
@@ -106,7 +111,6 @@ class _PhaseHook:
             # Under profiling every call is timed anyway, so the
             # histogram upgrades from sampled to exhaustive.
             self.hist.record(elapsed)
-
 
 class Instrumentation:
     """Event bus + metrics + profiler for one search run."""
@@ -293,10 +297,16 @@ class Instrumentation:
             if self.bus.active:
                 self.bus.emit(RaceChecked(self.now(), races))
 
-    def replayed(self, replays: int, steps: int) -> None:
-        """Stateless replay: ``replays`` fresh executions, ``steps`` steps."""
-        self.metrics.add("replays", replays)
-        self.metrics.add("replay_steps", steps)
+    def replayed(self, replays: int, steps: int, restore_steps: int) -> None:
+        """Reaching a state: ``replays`` rebuilds from scratch and
+        ``steps`` re-executed steps; a restore (``restore_steps`` > 0)
+        rebuilt that many of them without the engine."""
+        counters = self.metrics.counters
+        counters["replays"] = counters.get("replays", 0) + replays
+        counters["replay_steps"] = counters.get("replay_steps", 0) + steps
+        if restore_steps:
+            counters["restores"] = counters.get("restores", 0) + 1
+            counters["restore_steps"] = counters.get("restore_steps", 0) + restore_steps
 
     def cache_lookup(self, hit: bool) -> None:
         registry = self.metrics

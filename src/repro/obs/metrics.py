@@ -300,6 +300,12 @@ class MetricsSnapshot:
         if self.counters.get("replays"):
             steps = self.counters.get("replay_steps", 0)
             lines.append(f"replays: {self.counters['replays']} ({steps} steps re-executed)")
+            if self.counters.get("restores"):
+                lines.append(
+                    f"restores: {self.counters['restores']} "
+                    f"({self.counters.get('restore_steps', 0)} of those steps "
+                    "rebuilt without the engine)"
+                )
         service = [
             ("checkpoints saved", self.counters.get("checkpoints_saved", 0)),
             ("checkpoint resumes", self.counters.get("checkpoint_resumes", 0)),

@@ -27,14 +27,14 @@ in the ablation benchmarks.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Union
+from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
 from ..core.effects import EffectKind
-from ..core.objects import SharedObject
+from ..core.objects import ABSENT, SharedObject
 from ..core.thread import ThreadId
 
-#: Lockset elements are threads or synchronization objects.
-Element = Union[ThreadId, SharedObject]
+#: Lockset elements are threads or synchronization objects' names.
+Element = Union[ThreadId, str]
 
 #: Synchronization effect kinds with acquire semantics (the issuing
 #: thread *absorbs* orderings published at the element).
@@ -77,20 +77,41 @@ _BOTH_KINDS = frozenset(
 
 
 class GoldilocksDetector:
-    """Online Goldilocks race detection over one execution."""
+    """Online Goldilocks race detection over one execution.
+
+    Variables and synchronization objects are keyed by name, unique
+    within an execution and equal across executions of one program.
+    Every change is journaled; :meth:`rollback` undoes changes back to
+    a :meth:`mark`.
+    """
 
     def __init__(self, conservative: bool = True) -> None:
         self.conservative = conservative
-        self._locksets: Dict[int, Set[Element]] = {}
-        self._names: Dict[int, str] = {}
+        self._locksets: Dict[str, Set[Element]] = {}
+        #: ``(lockset, elements added)`` for a transfer, or
+        #: ``(None, (name, previous lockset or ABSENT))`` for an access.
+        self._journal: List[Tuple[Optional[Set[Element]], Any]] = []
 
-    def _lockset(self, var: SharedObject) -> Set[Element]:
-        ls = self._locksets.get(id(var))
-        if ls is None:
-            ls = set()
-            self._locksets[id(var)] = ls
-            self._names[id(var)] = var.name
-        return ls
+    # -- undo journal ---------------------------------------------------------
+
+    def mark(self) -> int:
+        """A position in the journal to :meth:`rollback` to."""
+        return len(self._journal)
+
+    def rollback(self, mark: int) -> None:
+        """Undo every change made since ``mark``."""
+        journal = self._journal
+        locksets = self._locksets
+        for lockset, change in reversed(journal[mark:]):
+            if lockset is not None:
+                lockset.difference_update(change)
+            else:
+                name, previous = change
+                if previous is ABSENT:
+                    del locksets[name]
+                else:
+                    locksets[name] = previous
+        del journal[mark:]
 
     # -- event hooks ------------------------------------------------------
 
@@ -103,13 +124,17 @@ class GoldilocksDetector:
         else:
             acquire = kind in _ACQUIRE_KINDS
             release = kind in _RELEASE_KINDS
+        name = obj.name
+        journal = self._journal
         for ls in self._locksets.values():
             grew: List[Element] = []
-            if acquire and obj in ls:
+            if acquire and name in ls and tid not in ls:
                 grew.append(tid)
-            if release and tid in ls:
-                grew.append(obj)
-            ls.update(grew)
+            if release and tid in ls and name not in ls:
+                grew.append(name)
+            if grew:
+                ls.update(grew)
+                journal.append((ls, grew))
 
     def on_data(
         self, tid: ThreadId, var: SharedObject, is_write: bool
@@ -121,20 +146,18 @@ class GoldilocksDetector:
         engine consults its vector-clock tracker for read/write
         distinction, so this detector flags any not-owned access.
         """
-        ls = self._lockset(var)
+        name = var.name
+        ls = self._locksets.get(name)
         race: Optional[str] = None
         if ls and tid not in ls:
             race = (
-                f"goldilocks: thread {tid} accessed {var.name} without "
+                f"goldilocks: thread {tid} accessed {name} without "
                 f"ownership (lockset: {self._render(ls)})"
             )
-        ls.clear()
-        ls.add(tid)
+        self._journal.append((None, (name, ABSENT if ls is None else ls)))
+        self._locksets[name] = {tid}
         return race
 
     @staticmethod
     def _render(ls: Set[Element]) -> str:
-        parts = sorted(
-            e.name if isinstance(e, SharedObject) else str(e) for e in ls
-        )
-        return "{" + ", ".join(parts) + "}"
+        return "{" + ", ".join(sorted(map(str, ls))) + "}"

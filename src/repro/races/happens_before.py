@@ -27,9 +27,9 @@ definition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from ..core.objects import SharedObject
+from ..core.objects import ABSENT, SharedObject
 from ..core.thread import ThreadId
 from .vectorclock import VectorClock
 
@@ -60,7 +60,11 @@ class RaceInfo:
 
 
 class _VarState:
-    """Race-check state for one data variable."""
+    """Race-check state for one data variable.
+
+    Replaced, never mutated, except that a read adds to :attr:`reads`:
+    the tracker's undo journal then needs only dictionary entries.
+    """
 
     __slots__ = ("last_write", "last_write_clock", "reads", "last_access", "last_access_write")
 
@@ -74,13 +78,38 @@ class _VarState:
 
 
 class HBTracker:
-    """Tracks happens-before clocks and detects data races online."""
+    """Tracks happens-before clocks and detects data races online.
+
+    Objects are keyed by name, which is unique within an execution and
+    the same in every execution of the program, so the tracker of one
+    execution can serve another that reached the same state.  Every
+    change is journaled; :meth:`rollback` undoes changes back to a
+    :meth:`mark`.
+    """
 
     def __init__(self, strict: bool = False) -> None:
         self.strict = strict
         self._thread_clocks: Dict[ThreadId, VectorClock] = {}
-        self._sync_clocks: Dict[int, VectorClock] = {}
-        self._var_state: Dict[int, _VarState] = {}
+        self._sync_clocks: Dict[str, VectorClock] = {}
+        self._var_state: Dict[str, _VarState] = {}
+        #: ``(dict, key, previous value or ABSENT)`` per change.
+        self._journal: List[Tuple[Dict[Any, Any], Any, Any]] = []
+
+    # -- undo journal ---------------------------------------------------------
+
+    def mark(self) -> int:
+        """A position in the journal to :meth:`rollback` to."""
+        return len(self._journal)
+
+    def rollback(self, mark: int) -> None:
+        """Undo every change made since ``mark``."""
+        journal = self._journal
+        for table, key, previous in reversed(journal[mark:]):
+            if previous is ABSENT:
+                del table[key]
+            else:
+                table[key] = previous
+        del journal[mark:]
 
     # -- clocks -----------------------------------------------------------
 
@@ -90,10 +119,12 @@ class HBTracker:
 
     def _tick(self, tid: ThreadId) -> VectorClock:
         """Advance ``tid``'s own component; return its new clock."""
-        own = self._thread_clocks.get(tid)
+        thread_clocks = self._thread_clocks
+        own = thread_clocks.get(tid)
+        self._journal.append((thread_clocks, tid, ABSENT if own is None else own))
         clocks = own._clocks.copy() if own is not None else {}
         clocks[tid] = clocks.get(tid, 0) + 1
-        clock = self._thread_clocks[tid] = VectorClock._adopt(clocks)
+        clock = thread_clocks[tid] = VectorClock._adopt(clocks)
         return clock
 
     # -- step processing ----------------------------------------------------
@@ -104,11 +135,15 @@ class HBTracker:
         The thread's clock absorbs every object's clock, ticks, and is
         published back to every object.  Returns the step's clock.
         """
-        own = self._thread_clocks.get(tid)
+        thread_clocks = self._thread_clocks
+        own = thread_clocks.get(tid)
         clocks = own._clocks.copy() if own is not None else {}
         sync_clocks = self._sync_clocks
+        journal = self._journal
+        journal.append((thread_clocks, tid, ABSENT if own is None else own))
         for obj in objects:
-            other = sync_clocks.get(id(obj))
+            other = sync_clocks.get(obj.name)
+            journal.append((sync_clocks, obj.name, ABSENT if other is None else other))
             # An object whose last access was this thread's holds a
             # clock this thread's own clock already covers.
             if other is not None and other is not own:
@@ -118,8 +153,8 @@ class HBTracker:
         clocks[tid] = clocks.get(tid, 0) + 1
         clock = VectorClock._adopt(clocks)
         for obj in objects:
-            sync_clocks[id(obj)] = clock
-        self._thread_clocks[tid] = clock
+            sync_clocks[obj.name] = clock
+        thread_clocks[tid] = clock
         return clock
 
     def local_step(self, tid: ThreadId) -> VectorClock:
@@ -132,42 +167,50 @@ class HBTracker:
         """Record a data access; return the step clock and any races."""
         clock = self._tick(tid)
         epoch: Epoch = (tid, clock._clocks[tid])
-
-        state = self._var_state.get(id(variable))
-        if state is None:
-            state = _VarState()
-            self._var_state[id(variable)] = state
-
+        name = variable.name
+        var_state = self._var_state
+        state = var_state.get(name)
         races: List[RaceInfo] = []
 
         if self.strict:
             # Appendix A definition: *any* two unordered accesses race.
-            prev = state.last_access
-            if prev is not None and not clock.covers(prev[0], prev[1]):
-                races.append(
-                    RaceInfo(variable.name, prev, state.last_access_write, epoch, is_write)
-                )
-            state.last_access = epoch
-            state.last_access_write = is_write
+            if state is not None:
+                prev = state.last_access
+                if prev is not None and not clock.covers(prev[0], prev[1]):
+                    races.append(
+                        RaceInfo(name, prev, state.last_access_write, epoch, is_write)
+                    )
+            fresh = _VarState()
+            fresh.last_access = epoch
+            fresh.last_access_write = is_write
+            self._journal.append((var_state, name, ABSENT if state is None else state))
+            var_state[name] = fresh
             return clock, races
 
+        prev = state.last_write if state is not None else None
         if is_write:
-            prev = state.last_write
             if prev is not None and not clock.covers(prev[0], prev[1]):
-                races.append(RaceInfo(variable.name, prev, True, epoch, True))
-            for reader, time in state.reads.items():
-                if reader != tid and not clock.covers(reader, time):
-                    races.append(
-                        RaceInfo(variable.name, (reader, time), False, epoch, True)
-                    )
-            state.last_write = epoch
-            state.last_write_clock = clock
-            state.reads = {}
+                races.append(RaceInfo(name, prev, True, epoch, True))
+            if state is not None:
+                for reader, time in state.reads.items():
+                    if reader != tid and not clock.covers(reader, time):
+                        races.append(
+                            RaceInfo(name, (reader, time), False, epoch, True)
+                        )
+            fresh = _VarState()
+            fresh.last_write = epoch
+            fresh.last_write_clock = clock
+            self._journal.append((var_state, name, ABSENT if state is None else state))
+            var_state[name] = fresh
         else:
-            prev = state.last_write
             if prev is not None and not clock.covers(prev[0], prev[1]):
-                races.append(RaceInfo(variable.name, prev, True, epoch, False))
-            state.reads[tid] = epoch[1]
+                races.append(RaceInfo(name, prev, True, epoch, False))
+            if state is None:
+                state = var_state[name] = _VarState()
+                self._journal.append((var_state, name, ABSENT))
+            reads = state.reads
+            self._journal.append((reads, tid, reads.get(tid, ABSENT)))
+            reads[tid] = epoch[1]
         return clock, races
 
 

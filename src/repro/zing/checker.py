@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, Hashable, List, Optional, Set, Tuple
 
+from ..core.objects import digest, encode
 from ..core.thread import ThreadId
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
@@ -237,11 +238,13 @@ class ZingStateSpace(StateSpace):
         return self._node(state).preemptions
 
     def fingerprint(self, state: object) -> Hashable:
+        """64-bit digest of the canonical state's encoding: the same in
+        every process, whatever ``PYTHONHASHSEED`` is."""
         obs = self.obs
         if obs is None:
-            return hash(self._node(state).frozen)
+            return digest(encode(self._node(state).frozen))
         t0 = obs.hook_fingerprint.start()
-        result = hash(self._node(state).frozen)
+        result = digest(encode(self._node(state).frozen))
         obs.hook_fingerprint.stop(t0)
         return result
 

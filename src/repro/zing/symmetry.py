@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Hashable
 
+from ..core.objects import ENCODERS
 from ..errors import ProgramDefinitionError
 
 
@@ -38,6 +39,10 @@ class _CanonRef:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ref#{self.id}"
+
+
+# Fingerprints digest the canonical form through ``encode``.
+ENCODERS[_CanonRef] = lambda value: b"r%d;" % value.id
 
 
 def canonicalize(value: Any, _renaming: Dict[int, int] | None = None) -> Hashable:
@@ -80,7 +85,9 @@ def _freeze(value: Any, renaming: Dict[int, int]) -> Hashable:
         except TypeError:  # pragma: no cover - repr sort cannot fail
             pass
         return ("set", tuple(frozen))
-    if isinstance(value, (int, float, str, bool, bytes)) or value is None:
+    if isinstance(value, bytes):
+        return ("bytes", value.hex())
+    if isinstance(value, (int, float, str, bool)) or value is None:
         return value
     raise ProgramDefinitionError(
         f"model state contains unfreezable value {value!r} "

@@ -6,7 +6,10 @@ boilerplate of running them under specific configurations.
 
 from __future__ import annotations
 
+import os
+
 import pytest
+from hypothesis import settings
 
 from repro import (
     ChessChecker,
@@ -16,6 +19,13 @@ from repro import (
     RaceDetection,
     SchedulingPolicy,
 )
+
+
+#: ``HYPOTHESIS_PROFILE=ci`` runs the property tests with a larger
+#: example budget (see tests/properties/profiles.py); tier-1 keeps
+#: each test's own small budget.
+settings.register_profile("ci", max_examples=200, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def make_program(name, setup):

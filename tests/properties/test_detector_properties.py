@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from repro import Execution, ExecutionConfig, Program, RaceDetection
 
+from .profiles import examples
+
 RELAXED = settings(
-    max_examples=25,
+    max_examples=examples(25),
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )

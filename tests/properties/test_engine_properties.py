@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from repro import Execution, ExecutionConfig, SchedulingPolicy
 
+from .profiles import examples
 from .program_gen import build_program, program_shapes
 
 RELAXED = settings(
-    max_examples=30,
+    max_examples=examples(30),
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )

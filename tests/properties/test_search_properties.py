@@ -14,10 +14,11 @@ from repro import (
 )
 from repro.theory import executions_with_preemptions_upper
 
+from .profiles import examples
 from .program_gen import build_program, program_shapes
 
 SMALL = settings(
-    max_examples=15,
+    max_examples=examples(15),
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
 )

@@ -227,3 +227,35 @@ class TestClassicDFS:
     def test_finds_bugs(self):
         stats = ZingChecker(Counter(locked=False)).dfs_with_delta_stack()
         assert any(b.kind is BugKind.ASSERTION for b in stats["bugs"])
+
+
+def test_fingerprints_do_not_depend_on_the_hash_seed():
+    """Fingerprints digest the canonical encoding, not ``hash()``: two
+    interpreters with different ``PYTHONHASHSEED`` values agree."""
+    import ast
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    script = (
+        "from repro.programs.transaction_manager import transaction_manager\n"
+        "from repro.zing.checker import ZingStateSpace\n"
+        "space = ZingStateSpace(transaction_manager())\n"
+        "state = space.initial_state()\n"
+        "prints = [space.fingerprint(state)]\n"
+        "while not space.is_terminal(state) and len(prints) < 12:\n"
+        "    state = space.execute(state, space.enabled(state)[-1])\n"
+        "    prints.append(space.fingerprint(state))\n"
+        "print(prints)\n"
+    )
+    src = pathlib.Path(__file__).resolve().parents[2] / "src"
+    outputs = set()
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed)
+        run = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        outputs.add(run.stdout)
+    assert len(outputs) == 1
+    assert len(ast.literal_eval(outputs.pop())) > 1
