@@ -55,7 +55,7 @@ Package layout:
 """
 
 from .analysis import LintFinding, ProgramAnalysis, RaceCandidate, analyze
-from .chess.checker import CheckResult, ChessChecker, check_program, find_minimal_bug
+from .chess.checker import CheckResult, ChessChecker
 from .core.effects import Effect, EffectKind, alloc, join, sched_yield, spawn
 from .core.execution import (
     Execution,
@@ -92,11 +92,13 @@ from .trace import (
     replay_trace,
 )
 from .search import (
+    CheckPlan,
     DepthFirstSearch,
     EnabledThreadsHeuristic,
     IterativeContextBounding,
     IterativeDeepening,
     PCTScheduler,
+    PlanError,
     RaceCandidatePrioritizer,
     RandomWalk,
     SearchContext,
@@ -111,6 +113,7 @@ __version__ = "1.0.0"
 __all__ = [
     "BugKind",
     "BugReport",
+    "CheckPlan",
     "CheckResult",
     "CheckingService",
     "Checkpoint",
@@ -137,6 +140,7 @@ __all__ = [
     "PCTScheduler",
     "ParallelCoordinator",
     "ParallelSettings",
+    "PlanError",
     "Program",
     "ProgramAnalysis",
     "ProgramStateSpace",
@@ -167,8 +171,6 @@ __all__ = [
     "alloc",
     "analyze",
     "check",
-    "check_program",
-    "find_minimal_bug",
     "join",
     "minimize_trace",
     "monitor_factory",

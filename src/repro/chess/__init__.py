@@ -1,5 +1,5 @@
 """The CHESS-style stateless model checker facade."""
 
-from .checker import CheckResult, ChessChecker, check_program, find_minimal_bug
+from .checker import CheckResult, ChessChecker
 
-__all__ = ["CheckResult", "ChessChecker", "check_program", "find_minimal_bug"]
+__all__ = ["CheckResult", "ChessChecker"]

@@ -135,30 +135,12 @@ class ServiceClient:
     def stats(self) -> Dict[str, Any]:
         return self._request("GET", "/v1/stats")
 
-    def submit(
-        self,
-        spec: str,
-        priority: int = 0,
-        max_bound: Optional[int] = None,
-        workers: Optional[int] = None,
-        stop_on_first_bug: bool = False,
-        max_executions: Optional[int] = None,
-        max_transitions: Optional[int] = None,
-        state_caching: bool = False,
-    ) -> Dict[str, Any]:
-        """Submit work; returns the wire job record.  Safe to retry:
-        an active duplicate deduplicates server-side by the job's
+    def submit(self, spec: str, priority: int = 0, **fields: Any) -> Dict[str, Any]:
+        """Submit work (``fields`` are the plan's flat JSON fields);
+        returns the wire job record.  Safe to retry: an active
+        duplicate deduplicates server-side by the job's
         content-addressed identity."""
-        body = submit_to_wire(
-            spec,
-            priority=priority,
-            max_bound=max_bound,
-            workers=workers,
-            stop_on_first_bug=stop_on_first_bug,
-            max_executions=max_executions,
-            max_transitions=max_transitions,
-            state_caching=state_caching,
-        )
+        body = submit_to_wire(spec, priority, **fields)
         reply = self._request("POST", "/v1/jobs", body)
         return reply["job"]
 
@@ -196,14 +178,6 @@ class ServiceClient:
 
     def cache_entry(self, key: str) -> Dict[str, Any]:
         return self._request("GET", f"/v1/cache/{key}")["entry"]
-
-    def push_cache_entry(self, key: str, entry: Dict[str, Any]) -> bool:
-        """Offer a freshly computed cache entry to this peer
-        (push-on-complete); ``True`` if the peer stored it, ``False``
-        if it already had the key.  Idempotent: the entry is
-        content-addressed, so re-pushing writes the same bytes."""
-        reply = self._request("POST", f"/v1/cache/{key}", {"entry": entry})
-        return bool(reply.get("stored"))
 
     def trace_names(self) -> List[str]:
         return self._request("GET", "/v1/traces")["names"]

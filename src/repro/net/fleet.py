@@ -12,11 +12,7 @@ Each iteration of its loop:
    work any host has already done becomes a local cache hit;
 4. runs the job with a :class:`~repro.net.lease.LeaseRenewer` thread
    keeping the lease alive, then appends a *fenced* completion the
-   journal only honours if the lease was never taken over;
-5. pushes the fresh result-cache entry to every peer the moment the
-   completion lands (push-on-complete), so a duplicate submitted
-   anywhere in the fleet is a cache hit without waiting for the
-   peers' anti-entropy sweeps.
+   journal only honours if the lease was never taken over.
 
 While idle it runs anti-entropy sweeps, so caches and trace corpora
 converge across hosts even without submit traffic.  The optional
@@ -153,6 +149,3 @@ class FleetDaemon:
             lease, result_path=str(path), cache_hit=cache_hit
         ):
             self.service.clear_checkpoint(job)
-            # Push-on-complete: hand the fresh cache entry to every
-            # peer now, rather than waiting for their next sweep.
-            self.sync.push_on_complete(job)

@@ -19,7 +19,6 @@ Endpoints (all bodies are the versioned wire format, ``repro.net.wire``):
 ``GET  /v1/results/{id}``  finished result report (404 unknown, 409 pending)
 ``GET  /v1/cache``      content-addressed result-cache keys (for sync)
 ``GET  /v1/cache/{key}``   one raw cache entry (pull-on-miss / anti-entropy)
-``POST /v1/cache/{key}``   accept a pushed cache entry (push-on-complete)
 ``GET  /v1/traces``     witness-trace corpus filenames (for sync)
 ``GET  /v1/traces/{name}`` one raw trace file
 ====================== ======================================================
@@ -28,7 +27,6 @@ Endpoints (all bodies are the versioned wire format, ``repro.net.wire``):
 from __future__ import annotations
 
 import json
-import os
 import pathlib
 import re
 import threading
@@ -36,7 +34,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple, Type
 
 from ..obs.instrument import Instrumentation
-from ..service.cache import RESULT_CACHE_FORMAT, RESULT_CACHE_SUFFIX
+from ..service.cache import RESULT_CACHE_SUFFIX
 from ..service.daemon import CheckingService
 from ..trace.format import TRACE_SUFFIX
 from .wire import (
@@ -103,11 +101,8 @@ class ServiceAPI:
             return self._result(tail[1])
         if tail == ["cache"] and method == "GET":
             return self._cache_keys()
-        if len(tail) == 2 and tail[0] == "cache":
-            if method == "GET":
-                return self._cache_entry(tail[1])
-            if method == "POST":
-                return self._cache_push(tail[1], body)
+        if len(tail) == 2 and tail[0] == "cache" and method == "GET":
+            return self._cache_entry(tail[1])
         if tail == ["traces"] and method == "GET":
             return self._trace_names()
         if len(tail) == 2 and tail[0] == "traces" and method == "GET":
@@ -202,39 +197,6 @@ class ServiceAPI:
         if not path.exists():
             return 404, error_body(f"no cache entry {key!r}", 404)
         return 200, envelope({"key": key, "entry": json.loads(path.read_text())})
-
-    def _cache_push(self, key: str, body: Optional[bytes]) -> Reply:
-        """Accept a peer's freshly computed entry (push-on-complete).
-
-        Validation mirrors what ``CacheSync`` applies to pulled
-        entries: hex key, the versioned cache format, and a key field
-        matching the path, so a push can never plant a mismatched
-        object.  Content addressing makes the write idempotent;
-        ``stored: false`` reports an entry we already had.
-        """
-        if not _KEY_RE.match(key):
-            return 400, error_body(f"malformed cache key {key!r}", 400)
-        if not body:
-            raise WireError("cache push: empty request")
-        try:
-            data = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise WireError(f"cache push: not valid JSON ({exc})") from exc
-        entry = data.get("entry") if isinstance(data, dict) else None
-        if (
-            not isinstance(entry, dict)
-            or entry.get("format") != RESULT_CACHE_FORMAT
-            or entry.get("key") != key
-        ):
-            raise WireError(f"cache push: not a result-cache entry for {key!r}")
-        path = self.service.cache.path_for(key)
-        if path.exists():
-            return 200, envelope({"key": key, "stored": False})
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(path.name + ".push.tmp")
-        tmp.write_text(json.dumps(entry, sort_keys=True) + "\n")
-        os.replace(tmp, path)
-        return 200, envelope({"key": key, "stored": True})
 
     def _trace_paths(self) -> list:
         root = pathlib.Path(self.service.traces_dir)

@@ -15,11 +15,11 @@ each other converge.  Two mechanisms share that property:
   diff key lists against each peer and pull whatever is missing, so
   results and witness traces eventually live everywhere even if no
   submit ever asks for them.
-* **push-on-complete** (:meth:`CacheSync.push_on_complete`): the
-  moment a daemon finishes a job, it POSTs the fresh cache entry to
-  every peer instead of waiting for their next anti-entropy sweep --
-  the same object, just delivered eagerly, so a duplicate submit
-  landing on any fleet member a moment later is already a cache hit.
+
+A duplicate submitted to a peer right after a job completes is a
+cache hit through pull-on-miss; delivering the entry eagerly on
+completion saved no measurable latency over that pull, so the fleet
+does not push.
 
 A peer being down is never an error -- sync is opportunistic; the
 local daemon can always fall back to doing the work itself.
@@ -35,11 +35,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..core.execution import ExecutionConfig
 from ..obs.instrument import Instrumentation
-from ..search.strategy import SearchLimits
-from ..service.cache import (
-    RESULT_CACHE_FORMAT,
-    result_cache_key,
-)
+from ..service.cache import RESULT_CACHE_FORMAT
 from ..service.daemon import CheckingService, resolve_spec
 from ..service.jobs import Job
 from ..trace.format import TRACE_SUFFIX
@@ -50,32 +46,16 @@ _TRACE_RE = re.compile(r"^[A-Za-z0-9._-]+$")
 
 
 def job_cache_key(job: Job) -> Optional[str]:
-    """The result-cache key the daemon's checker will compute for
-    ``job`` -- the shared vocabulary that makes cross-host sync work.
-
-    Mirrors :meth:`repro.chess.checker.ChessChecker.check`: the
-    daemon runs jobs under the default :class:`ExecutionConfig`, and
-    ``workers`` is excluded from keying (serial and parallel runs
-    report identical results).  ``None`` if the spec does not resolve
-    here -- the job will fail properly when run, not during sync.
-    """
+    """The result-cache key of the daemon's check of ``job``: its
+    plan's key under the default :class:`ExecutionConfig`, which is
+    what the daemon runs jobs with.  ``None`` if the spec does not
+    resolve here -- the job will fail properly when run, not during
+    sync."""
     try:
         program = resolve_spec(job.spec)
     except Exception:  # noqa: BLE001 - sync must never break the claim loop
         return None
-    limits = SearchLimits(
-        max_executions=job.max_executions,
-        max_transitions=job.max_transitions,
-        stop_on_first_bug=job.stop_on_first_bug,
-    )
-    return result_cache_key(
-        program,
-        ExecutionConfig(),
-        limits=limits,
-        max_bound=job.max_bound,
-        state_caching=job.state_caching,
-        analysis=False,
-    )
+    return job.plan.cache_key(program, ExecutionConfig())
 
 
 class CacheSync:
@@ -151,39 +131,6 @@ class CacheSync:
             if self._store_entry(key, entry, client.base_url):
                 return key
         return None
-
-    # -- push-on-complete ----------------------------------------------------
-
-    def push_on_complete(self, job: Job) -> int:
-        """POST ``job``'s freshly written cache entry to every peer;
-        returns how many peers accepted (stored or already had) it.
-
-        Called by the fleet claim loop right after a fenced
-        completion.  Opportunistic like every sync path: a peer being
-        down, or rejecting the entry, never fails the job.
-        """
-        if not self.clients:
-            return 0
-        key = job_cache_key(job)
-        if key is None:
-            return 0
-        path = self.service.cache.path_for(key)
-        try:
-            entry = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            # Nothing durable to offer (e.g. a budgeted, uncacheable
-            # run never stored a result entry).
-            return 0
-        delivered = 0
-        for client in self.clients:
-            try:
-                client.push_cache_entry(key, entry)
-            except ServiceClientError:
-                continue  # peer down; its anti-entropy sweep catches up
-            delivered += 1
-            if self.obs is not None:
-                self.obs.cache_push_sent(key, client.base_url)
-        return delivered
 
     # -- anti-entropy --------------------------------------------------------
 

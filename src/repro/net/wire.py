@@ -7,11 +7,13 @@ are: a peer speaking an unknown version is rejected up front rather
 than misread, which matters once a fleet of daemons on different
 hosts (and possibly different builds) shares one service root.
 
-The submit body is validated field by field against the job schema
-(:data:`SUBMIT_FIELDS`): unknown keys, wrong primitive types and a
-missing ``spec`` are each a :class:`WireError` naming the offender,
-so a malformed client gets a 400 with a usable message instead of a
-daemon-side stack trace.
+The submit body is validated field by field: its own fields against
+:data:`SUBMIT_FIELDS`, the rest as the job's plan
+(:class:`~repro.search.plan.CheckPlan`).  Unknown keys, wrong
+primitive types, a missing ``spec`` and a plan the checker refuses are
+each a :class:`WireError` naming the offender, so a malformed client
+gets a 400 with a usable message instead of a daemon-side stack trace
+or a job that fails every run.
 
 Wire jobs carry the job's *content-addressed identity*
 (:meth:`repro.service.jobs.Job.identity`) alongside its queue id:
@@ -22,10 +24,10 @@ resubmit deduplicated rather than duplicated.
 
 from __future__ import annotations
 
-from dataclasses import asdict
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 from ..errors import ReproError
+from ..search.plan import TYPE_CHECKS, CheckPlan, PlanError
 from ..service.jobs import Job
 
 WIRE_FORMAT = "repro-net-wire"
@@ -63,77 +65,49 @@ def error_body(message: str, status: int) -> Dict[str, Any]:
     return envelope({"error": {"message": message, "status": status}})
 
 
-#: Submit-body schema: name -> (type tag, required).  ``int`` fields
-#: also accept null where the Job default is None.
+#: The submit body's own fields: name -> (type tag, required).  The
+#: rest of the body is the job's plan in its flat JSON form
+#: (:meth:`~repro.search.plan.CheckPlan.from_json` checks it).
 SUBMIT_FIELDS: Dict[str, Tuple[str, bool]] = {
     "spec": ("str", True),
     "priority": ("int", False),
-    "max_bound": ("int?", False),
-    "workers": ("int?", False),
-    "stop_on_first_bug": ("bool", False),
-    "max_executions": ("int?", False),
-    "max_transitions": ("int?", False),
-    "state_caching": ("bool", False),
-}
-
-_TYPE_CHECKS = {
-    "str": lambda v: isinstance(v, str),
-    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "int?": lambda v: v is None or (isinstance(v, int) and not isinstance(v, bool)),
-    "bool": lambda v: isinstance(v, bool),
 }
 
 
 def submit_from_wire(data: Any) -> Dict[str, Any]:
     """Validate a ``POST /v1/jobs`` body into ``JobQueue.submit`` kwargs."""
     body = check_envelope(data, "submit body")
+    fields = {k: v for k, v in body.items() if k not in ("format", "version")}
     kwargs: Dict[str, Any] = {}
-    for key, value in body.items():
-        if key in ("format", "version"):
+    for key, (tag, required) in SUBMIT_FIELDS.items():
+        if key not in fields:
+            if required:
+                raise WireError(f"submit body: missing required field {key!r}")
             continue
-        schema = SUBMIT_FIELDS.get(key)
-        if schema is None:
-            raise WireError(f"submit body: unknown field {key!r}")
-        tag, _ = schema
-        if not _TYPE_CHECKS[tag](value):
+        value = kwargs[key] = fields.pop(key)
+        if not TYPE_CHECKS[tag](value):
             raise WireError(
                 f"submit body: field {key!r} must be {tag}, "
                 f"got {type(value).__name__}"
             )
-        kwargs[key] = value
-    for key, (_, required) in SUBMIT_FIELDS.items():
-        if required and key not in kwargs:
-            raise WireError(f"submit body: missing required field {key!r}")
+    try:
+        plan = CheckPlan.from_json(fields)
+    except PlanError as exc:
+        raise WireError(f"submit body: {exc}") from exc
+    kwargs.update(plan.to_json())
     return kwargs
 
 
-def submit_to_wire(
-    spec: str,
-    priority: int = 0,
-    max_bound: Optional[int] = None,
-    workers: Optional[int] = None,
-    stop_on_first_bug: bool = False,
-    max_executions: Optional[int] = None,
-    max_transitions: Optional[int] = None,
-    state_caching: bool = False,
-) -> Dict[str, Any]:
-    """Build a ``POST /v1/jobs`` body (the client half of the schema)."""
-    return envelope(
-        {
-            "spec": spec,
-            "priority": priority,
-            "max_bound": max_bound,
-            "workers": workers,
-            "stop_on_first_bug": stop_on_first_bug,
-            "max_executions": max_executions,
-            "max_transitions": max_transitions,
-            "state_caching": state_caching,
-        }
-    )
+def submit_to_wire(spec: str, priority: int = 0, **fields: Any) -> Dict[str, Any]:
+    """Build a ``POST /v1/jobs`` body (the client half of the schema);
+    ``fields`` are the plan's flat JSON fields, refused here as the
+    server would refuse them."""
+    plan = CheckPlan.from_json(fields)
+    return envelope({"spec": spec, "priority": priority, **plan.to_json()})
 
 
 def job_to_wire(job: Job) -> Dict[str, Any]:
     """One job record as it travels: every Job field plus identity."""
-    data = asdict(job)
+    data = job.to_json()
     data["identity"] = job.identity()
     return data

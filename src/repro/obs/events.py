@@ -269,18 +269,6 @@ class CacheSyncApplied(Event):
 
 
 @dataclass(frozen=True)
-class CachePushSent(Event):
-    """A freshly computed result-cache entry was pushed to a peer
-    daemon at job completion (``repro.net.sync``), ahead of its
-    anti-entropy sweep."""
-
-    kind: ClassVar[str] = "cache_push_sent"
-
-    key: str
-    peer: str
-
-
-@dataclass(frozen=True)
 class InvivoRun(Event):
     """A checking run over an in-vivo program finished
     (``repro.invivo``); cumulative OS-thread/handshake totals."""
@@ -317,7 +305,6 @@ EVENT_TYPES: Dict[str, Type[Event]] = {
         LeaseRenewed,
         LeaseTakeover,
         CacheSyncApplied,
-        CachePushSent,
         InvivoRun,
     )
 }

@@ -32,7 +32,6 @@ from .events import (
     BoundCompleted,
     BoundStarted,
     BugFound,
-    CachePushSent,
     CacheSyncApplied,
     CheckpointResumed,
     CheckpointSaved,
@@ -377,13 +376,6 @@ class Instrumentation:
         self.metrics.add("cache_sync_hits")
         if self.bus.active:
             self.bus.emit(CacheSyncApplied(self.now(), key, source, kind))
-
-    def cache_push_sent(self, key: str, peer: str) -> None:
-        """A fresh result-cache entry was pushed to a peer at job
-        completion, ahead of its anti-entropy sweep."""
-        self.metrics.add("cache_pushes")
-        if self.bus.active:
-            self.bus.emit(CachePushSent(self.now(), key, peer))
 
     # -- in-vivo hooks (see repro.invivo) -------------------------------------
 

@@ -321,7 +321,6 @@ class MetricsSnapshot:
             ("lease renewals", self.counters.get("lease_renewals", 0)),
             ("lease takeovers", self.counters.get("lease_takeovers", 0)),
             ("cache sync hits", self.counters.get("cache_sync_hits", 0)),
-            ("cache pushes", self.counters.get("cache_pushes", 0)),
         ]
         if any(count for _, count in fleet):
             lines.append(

@@ -33,6 +33,7 @@ from .heuristics import (
 )
 from .icb import IterativeContextBounding
 from .pct import PCTScheduler
+from .plan import CheckPlan, PlanError
 from .por import SleepSetDFS
 from .iddfs import IterativeDeepening
 from .random_walk import RandomWalk
@@ -40,12 +41,14 @@ from .statecache import WorkItemCache
 from .strategy import SearchContext, SearchLimits, SearchResult, Strategy
 
 __all__ = [
+    "CheckPlan",
     "DepthFirstSearch",
     "EnabledThreadsHeuristic",
     "FrontierPrioritizer",
     "IterativeContextBounding",
     "IterativeDeepening",
     "PCTScheduler",
+    "PlanError",
     "RaceCandidatePrioritizer",
     "RandomWalk",
     "SleepSetDFS",

@@ -1,4 +1,7 @@
-"""Search infrastructure: budgets, statistics and the strategy base.
+"""Search infrastructure: statistics and the strategy base.
+
+Budgets (:class:`SearchLimits`) belong to a check's plan and live in
+:mod:`repro.search.plan`.
 
 A :class:`SearchContext` is shared by all strategies.  It accumulates
 the quantities every experiment in the paper is built on:
@@ -17,7 +20,6 @@ the quantities every experiment in the paper is built on:
 from __future__ import annotations
 
 import abc
-import dataclasses
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
@@ -30,6 +32,7 @@ from ..errors import (
 from ..core.transition import StateSpace
 from ..obs.history import CoverageRecorder
 from ..obs.instrument import Instrumentation
+from .plan import SearchLimits
 
 #: How many transitions may pass between wall-clock reads in
 #: ``SearchContext._check_budget``.  A transition takes ~1us while a
@@ -39,31 +42,6 @@ from ..obs.instrument import Instrumentation
 #: at worst ``TIME_CHECK_STRIDE - 1`` extra transitions run past the
 #: deadline, microseconds in practice.
 TIME_CHECK_STRIDE = 64
-
-
-@dataclass(frozen=True)
-class SearchLimits:
-    """Resource budget for one search run.
-
-    ``None`` means unlimited.  When a budget is exhausted the search
-    stops cleanly and the result is marked incomplete; everything
-    accumulated so far remains valid (this is how the fixed-budget
-    coverage-growth figures are produced).
-    """
-
-    max_executions: Optional[int] = None
-    max_transitions: Optional[int] = None
-    max_seconds: Optional[float] = None
-    stop_on_first_bug: bool = False
-
-    def with_stop_on_first_bug(self, value: bool = True) -> "SearchLimits":
-        """A copy with ``stop_on_first_bug`` set, all else preserved.
-
-        Callers must use this instead of rebuilding limits field by
-        field, so newly added budget fields can never be silently
-        dropped along the way.
-        """
-        return dataclasses.replace(self, stop_on_first_bug=value)
 
 
 def _witness_key(bug: BugReport) -> Tuple[int, int, Tuple[Tuple[int, ...], ...]]:

@@ -8,13 +8,13 @@ free.
 **Keying.**  A cache entry is addressed by the SHA-256 of everything
 that determines a check's outcome: the program fingerprint (name plus
 thread-structure hash), the replay-relevant ``ExecutionConfig`` knobs,
-the outcome-relevant budget knobs (``max_executions``,
-``max_transitions``, ``stop_on_first_bug``) and the strategy shape
-(``max_bound``, state caching, analysis reduction).  ``workers`` is
-deliberately *excluded*: serial and parallel runs report identical
-results, so they share entries.  ``max_seconds`` is excluded too, but
-differently: a wall-clock budget makes the outcome machine-dependent,
-so such runs are never cached at all (:meth:`ResultCache.cacheable`).
+the outcome-relevant budgets and the strategy shape, which the check's
+plan computes (:meth:`~repro.search.plan.CheckPlan.cache_key`).
+``workers`` is deliberately *excluded*: serial and parallel runs
+report identical results, so they share entries.  ``max_seconds`` is
+excluded too, but differently: a wall-clock budget makes the outcome
+machine-dependent, so such runs are never cached at all
+(:meth:`ResultCache.cacheable`).
 
 **Storing.**  Only *authoritative* results are stored: runs that
 exhausted their space (or reached their configured ``max_bound``), or
@@ -40,7 +40,6 @@ exploration (``extras["corpus_fastpath"] = True``).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import pathlib
@@ -50,8 +49,8 @@ from ..core.execution import ExecutionConfig
 from ..core.program import Program
 from ..errors import ReproError
 from ..obs.instrument import Instrumentation
-from ..search.strategy import SearchContext, SearchLimits, SearchResult
-from ..trace.format import ProgramFingerprint, config_to_json
+from ..search.plan import CheckPlan, SearchLimits
+from ..search.strategy import SearchContext, SearchResult
 from .checkpoint import (
     CheckpointError,
     _bug_from_json,
@@ -77,33 +76,13 @@ class ResultCacheError(ReproError):
 def result_cache_key(
     program: Program,
     config: Optional[ExecutionConfig] = None,
-    limits: Optional[SearchLimits] = None,
-    max_bound: Optional[int] = None,
-    state_caching: bool = False,
     analysis: bool = False,
+    **fields: Any,
 ) -> str:
-    """The content address of one check's outcome (see module docstring)."""
-    fp = ProgramFingerprint.of(program)
-    limits = limits or SearchLimits()
-    payload = {
-        "program": {"name": fp.name, "structure": fp.structure},
-        "config": config_to_json(config or ExecutionConfig()),
-        "limits": {
-            "max_executions": limits.max_executions,
-            "max_transitions": limits.max_transitions,
-            "stop_on_first_bug": limits.stop_on_first_bug,
-        },
-        "strategy": {
-            "name": "icb",
-            "max_bound": max_bound,
-            "state_caching": state_caching,
-            "analysis": analysis,
-        },
-    }
-    digest = hashlib.sha256(
-        json.dumps(payload, sort_keys=True).encode("utf-8")
-    ).hexdigest()
-    return digest
+    """The content address of one check's outcome: the
+    :meth:`~repro.search.plan.CheckPlan.cache_key` of the plan whose
+    fields are ``fields``."""
+    return CheckPlan(**fields).cache_key(program, config, analysis)
 
 
 def _extras_to_json(extras: Dict[str, Any]) -> List[List[Any]]:

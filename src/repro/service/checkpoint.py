@@ -58,8 +58,8 @@ from ..obs.instrument import Instrumentation
 from ..obs.metrics import MetricsSnapshot
 from ..parallel.workitem import WorkItem
 from ..search.statecache import WorkItemCache
+from ..search.plan import CheckPlan
 from ..search.strategy import SearchContext
-from ..trace.format import ProgramFingerprint, config_from_json, config_to_json
 
 #: Identifies a file as a checkpoint regardless of extension.
 CHECKPOINT_FORMAT = "repro-checkpoint"
@@ -103,24 +103,13 @@ def _require(data: Dict[str, Any], key: str, kind: type, where: str) -> Any:
 def search_fingerprint(
     program: Program,
     config: Optional[ExecutionConfig] = None,
-    strategy: str = "icb",
-    state_caching: bool = False,
     analysis: bool = False,
+    **fields: Any,
 ) -> Dict[str, Any]:
-    """The identity a checkpoint binds to (see module docstring).
-
-    Serial and parallel ICB share the strategy name ``"icb"``: they
-    explore the same executions, so a checkpoint written by either
-    engine can be resumed by the other.
-    """
-    fp = ProgramFingerprint.of(program)
-    return {
-        "program": {"name": fp.name, "structure": fp.structure},
-        "config": config_to_json(config or ExecutionConfig()),
-        "strategy": strategy,
-        "state_caching": state_caching,
-        "analysis": analysis,
-    }
+    """The identity a checkpoint binds to: the
+    :meth:`~repro.search.plan.CheckPlan.fingerprint` of the plan whose
+    fields are ``fields``."""
+    return CheckPlan(**fields).fingerprint(program, config, analysis)
 
 
 class _ThreadTable:
@@ -629,27 +618,6 @@ class Checkpointer:
         self._since_save = 0
         self._resumed: Optional[Checkpoint] = None
         self._loaded = False
-
-    @classmethod
-    def for_program(
-        cls,
-        path: Union[str, pathlib.Path],
-        program: Program,
-        config: Optional[ExecutionConfig] = None,
-        stride: int = DEFAULT_STRIDE,
-        state_caching: bool = False,
-        analysis: bool = False,
-        obs: Optional[Instrumentation] = None,
-    ) -> "Checkpointer":
-        """Convenience constructor computing the fingerprint."""
-        return cls(
-            path,
-            search_fingerprint(
-                program, config, state_caching=state_caching, analysis=analysis
-            ),
-            stride=stride,
-            obs=obs,
-        )
 
     # -- resuming -----------------------------------------------------------
 

@@ -12,7 +12,7 @@ One directory is the whole service::
 The daemon folds the journal, requeues whatever a previous daemon left
 running (:meth:`~repro.service.jobs.JobQueue.recover`), then loops:
 claim the best queued job, resolve its program spec, and run
-:meth:`~repro.chess.checker.ChessChecker.check` with the job's knobs
+:meth:`~repro.chess.checker.ChessChecker.check` with the job's plan
 plus the service's durability plumbing -- a per-job checkpoint file,
 the shared result cache, and the shared trace corpus.  Killing the
 daemon (or its worker processes) at any point therefore loses no
@@ -37,7 +37,6 @@ from ..chess.checker import ChessChecker, CheckResult
 from ..core.program import Program
 from ..errors import ReproError
 from ..obs.instrument import Instrumentation
-from ..search.strategy import SearchLimits
 from ..trace.corpus import TraceCorpus
 from .cache import ResultCache
 from .checkpoint import CHECKPOINT_SUFFIX, Checkpointer
@@ -148,17 +147,8 @@ class CheckingService:
         Checkpointer(self.checkpoint_path(job), {}).clear()
 
     def run_job(self, job: Job) -> CheckResult:
-        program = resolve_spec(job.spec)
-        limits = SearchLimits(
-            max_executions=job.max_executions,
-            max_transitions=job.max_transitions,
-            stop_on_first_bug=job.stop_on_first_bug,
-        )
-        return ChessChecker(program).check(
-            max_bound=job.max_bound,
-            limits=limits,
-            state_caching=job.state_caching,
-            workers=job.workers,
+        return ChessChecker(resolve_spec(job.spec)).check(
+            job.plan,
             trace_dir=self.traces_dir,
             trace_spec=job.spec,
             obs=self.obs,

@@ -45,10 +45,11 @@ import os
 import pathlib
 import threading
 from copy import copy
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields as dataclass_fields
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from ..errors import ReproError
+from ..search.plan import CheckPlan
 
 JOURNAL_NAME = "jobs.jsonl"
 
@@ -70,12 +71,8 @@ class Job:
     id: str
     spec: str
     priority: int = 0
-    max_bound: Optional[int] = None
-    workers: Optional[int] = None
-    stop_on_first_bug: bool = False
-    max_executions: Optional[int] = None
-    max_transitions: Optional[int] = None
-    state_caching: bool = False
+    #: What the job checks (:class:`~repro.search.plan.CheckPlan`).
+    plan: CheckPlan = CheckPlan()
     #: Lifecycle, maintained by the journal fold -- never set directly.
     status: str = QUEUED
     attempts: int = 0
@@ -90,36 +87,41 @@ class Job:
     fence: int = 0
     lease_expires: Optional[float] = None
 
-    def work_key(self) -> Tuple[Any, ...]:
+    def work_key(self) -> Tuple[str, CheckPlan]:
         """What makes two submissions "the same work" for dedup."""
-        return (
-            self.spec,
-            self.max_bound,
-            self.workers,
-            self.stop_on_first_bug,
-            self.max_executions,
-            self.max_transitions,
-            self.state_caching,
-        )
+        return (self.spec, self.plan)
 
     def identity(self) -> str:
         """The content address of this job's work: the SHA-256 of its
         sorted-JSON work description.  Two submissions with the same
         identity are the same work, which is what makes resubmits over
         the wire idempotent (see :mod:`repro.net`)."""
-        names = (
-            "spec",
-            "max_bound",
-            "workers",
-            "stop_on_first_bug",
-            "max_executions",
-            "max_transitions",
-            "state_caching",
-        )
-        payload = dict(zip(names, self.work_key()))
+        payload = {"spec": self.spec, **self.plan.to_json()}
         return hashlib.sha256(
             json.dumps(payload, sort_keys=True).encode("utf-8")
         ).hexdigest()
+
+    def to_json(self) -> Dict[str, Any]:
+        """Every field, the plan in its flat JSON form: the job record
+        of ``repro status --json`` and the wire."""
+        data: Dict[str, Any] = {}
+        for item in dataclass_fields(self):
+            value = getattr(self, item.name)
+            if item.name == "plan":
+                data.update(value.to_json())
+            else:
+                data[item.name] = value
+        return data
+
+    @classmethod
+    def from_json(cls, data: Dict[str, Any]) -> "Job":
+        """The job a :meth:`to_json` record describes (other keys are
+        ignored)."""
+        known = {item.name for item in dataclass_fields(cls)} - {"plan"}
+        return cls(
+            plan=CheckPlan.from_json(data, record=True),
+            **{key: value for key, value in data.items() if key in known},
+        )
 
     def describe(self) -> str:
         extra = ""
@@ -133,16 +135,9 @@ class Job:
         )
 
 
-_JOB_FIELDS = (
-    "spec",
-    "priority",
-    "max_bound",
-    "workers",
-    "stop_on_first_bug",
-    "max_executions",
-    "max_transitions",
-    "state_caching",
-)
+#: What a ``submitted`` record carries besides the plan: lifecycle and
+#: lease fields are derived from later events.
+_SUBMITTED = ("id", "spec", "priority", "seq")
 
 
 def _fence_of(event: Dict[str, Any]) -> int:
@@ -198,12 +193,11 @@ def _apply(jobs: Dict[str, Job], event: Dict[str, Any]) -> None:
             raise ValueError("submitted event without a job object")
         job = Job(
             id=str(data["id"]),
+            spec=data.get("spec"),
+            priority=int(data.get("priority") or 0),
+            plan=CheckPlan.from_json(data, record=True),
             seq=int(data.get("seq", 0)),
-            **{name: data.get(name) for name in _JOB_FIELDS},
         )
-        job.priority = int(job.priority or 0)
-        job.stop_on_first_bug = bool(job.stop_on_first_bug)
-        job.state_caching = bool(job.state_caching)
         jobs[job.id] = job
         return
     job = jobs.get(str(event.get("id")))
@@ -421,24 +415,18 @@ class JobQueue:
         self,
         spec: str,
         priority: int = 0,
-        max_bound: Optional[int] = None,
-        workers: Optional[int] = None,
-        stop_on_first_bug: bool = False,
-        max_executions: Optional[int] = None,
-        max_transitions: Optional[int] = None,
-        state_caching: bool = False,
+        **fields: Any,
     ) -> Job:
-        """Append a new job, or return the active duplicate if any."""
+        """Append a new job, or return the active duplicate if any.
+
+        The work is the plan whose flat JSON fields are ``fields``
+        (``max_bound=2``, ...; see
+        :meth:`~repro.search.plan.CheckPlan.to_json`).  A plan the
+        checker would refuse raises
+        :class:`~repro.search.plan.PlanError` and journals nothing.
+        """
         candidate = Job(
-            id="",
-            spec=spec,
-            priority=priority,
-            max_bound=max_bound,
-            workers=workers,
-            stop_on_first_bug=stop_on_first_bug,
-            max_executions=max_executions,
-            max_transitions=max_transitions,
-            state_caching=state_caching,
+            id="", spec=spec, priority=priority, plan=CheckPlan.from_json(fields)
         )
         work = candidate.work_key()
         with self._lock:
@@ -454,20 +442,8 @@ class JobQueue:
             seq = 1 + max((job.seq for job in jobs), default=0)
             candidate.id = f"job-{seq:06d}"
             candidate.seq = seq
-            payload = asdict(candidate)
-            # Lifecycle and lease fields are derived from later events,
-            # not recorded at submission.
-            for name in (
-                "status",
-                "attempts",
-                "result_path",
-                "error",
-                "cache_hit",
-                "owner",
-                "fence",
-                "lease_expires",
-            ):
-                payload.pop(name, None)
+            payload = {name: getattr(candidate, name) for name in _SUBMITTED}
+            payload.update(candidate.plan.to_json())
             self._write({"event": "submitted", "job": payload})
         return candidate
 

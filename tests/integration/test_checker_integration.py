@@ -10,25 +10,14 @@ from repro import (
     ExecutionConfig,
     Program,
     SearchLimits,
-    check_program,
-    find_minimal_bug,
 )
 from repro.programs import toy
 from repro.zing import ZingChecker, ZingModel, acquire, atomic, release
 
 
 class TestFacade:
-    def test_check_program_one_call(self):
-        result = check_program(toy.locked_counter(), max_bound=2)
-        assert not result.found_bug
-        assert result.program == toy.locked_counter().name
-
-    def test_find_minimal_bug_one_call(self):
-        bug = find_minimal_bug(toy.atomic_counter_assert())
-        assert bug is not None and bug.preemptions == 1
-
     def test_summary_mentions_guarantee(self):
-        result = check_program(toy.locked_counter(), max_bound=1)
+        result = ChessChecker(toy.locked_counter()).check(max_bound=1)
         assert "at most 1 preemption" in result.summary()
 
     def test_summary_lists_bugs(self):

@@ -204,37 +204,40 @@ def test_sigkilled_daemon_is_taken_over_without_double_execution(tmp_path):
     )
 
 
-def test_completion_pushes_the_entry_to_peers(tmp_path):
-    """Push-on-complete: the moment a daemon finishes a job, its peers
-    hold the cache entry -- before any anti-entropy sweep runs."""
+def test_a_duplicate_on_a_peer_is_a_cache_hit_through_pull_on_miss(tmp_path):
+    """A job finished on one daemon makes its duplicate, submitted to a
+    peer right after, a cache hit there: the peer pulls the entry on
+    its miss, before any anti-entropy sweep runs."""
     from repro.obs import Instrumentation
     from repro.net.sync import job_cache_key
 
-    cold = FleetDaemon(
-        tmp_path / "cold", daemon_id="cold", http_port=0, sync_interval=1e9
+    first = FleetDaemon(
+        tmp_path / "first", daemon_id="first", http_port=0, sync_interval=1e9
     ).start()
     try:
+        first.service.queue.submit("toy:stats-race", max_bound=1)
+        assert first.serve(once=True) == 1
         obs = Instrumentation()
-        warm = FleetDaemon(
-            tmp_path / "warm",
-            daemon_id="warm",
-            peers=[cold.url],
+        peer = FleetDaemon(
+            tmp_path / "peer",
+            daemon_id="peer",
+            peers=[first.url],
             obs=obs,
-            sync_interval=1e9,  # no sweeps: only the push can deliver
+            sync_interval=1e9,  # no sweeps: only the pull can deliver
         ).start()
-        warm.service.queue.submit("toy:stats-race", max_bound=1)
-        assert warm.serve(once=True) == 1
-        job = warm.service.queue.jobs()[0]
+        job = peer.service.queue.submit("toy:stats-race", max_bound=1)
         key = job_cache_key(job)
-        mirrored = cold.service.cache.path_for(key)
-        assert mirrored.exists()
+        assert not peer.service.cache.path_for(key).exists()
+        assert peer.serve(once=True) == 1
+        done = peer.service.queue.get(job.id)
+        assert done.status == "done" and done.cache_hit
         assert (
-            mirrored.read_text()
-            == warm.service.cache.path_for(key).read_text()
+            peer.service.cache.path_for(key).read_text()
+            == first.service.cache.path_for(key).read_text()
         )
-        # The delivery is visible in `repro stats`: the counter, its
-        # summary line, and the peer's /v1/stats counters block.
-        assert obs.metrics.counters["cache_pushes"] == 1
-        assert "cache pushes" in obs.metrics.snapshot().summary()
+        # The pull is visible in `repro stats`: the counter and its
+        # summary line.
+        assert obs.metrics.counters["cache_sync_hits"] == 1
+        assert "cache sync hits" in obs.metrics.snapshot().summary()
     finally:
-        cold.close()
+        first.close()

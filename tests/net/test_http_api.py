@@ -66,6 +66,23 @@ def test_malformed_submits_are_400_with_a_message(api, raw):
     assert body["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "fields, fragment",
+    [
+        ({"workers": 0, "state_caching": True}, "workers must be at least 1"),
+        ({"workers": 2, "state_caching": True}, "state_caching is per-process"),
+        ({"max_bound": -1}, "max_bound must be non-negative"),
+    ],
+)
+def test_a_refused_plan_is_400_and_journals_nothing(api, fields, fragment):
+    body = submit_to_wire("bluetooth")
+    body.update(fields)
+    status, reply = post_submit(api, body)
+    assert status == 400
+    assert fragment in reply["error"]["message"]
+    assert api.service.queue.jobs() == []
+
+
 def test_submit_then_fetch_then_dedup(api):
     status, body = post_submit(api, submit_to_wire("toy:stats-race", max_bound=1))
     assert status == 200
@@ -93,6 +110,16 @@ def test_unknown_job_and_pending_result_statuses(api):
     assert "is queued; no result yet" in body["error"]["message"]
     status, body = api.handle("GET", "/v1/results/job-000099", None)
     assert status == 404
+
+
+def test_cache_entries_are_read_only(api):
+    # Peers pull entries; nothing can push one, let alone plant a
+    # mismatched one.
+    key = "ab" * 32
+    entry = json.dumps({"entry": {"format": "wrong", "key": key}}).encode("utf-8")
+    status, _ = api.handle("POST", f"/v1/cache/{key}", entry)
+    assert status == 405
+    assert not api.service.cache.path_for(key).exists()
 
 
 def test_sync_endpoints_validate_identifiers(api):

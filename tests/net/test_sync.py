@@ -120,71 +120,3 @@ def test_foreign_or_mismatched_entries_are_rejected(tmp_path):
     assert sync._store_entry(key, "not a dict", "peer") is False
     assert sync._store_trace("../escape" + TRACE_SUFFIX, {}, "peer") is False
     assert not cold.cache.path_for(key).exists()
-
-
-class TestPushOnComplete:
-    def cold_frontend(self, tmp_path):
-        return HttpFrontend(
-            ServiceAPI(CheckingService(tmp_path / "cold"), daemon_id="cold"),
-            port=0,
-        ).start()
-
-    def test_fresh_entry_lands_on_the_peer(self, tmp_path):
-        warm = warm_service(tmp_path / "warm")
-        front = self.cold_frontend(tmp_path)
-        try:
-            obs = Instrumentation()
-            sync = CacheSync(warm, peers=[front.url], obs=obs)
-            job = warm.queue.jobs()[0]
-            key = job_cache_key(job)
-            assert sync.push_on_complete(job) == 1
-            mirrored = front.api.service.cache.path_for(key)
-            assert mirrored.exists()
-            assert json.loads(mirrored.read_text()) == json.loads(
-                warm.cache.path_for(key).read_text()
-            )
-            assert obs.metrics.counters["cache_pushes"] == 1
-        finally:
-            front.close()
-
-    def test_push_is_idempotent(self, tmp_path):
-        warm = warm_service(tmp_path / "warm")
-        front = self.cold_frontend(tmp_path)
-        try:
-            sync = CacheSync(warm, peers=[front.url])
-            job = warm.queue.jobs()[0]
-            # A re-push re-offers the same content-addressed bytes;
-            # the peer reports it already had them, delivery still
-            # counts as accepted.
-            assert sync.push_on_complete(job) == 1
-            assert sync.push_on_complete(job) == 1
-        finally:
-            front.close()
-
-    def test_nothing_to_push_is_a_quiet_zero(self, tmp_path):
-        warm = warm_service(tmp_path / "warm")
-        job = warm.queue.jobs()[0]
-        # No peers configured.
-        assert CacheSync(warm).push_on_complete(job) == 0
-        # Unresolvable spec: no key to speak of.
-        front = self.cold_frontend(tmp_path)
-        try:
-            sync = CacheSync(warm, peers=[front.url])
-            assert sync.push_on_complete(Job(id="x", spec="no:such")) == 0
-        finally:
-            front.close()
-
-    def test_a_dead_peer_never_fails_the_push(self, tmp_path):
-        warm = warm_service(tmp_path / "warm")
-        sync = CacheSync(warm, peers=["http://127.0.0.1:9"])
-        assert sync.push_on_complete(warm.queue.jobs()[0]) == 0
-
-    def test_peer_rejects_mismatched_pushes(self, warm_peer, tmp_path):
-        from repro.net.client import ServiceClient, ServiceClientError
-
-        client = ServiceClient(warm_peer.url, retries=0)
-        key = "ab" * 32
-        with pytest.raises(ServiceClientError, match="not a result-cache"):
-            client.push_cache_entry(key, {"format": "wrong", "key": key})
-        with pytest.raises(ServiceClientError, match="malformed cache key"):
-            client.push_cache_entry("nope", {"format": "wrong", "key": "nope"})

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.search.plan import CheckPlan
 from repro.service.jobs import Job
 from repro.net.wire import (
     WIRE_FORMAT,
@@ -53,7 +54,7 @@ def test_submit_round_trip():
         "wsq:pop-race",
         priority=3,
         max_bound=2,
-        workers=2,
+        workers=1,
         stop_on_first_bug=True,
         max_executions=100,
         state_caching=True,
@@ -63,7 +64,7 @@ def test_submit_round_trip():
         "spec": "wsq:pop-race",
         "priority": 3,
         "max_bound": 2,
-        "workers": 2,
+        "workers": 1,
         "stop_on_first_bug": True,
         "max_executions": 100,
         "max_transitions": None,
@@ -98,7 +99,7 @@ def test_submit_schema_violations_name_the_offender(mutate, fragment):
 
 
 def test_job_to_wire_carries_the_content_address():
-    job = Job(id="job-000007", spec="bluetooth", max_bound=2, seq=7)
+    job = Job(id="job-000007", spec="bluetooth", plan=CheckPlan(max_bound=2), seq=7)
     data = job_to_wire(job)
     assert data["id"] == "job-000007"
     assert data["identity"] == job.identity()
@@ -106,10 +107,25 @@ def test_job_to_wire_carries_the_content_address():
 
 
 def test_identity_names_the_work_not_the_submission():
-    a = Job(id="a", spec="bluetooth", max_bound=2, priority=0, seq=1)
-    b = Job(id="b", spec="bluetooth", max_bound=2, priority=9, seq=5)
-    c = Job(id="c", spec="bluetooth", max_bound=1)
+    a = Job(id="a", spec="bluetooth", plan=CheckPlan(max_bound=2), priority=0, seq=1)
+    b = Job(id="b", spec="bluetooth", plan=CheckPlan(max_bound=2), priority=9, seq=5)
+    c = Job(id="c", spec="bluetooth", plan=CheckPlan(max_bound=1))
     # Same work, different submission: same address.
     assert a.identity() == b.identity()
     # Different knobs are different work.
     assert a.identity() != c.identity()
+
+
+@pytest.mark.parametrize(
+    "fields, fragment",
+    [
+        ({"workers": 0, "state_caching": True}, "workers must be at least 1"),
+        ({"workers": 2, "state_caching": True}, "state_caching is per-process"),
+        ({"max_bound": -1}, "max_bound must be non-negative"),
+    ],
+)
+def test_submit_refuses_a_plan_the_checker_refuses(fields, fragment):
+    body = submit_to_wire("toy:stats-race")
+    body.update(fields)
+    with pytest.raises(WireError, match=fragment):
+        submit_from_wire(body)

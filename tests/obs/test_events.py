@@ -163,7 +163,7 @@ class TestWireFormat:
 
 
 class TestNewSubsystemEvents:
-    """Events added with repro.invivo and fleet push-on-complete."""
+    """Events added with repro.invivo."""
 
     def test_invivo_run_round_trips(self):
         from repro.obs.events import InvivoRun
@@ -174,14 +174,6 @@ class TestNewSubsystemEvents:
         data = event.to_dict()
         rebuilt = event_from_dict(data)
         assert type(rebuilt) is InvivoRun and rebuilt.to_dict() == data
-
-    def test_cache_push_sent_round_trips(self):
-        from repro.obs.events import CachePushSent
-
-        event = CachePushSent(t=0.25, key="ab" * 32, peer="http://x:1")
-        data = event.to_dict()
-        rebuilt = event_from_dict(data)
-        assert type(rebuilt) is CachePushSent and rebuilt.to_dict() == data
 
     def test_invivo_check_emits_one_run_event(self):
         from repro.invivo import InvivoProgram, Shared

@@ -4,11 +4,21 @@ For generated programs with seeded assertion failures and lock-order
 deadlocks (``program_gen`` with ``bugs=True``), ``theory.enumeration``
 lists every maximal execution.  That is the ground truth: per bug
 signature (kind, message, thread), the minimal preemption count over
-all buggy executions, and the canonical minimal witness.  Serial ICB,
-stateless (CHESS) and with the work-item table (``state_caching``),
-must report exactly those signatures, each at its brute-force minimal
-preemption count -- the paper's minimality guarantee.  Stateless ICB
-explores every execution, so it must also keep the canonical witness.
+all buggy executions, and the canonical minimal witness.  Every path
+that produces a verdict must report exactly those signatures, each at
+its brute-force minimal preemption count -- the paper's minimality
+guarantee:
+
+* serial ICB, stateless (CHESS) and with the work-item table
+  (``state_caching``); stateless ICB explores every execution, so it
+  must also keep the canonical witness;
+* ICB with the static-analysis reduction (``analysis=True``);
+* a second, identical check served from the result cache;
+* a check stopped by an execution budget and resumed from its
+  checkpoint;
+* the parallel engine (``workers=2``): on a fixed two-bug shape in
+  every run, and on generated shapes under the ``ci`` profile only,
+  because each check starts worker processes.
 
 The enumeration itself reaches states through ``ProgramStateSpace``,
 which restores or replays them; every enumerated schedule is therefore
@@ -17,13 +27,17 @@ re-checked with a fresh ``Execution.replay``.
 
 from __future__ import annotations
 
+import pathlib
+import tempfile
+
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 
-from repro import ChessChecker, Execution
+from repro import ChessChecker, Execution, ResultCache, SearchLimits
 from repro.search.strategy import _witness_key
 from repro.theory.enumeration import enumerate_executions
 
-from .profiles import examples
+from .profiles import CI, examples
 from .program_gen import build_program, program_shapes
 
 ORACLE = settings(
@@ -58,30 +72,70 @@ def brute_force(program):
     return truth, count
 
 
+def assert_verdict(result, truth, path, witness=False):
+    """``result`` reports exactly ``truth``'s bug signatures, each at its
+    minimal preemption count (and, with ``witness``, its witness)."""
+    assert result.search.completed, path
+    found = {bug.signature: bug for bug in result.bugs}
+    assert set(found) == set(truth), path
+    for signature, bug in found.items():
+        assert bug.preemptions == truth[signature].preemptions, (path, signature)
+        if witness:
+            assert bug.identity == truth[signature].identity, (path, signature)
+
+
+def served_from_cache(program, root):
+    """The second of two identical cached checks: served, not searched."""
+    cache = ResultCache(root)
+    ChessChecker(program).check(cache=cache)
+    served = ChessChecker(program).check(cache=cache)
+    assert served.search.extras.get("cache_hit"), "second check was not served"
+    return served
+
+
+def resumed_after_budget(program, root):
+    """A check stopped by an execution budget, then resumed to the end
+    from its checkpoint."""
+    path = pathlib.Path(root) / "oracle.ckpt.json"
+    checker = ChessChecker(program)
+    checker.check(
+        limits=SearchLimits(max_executions=2), checkpoint=path, checkpoint_stride=1
+    )
+    return checker.check(checkpoint=path)
+
+
 @ORACLE
 @given(program_shapes(max_threads=3, max_ops=2, bugs=True))
 def test_icb_reports_the_brute_force_bugs(shape):
     program = build_program(shape)
     truth, count = brute_force(program)
     assume(count < LIMIT)
-    for caching in (False, True):
-        result = ChessChecker(program).check(state_caching=caching)
-        assert result.search.completed
-        found = {bug.signature: bug for bug in result.bugs}
-        assert set(found) == set(truth), caching
-        for signature, bug in found.items():
-            assert bug.preemptions == truth[signature].preemptions, (caching, signature)
-            if not caching:
-                assert bug.identity == truth[signature].identity, signature
+    checker = ChessChecker(program)
+    assert_verdict(checker.check(), truth, "stateless", witness=True)
+    assert_verdict(checker.check(state_caching=True), truth, "state_caching")
+    assert_verdict(checker.check(analysis=True), truth, "analysis")
+    with tempfile.TemporaryDirectory() as root:
+        assert_verdict(served_from_cache(program, root), truth, "cache")
+    with tempfile.TemporaryDirectory() as root:
+        assert_verdict(resumed_after_budget(program, root), truth, "resumed")
 
 
-def test_the_generator_seeds_both_bug_kinds():
-    """The oracle is not vacuous: a fixed shape has both defects."""
-    from repro.errors import BugKind
+@pytest.mark.skipif(not CI, reason="starts worker processes; ci profile only")
+@ORACLE
+@given(program_shapes(max_threads=3, max_ops=2, bugs=True))
+def test_parallel_icb_reports_the_brute_force_bugs(shape):
+    program = build_program(shape)
+    truth, count = brute_force(program)
+    assume(count < LIMIT)
+    assert_verdict(ChessChecker(program).check(workers=2), truth, "workers=2")
 
+
+def two_bug_shape():
+    """A fixed shape with an assertion failure and a lock-order
+    deadlock, each needing one preemption."""
     from .program_gen import CheckedRead, LockBlock, NestedLocks, ProgramShape
 
-    shape = ProgramShape(
+    return ProgramShape(
         n_vars=2,
         n_atomics=0,
         threads=(
@@ -89,8 +143,20 @@ def test_the_generator_seeds_both_bug_kinds():
             (LockBlock(0, True), NestedLocks(1, 0)),
         ),
     )
-    truth, count = brute_force(build_program(shape))
+
+
+def test_the_generator_seeds_both_bug_kinds():
+    """The oracle is not vacuous: a fixed shape has both defects."""
+    from repro.errors import BugKind
+
+    truth, count = brute_force(build_program(two_bug_shape()))
     assert count < LIMIT
     kinds = {signature[0] for signature in truth}
     assert kinds == {BugKind.ASSERTION, BugKind.DEADLOCK}
     assert {bug.preemptions for bug in truth.values()} == {1}
+
+
+def test_parallel_icb_reports_the_fixed_shapes_bugs():
+    program = build_program(two_bug_shape())
+    truth, _ = brute_force(program)
+    assert_verdict(ChessChecker(program).check(workers=2), truth, "workers=2")

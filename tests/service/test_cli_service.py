@@ -75,6 +75,28 @@ def test_submit_serve_status_results_loop(tmp_path):
     assert json.loads(_run("results", root, second).stdout)["cache_hit"] is True
 
 
+@pytest.mark.parametrize(
+    "flags, fragment",
+    [
+        (["--workers", "2", "--state-caching"], "state_caching is per-process"),
+        (["--bound", "-1"], "max_bound must be non-negative"),
+    ],
+)
+def test_submit_refuses_a_plan_with_a_one_line_error(tmp_path, flags, fragment):
+    root = tmp_path / "svc"
+    proc = _run("submit", str(root), "bluetooth", *flags, check=False)
+    assert proc.returncode != 0
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and fragment in lines[0], proc.stderr
+    assert not (root / "jobs.jsonl").exists()
+    # --server refuses the plan before sending anything.
+    proc = _run(
+        "submit", "--server", "http://127.0.0.1:9", "bluetooth", *flags, check=False
+    )
+    assert proc.returncode != 0 and fragment in proc.stderr
+
+
 def test_unknown_job_id_is_a_clear_error_with_nonzero_exit(tmp_path):
     root = str(tmp_path / "svc")
     job_id = _run("submit", root, "toy:stats-race", "--bound", "1").stdout.strip()

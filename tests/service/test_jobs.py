@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+from repro.search.plan import CheckPlan, PlanError
 from repro.service.jobs import JOURNAL_NAME, Job, JobQueue, JobQueueError
 
 
@@ -23,7 +24,7 @@ def test_submit_assigns_sequential_ids_and_persists(tmp_path):
     # A fresh instance (another process) folds the same state.
     fresh = JobQueue(tmp_path)
     assert [job.id for job in fresh.jobs()] == [first.id, second.id]
-    assert fresh.get(second.id).max_bound == 2
+    assert fresh.get(second.id).plan.max_bound == 2
 
 
 def test_submit_deduplicates_active_work(tmp_path):
@@ -106,10 +107,10 @@ def test_events_for_unknown_jobs_are_tolerated(tmp_path):
 
 
 def test_work_key_excludes_priority():
-    a = Job(id="a", spec="x", priority=0, max_bound=1)
-    b = Job(id="b", spec="x", priority=7, max_bound=1)
+    a = Job(id="a", spec="x", priority=0, plan=CheckPlan(max_bound=1))
+    b = Job(id="b", spec="x", priority=7, plan=CheckPlan(max_bound=1))
     assert a.work_key() == b.work_key()
-    assert a.work_key() != Job(id="c", spec="x", max_bound=2).work_key()
+    assert a.work_key() != Job(id="c", spec="x", plan=CheckPlan(max_bound=2)).work_key()
 
 
 def test_torn_final_line_is_ignored_and_truncated(tmp_path):
@@ -182,7 +183,7 @@ def _reference_fold(journal):
         event = json.loads(line)
         kind = event["event"]
         if kind == "submitted":
-            job = Job(**event["job"])
+            job = Job.from_json(event["job"])
             jobs[job.id] = job
             continue
         job = jobs.get(event["id"])
@@ -377,3 +378,49 @@ def test_threads_share_one_queue(tmp_path):
     jobs = queue.jobs()
     assert len({job.id for job in jobs}) == 201
     assert jobs == JobQueue(tmp_path).jobs()
+
+
+# -- plan validation at submit -------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "fields, fragment",
+    [
+        ({"workers": 2, "state_caching": True}, "state_caching is per-process"),
+        ({"max_bound": -1}, "max_bound must be non-negative"),
+        ({"workers": 0}, "workers must be at least 1"),
+        ({"bound": 2}, "unknown field 'bound'"),
+    ],
+)
+def test_a_refused_plan_is_not_journaled(tmp_path, fields, fragment):
+    queue = JobQueue(tmp_path)
+    with pytest.raises(PlanError, match=fragment):
+        queue.submit("bluetooth", **fields)
+    assert not (tmp_path / JOURNAL_NAME).exists()
+    assert queue.jobs() == []
+
+
+def test_a_journaled_refused_plan_still_folds_and_fails_when_run(tmp_path):
+    """A journal written before submit refused plans may hold one: it
+    folds like any record, and running the job refuses the plan."""
+    from repro.service import CheckingService
+
+    record = {
+        "id": "job-000001",
+        "seq": 1,
+        "spec": "bluetooth",
+        "priority": 0,
+        "workers": 2,
+        "state_caching": True,
+    }
+    tmp_path.mkdir(parents=True, exist_ok=True)
+    (tmp_path / JOURNAL_NAME).write_text(
+        json.dumps({"event": "submitted", "job": record}) + "\n"
+    )
+    service = CheckingService(tmp_path, max_attempts=1)
+    job = service.queue.get("job-000001")
+    assert (job.status, job.plan.workers, job.plan.state_caching) == ("queued", 2, True)
+    assert service.serve(once=True) == 1
+    failed = service.queue.get("job-000001")
+    assert failed.status == "failed"
+    assert "state_caching is per-process" in failed.error
