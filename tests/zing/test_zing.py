@@ -6,6 +6,7 @@ import pytest
 
 from repro import BugKind, DepthFirstSearch, IterativeContextBounding, RandomWalk
 from repro.errors import ProgramDefinitionError
+from repro.search.plan import PlanError
 from repro.zing import (
     ZingChecker,
     ZingModel,
@@ -146,6 +147,13 @@ class TestCheckerSemantics:
     def test_locked_counter_clean(self):
         result = ZingChecker(Counter(locked=True)).check()
         assert result.completed and not result.found_bug
+
+    def test_a_custom_strategy_runs_without_the_work_item_table(self):
+        checker = ZingChecker(Counter(locked=False))
+        result = checker.check(strategy=DepthFirstSearch())
+        assert result.strategy == "dfs" and result.found_bug
+        with pytest.raises(PlanError, match="only to the default ICB strategy"):
+            checker.check(strategy=DepthFirstSearch(), state_caching=True)
 
     def test_unlocked_counter_lost_update_at_one_preemption(self):
         bug = ZingChecker(Counter(locked=False)).find_bug()
