@@ -71,7 +71,7 @@ from .core.world import World
 from .errors import BugKind, BugReport, ReproError, ScheduleMismatch
 from .monitors.monitor import FinalStateMonitor, InvariantMonitor, Monitor, monitor_factory
 from .obs import Instrumentation, MetricsSnapshot
-from .parallel import ParallelCoordinator, ParallelSettings, WorkItem
+from .parallel import ParallelCoordinator, ParallelSettings
 from .service import (
     Checkpoint,
     CheckpointError,
@@ -166,7 +166,6 @@ __all__ = [
     "TraceCorpus",
     "TraceFormatError",
     "TraceRecord",
-    "WorkItem",
     "World",
     "alloc",
     "analyze",

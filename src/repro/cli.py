@@ -45,7 +45,6 @@ through the trace subsystem (see ``docs/trace.md``)::
 from __future__ import annotations
 
 import argparse
-import importlib
 import sys
 from typing import Any, Callable, Dict, Optional
 
@@ -53,7 +52,7 @@ from .chess.checker import ChessChecker
 from .core.execution import ExecutionConfig, RaceDetection, SchedulingPolicy
 from .core.program import Program
 from .errors import ReproError
-from .programs import builtin_registry
+from .programs import builtin_registry, import_factory, resolve_spec
 from .search import (
     DepthFirstSearch,
     EnabledThreadsHeuristic,
@@ -70,36 +69,21 @@ def _builtin_programs() -> Dict[str, Callable[[], Program]]:
 
 def _import_factory(spec: str) -> Program:
     """Build a program from a ``module:factory`` spec, with CLI errors."""
-    module_name, _, factory_name = spec.partition(":")
-    if not module_name or not factory_name:
-        raise SystemExit(f"expected module:factory, got {spec!r}")
     try:
-        module = importlib.import_module(module_name)
-    except ImportError as exc:
-        raise SystemExit(f"cannot import module {module_name!r}: {exc}")
-    try:
-        factory = getattr(module, factory_name)
-    except AttributeError:
-        raise SystemExit(f"module {module_name!r} has no attribute {factory_name!r}")
-    program = factory()
-    if not isinstance(program, Program):
-        raise SystemExit(f"{spec} did not produce a repro Program")
-    return program
+        return import_factory(spec)
+    except ReproError as exc:
+        raise SystemExit(str(exc))
 
 
 def _resolve_program(spec: str) -> Program:
-    registry = _builtin_programs()
-    if spec in registry:
-        return registry[spec]()
-    if ":" in spec and "." in spec.split(":", 1)[0]:
-        return _import_factory(spec)
+    """Resolve a program spec, with CLI errors and a did-you-mean hint."""
+    try:
+        return resolve_spec(spec)
+    except ReproError as exc:
+        message = str(exc)
     import difflib
 
-    message = (
-        f"unknown program {spec!r}; run `python -m repro list` for the "
-        "built-ins, or pass `package.module:factory`"
-    )
-    close = difflib.get_close_matches(spec, sorted(registry), n=3, cutoff=0.5)
+    close = difflib.get_close_matches(spec, sorted(_builtin_programs()), n=3, cutoff=0.5)
     if close:
         message += "\ndid you mean: " + ", ".join(close)
     raise SystemExit(message)

@@ -27,18 +27,16 @@ local daemon can always fall back to doing the work itself.
 
 from __future__ import annotations
 
-import json
-import os
 import pathlib
 import re
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..core.execution import ExecutionConfig
 from ..obs.instrument import Instrumentation
-from ..service.cache import RESULT_CACHE_FORMAT
+from ..service.cache import RESULT_CACHE_SUFFIX, ResultCacheError
 from ..service.daemon import CheckingService, resolve_spec
 from ..service.jobs import Job
-from ..trace.format import TRACE_SUFFIX
+from ..trace.format import TRACE_SUFFIX, TraceFormatError, TraceRecord
 from .client import ServiceClient, ServiceClientError
 
 _KEY_RE = re.compile(r"^[0-9a-f]{64}$")
@@ -79,31 +77,29 @@ class CacheSync:
             client.timeout = min(client.timeout, timeout)
             client.retries = min(client.retries, 1)
 
-    # -- writing fetched objects ---------------------------------------------
-
-    def _write_atomic(self, target: pathlib.Path, payload: Any) -> None:
-        target.parent.mkdir(parents=True, exist_ok=True)
-        tmp = target.with_name(target.name + ".sync.tmp")
-        tmp.write_text(json.dumps(payload, sort_keys=True) + "\n")
-        os.replace(tmp, target)
+    # -- installing fetched objects ------------------------------------------
 
     def _store_entry(self, key: str, entry: Any, source: str) -> bool:
-        """Validate and install one fetched cache entry."""
-        if not isinstance(entry, dict):
+        """Install one fetched cache entry, if it decodes as the local
+        cache's own entry for ``key``: a malformed one would fail every
+        job of its plan for good."""
+        try:
+            self.service.cache.install(key, entry)
+        except ResultCacheError:
             return False
-        if entry.get("format") != RESULT_CACHE_FORMAT or entry.get("key") != key:
-            return False
-        self._write_atomic(self.service.cache.path_for(key), entry)
         if self.obs is not None:
             self.obs.cache_sync_hit(key, source, kind="result")
         return True
 
     def _store_trace(self, name: str, trace: Any, source: str) -> bool:
+        """Install one fetched witness trace, if it decodes as one."""
         if not _TRACE_RE.match(name) or not name.endswith(TRACE_SUFFIX):
             return False
-        if not isinstance(trace, dict):
+        try:
+            record = TraceRecord.from_json(trace)
+        except TraceFormatError:
             return False
-        self._write_atomic(pathlib.Path(self.service.traces_dir) / name, trace)
+        record.save(pathlib.Path(self.service.traces_dir) / name)
         if self.obs is not None:
             self.obs.cache_sync_hit(name, source, kind="trace")
         return True
@@ -138,8 +134,6 @@ class CacheSync:
         root = self.service.cache.root
         if not root.is_dir():
             return set()
-        from ..service.cache import RESULT_CACHE_SUFFIX
-
         return {
             p.name[: -len(RESULT_CACHE_SUFFIX)]
             for p in root.iterdir()

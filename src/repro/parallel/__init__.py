@@ -18,12 +18,11 @@ argument.
 """
 
 from .coordinator import ParallelCoordinator, ParallelSettings
-from .workitem import ShardOutcome, ShardTask, WorkItem
+from .workitem import ShardOutcome, ShardTask
 
 __all__ = [
     "ParallelCoordinator",
     "ParallelSettings",
     "ShardOutcome",
     "ShardTask",
-    "WorkItem",
 ]

@@ -4,8 +4,8 @@ The stateless checker makes parallel search almost trivial: a frontier
 state *is* its schedule, so any process can reconstruct it by
 deterministic replay through :class:`~repro.core.execution.Execution`.
 Shards therefore carry the serial ICB work queue's own entries,
-``(schedule_prefix, next_tid)`` pairs, and a :class:`WorkItem` is the
-same pair in the form checkpoints persist.
+``(schedule_prefix, next_tid)`` pairs -- the same pairs checkpoints
+persist.
 
 Everything in this module must stay picklable with the standard
 library pickler: shard tasks and outcomes cross process boundaries
@@ -26,27 +26,6 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import
 
 #: One ICB work-queue entry of a stateless space: ``(schedule, tid)``.
 Pair = Tuple[Schedule, ThreadId]
-
-
-@dataclass(frozen=True)
-class WorkItem:
-    """One deferred exploration obligation, as a checkpoint stores it.
-
-    Attributes:
-        schedule: the scheduling choices reaching the frontier state
-            (a complete replay recipe, per the stateless design).
-        tid: the thread to run next from that state.
-        preemptions: preempting context switches already spent along
-            ``schedule``.  Advisory only: the replay recomputes it.
-    """
-
-    schedule: Schedule
-    tid: ThreadId
-    preemptions: int = 0
-
-    def as_pair(self) -> Pair:
-        """The ``(state, tid)`` pair the ICB loop consumes."""
-        return (self.schedule, self.tid)
 
 
 @dataclass(frozen=True)

@@ -22,9 +22,11 @@ producer/consumer, deadlocks -- the unit/property-test corpus) and
 buffer -- lock-free idioms with seeded publication bugs).
 """
 
+import importlib
 from typing import Any, Callable, Dict, Optional
 
 from ..core.program import Program
+from ..errors import ReproError
 
 #: Spec -> bug kind (the ``BugKind`` value string) ICB is expected to
 #: report for the deliberately buggy builtins.  Derived by actually
@@ -74,7 +76,9 @@ __all__ = [
     "dryad",
     "filesystem",
     "find_builtin_by_name",
+    "import_factory",
     "resolve_builtin",
+    "resolve_spec",
     "toy",
     "transaction_manager",
     "workstealqueue",
@@ -146,6 +150,45 @@ def resolve_builtin(spec: str) -> Optional[Program]:
     """Build the built-in program registered under ``spec``, if any."""
     factory = builtin_registry().get(spec)
     return factory() if factory is not None else None
+
+
+def import_factory(spec: str) -> Program:
+    """Build a program from a ``module:factory`` spec."""
+    module_name, _, factory_name = spec.partition(":")
+    if not module_name or not factory_name:
+        raise ReproError(f"expected module:factory, got {spec!r}")
+    failed = f"cannot rebuild program from spec {spec!r}"
+    try:
+        module = importlib.import_module(module_name)
+    except ImportError as exc:
+        raise ReproError(f"{failed}: cannot import module {module_name!r}: {exc}") from exc
+    factory = getattr(module, factory_name, None)
+    if factory is None:
+        raise ReproError(
+            f"{failed}: module {module_name!r} has no attribute {factory_name!r}"
+        )
+    try:
+        program = factory()
+    except Exception as exc:
+        raise ReproError(f"{failed}: {exc}") from exc
+    if not isinstance(program, Program):
+        raise ReproError(f"spec {spec!r} did not produce a Program")
+    return program
+
+
+def resolve_spec(spec: str) -> Program:
+    """Build the program a spec names: a built-in, else a
+    ``package.module:factory``.  The CLI, the checking service and the
+    trace corpus all resolve specs here."""
+    program = resolve_builtin(spec)
+    if program is not None:
+        return program
+    if ":" in spec and "." in spec.split(":", 1)[0]:
+        return import_factory(spec)
+    raise ReproError(
+        f"unknown program {spec!r}; run `python -m repro list` for the "
+        "built-ins, or pass `package.module:factory`"
+    )
 
 
 def find_builtin_by_name(name: str) -> Optional[Program]:

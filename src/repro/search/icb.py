@@ -27,7 +27,6 @@ from collections import deque
 from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
-    from ..service.checkpoint import Checkpointer
     from .heuristics import FrontierPrioritizer
 
 from ..core.thread import ThreadId
@@ -80,7 +79,7 @@ class IterativeContextBounding(Strategy):
         max_bound: Optional[int] = None,
         state_caching: bool = False,
         prioritizer: Optional["FrontierPrioritizer"] = None,
-        checkpointer: Optional["Checkpointer"] = None,
+        checkpointer: Optional[Any] = None,
     ) -> None:
         refuse(max_bound, state_caching)
         self.max_bound = max_bound
@@ -114,8 +113,8 @@ class IterativeContextBounding(Strategy):
             bound = resumed.bound
             extras["completed_bound"] = resumed.completed_bound
             extras["resumed"] = True
-            work_queue = deque(item.as_pair() for item in resumed.work_items)
-            next_queue = deque(item.as_pair() for item in resumed.next_items)
+            work_queue = deque(resumed.work_items)
+            next_queue = deque(resumed.next_items)
             resumed.restore_context(ctx)
             if cache is not None:
                 resumed.restore_cache(cache)
@@ -199,13 +198,11 @@ class IterativeContextBounding(Strategy):
         cache: Optional[WorkItemCache],
         extras: Dict[str, Any],
     ) -> None:
-        from ..service.checkpoint import normalize_items
-
         assert self.checkpointer is not None
         self.checkpointer.save_state(
             bound,
-            normalize_items(work_queue),
-            normalize_items(next_queue),
+            work_queue,
+            next_queue,
             ctx,
             extras["completed_bound"],
             cache=cache,

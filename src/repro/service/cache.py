@@ -41,24 +41,16 @@ exploration (``extras["corpus_fastpath"] = True``).
 from __future__ import annotations
 
 import json
-import os
 import pathlib
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, Optional, Union
 
 from ..core.execution import ExecutionConfig
 from ..core.program import Program
 from ..errors import ReproError
 from ..obs.instrument import Instrumentation
+from ..persist import Decoder, ThreadTable, context_to_json, sanitize, write_atomic
 from ..search.plan import CheckPlan, SearchLimits
 from ..search.strategy import SearchContext, SearchResult
-from .checkpoint import (
-    CheckpointError,
-    _bug_from_json,
-    _bug_to_json,
-    _require,
-    _sanitize_detail,
-    _ThreadTable,
-)
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from ..chess.checker import CheckResult
@@ -85,19 +77,7 @@ def result_cache_key(
     return CheckPlan(**fields).cache_key(program, config, analysis)
 
 
-def _extras_to_json(extras: Dict[str, Any]) -> List[List[Any]]:
-    return [[key, _sanitize_detail(value)] for key, value in sorted(extras.items())]
-
-
-def _extras_from_json(data: Any, where: str) -> Dict[str, Any]:
-    if not isinstance(data, list):
-        raise ResultCacheError(f"{where}: extras must be a list of pairs")
-    extras: Dict[str, Any] = {}
-    for i, pair in enumerate(data):
-        if not isinstance(pair, list) or len(pair) != 2 or not isinstance(pair[0], str):
-            raise ResultCacheError(f"{where}[{i}]: must be a [key, value] pair")
-        extras[pair[0]] = pair[1]
-    return extras
+_DECODE = Decoder(ResultCacheError)
 
 
 class ResultCache:
@@ -163,43 +143,39 @@ class ResultCache:
             return None
         search = result.search
         ctx = search.context
-        table = _ThreadTable()
-        bugs = [_bug_to_json(bug, table) for bug in ctx.bugs.values()]
-        by_bound: Dict[int, int] = {}
-        for bound in ctx.states.values():
-            by_bound[bound] = by_bound.get(bound, 0) + 1
-        payload = {
-            "format": RESULT_CACHE_FORMAT,
-            "version": RESULT_CACHE_VERSION,
-            "key": key,
-            "program": result.program,
-            "strategy": search.strategy,
-            "completed": search.completed,
-            "stop_reason": search.stop_reason,
-            "certified_bound": result.certified_bound,
-            "stop_on_first_bug": ctx.limits.stop_on_first_bug,
-            "threads": table.to_json(),
-            "extras": _extras_to_json(search.extras),
-            "context": {
-                "executions": ctx.executions,
-                "transitions": ctx.transitions,
-                "analysis_pruned": ctx.analysis_pruned,
-                "max_steps": ctx.max_steps,
-                "max_blocking": ctx.max_blocking,
-                "max_preemptions": ctx.max_preemptions,
-                "states_by_bound": [
-                    [bound, count] for bound, count in sorted(by_bound.items())
+        table = ThreadTable()
+        context = context_to_json(ctx, table, by_bound=True)  # fills the table
+        return self._write(
+            key,
+            {
+                "format": RESULT_CACHE_FORMAT,
+                "version": RESULT_CACHE_VERSION,
+                "key": key,
+                "program": result.program,
+                "strategy": search.strategy,
+                "completed": search.completed,
+                "stop_reason": search.stop_reason,
+                "certified_bound": result.certified_bound,
+                "stop_on_first_bug": ctx.limits.stop_on_first_bug,
+                "threads": table.to_json(),
+                "extras": [
+                    [name, sanitize(value)] for name, value in sorted(search.extras.items())
                 ],
-                "bugs": bugs,
-                "history": [[e, s] for e, s in ctx.history],
+                "context": context,
             },
-        }
+        )
+
+    def install(self, key: str, entry: Any) -> pathlib.Path:
+        """Store an entry fetched from elsewhere (a peer daemon) under
+        ``key``, once it decodes as this cache's own entry for ``key``;
+        raises :class:`ResultCacheError` otherwise."""
+        self._decode(entry, key)
+        return self._write(key, entry)
+
+    def _write(self, key: str, entry: Dict[str, Any]) -> pathlib.Path:
         target = self.path_for(key)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        tmp = target.with_name(target.name + ".tmp")
         try:
-            tmp.write_text(json.dumps(payload, sort_keys=True) + "\n")
-            os.replace(tmp, target)
+            write_atomic(target, json.dumps(entry, sort_keys=True) + "\n")
         except OSError as exc:
             raise ResultCacheError(f"cannot write cache entry {target}: {exc}") from exc
         return target
@@ -211,11 +187,7 @@ class ResultCache:
         path = self.path_for(key)
         if not path.exists():
             return None
-        try:
-            data = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ResultCacheError(f"cannot read cache entry {path}: {exc}") from exc
-        result = self._decode(data, key)
+        result = self._decode(_DECODE.read_json(path, "cache entry"), key)
         if self.obs is not None:
             self.obs.cache_served(key, result.program)
         return result
@@ -226,91 +198,39 @@ class ResultCache:
         where = "cache entry"
         if not isinstance(data, dict):
             raise ResultCacheError(f"{where}: must be a JSON object")
-        try:
-            fmt = _require(data, "format", str, where)
-            if fmt != RESULT_CACHE_FORMAT:
-                raise ResultCacheError(
-                    f"not a {RESULT_CACHE_FORMAT} file (format={fmt!r})"
-                )
-            version = _require(data, "version", int, where)
-            if version != RESULT_CACHE_VERSION:
-                raise ResultCacheError(
-                    f"unsupported cache version {version} "
-                    f"(this build reads {RESULT_CACHE_VERSION})"
-                )
-            threads = _ThreadTable.decode(
-                _require(data, "threads", list, where), "threads"
+        fmt = _DECODE.require(data, "format", str, where)
+        if fmt != RESULT_CACHE_FORMAT:
+            raise ResultCacheError(f"not a {RESULT_CACHE_FORMAT} file (format={fmt!r})")
+        version = _DECODE.require(data, "version", int, where)
+        if version != RESULT_CACHE_VERSION:
+            raise ResultCacheError(
+                f"unsupported cache version {version} "
+                f"(this build reads {RESULT_CACHE_VERSION})"
             )
-            context = _require(data, "context", dict, where)
-            stop_on_first = bool(data.get("stop_on_first_bug"))
-            ctx = SearchContext(SearchLimits(stop_on_first_bug=stop_on_first))
-            ctx.executions = _require(context, "executions", int, "context")
-            ctx.transitions = _require(context, "transitions", int, "context")
-            ctx.analysis_pruned = _require(context, "analysis_pruned", int, "context")
-            ctx.max_steps = _require(context, "max_steps", int, "context")
-            ctx.max_blocking = _require(context, "max_blocking", int, "context")
-            ctx.max_preemptions = _require(context, "max_preemptions", int, "context")
-            states: Dict[Any, int] = {}
-            for i, pair in enumerate(
-                _require(context, "states_by_bound", list, "context")
-            ):
-                if (
-                    not isinstance(pair, list)
-                    or len(pair) != 2
-                    or not all(
-                        isinstance(v, int) and not isinstance(v, bool) for v in pair
-                    )
-                ):
-                    raise ResultCacheError(
-                        f"context.states_by_bound[{i}] must be a "
-                        "[bound, count] int pair"
-                    )
-                bound, count = pair
-                for j in range(count):
-                    # Synthetic fingerprints: the histogram is exact,
-                    # the raw hash values are not worth persisting.
-                    states[("cached", bound, j)] = bound
-            ctx.states = states
-            for i, entry in enumerate(_require(context, "bugs", list, "context")):
-                bug = _bug_from_json(entry, threads, f"context.bugs[{i}]")
-                ctx.bugs[bug.signature] = bug
-            history: List[Tuple[int, int]] = []
-            for i, pair in enumerate(_require(context, "history", list, "context")):
-                if (
-                    not isinstance(pair, list)
-                    or len(pair) != 2
-                    or not all(
-                        isinstance(v, int) and not isinstance(v, bool) for v in pair
-                    )
-                ):
-                    raise ResultCacheError(
-                        f"context.history[{i}] must be an [executions, states] pair"
-                    )
-                history.append((pair[0], pair[1]))
-            ctx.history = history
-            extras = _extras_from_json(_require(data, "extras", list, where), "extras")
-            extras["cache_hit"] = True
-            extras["served_from"] = key
-            certified = data.get("certified_bound")
-            if certified is not None and (
-                not isinstance(certified, int) or isinstance(certified, bool)
-            ):
-                raise ResultCacheError("certified_bound must be an integer or null")
-            search = SearchResult(
-                strategy=_require(data, "strategy", str, where),
-                completed=_require(data, "completed", bool, where),
-                stop_reason=_require(data, "stop_reason", str, where),
-                context=ctx,
-                extras=extras,
-            )
-            return CheckResult(
-                program=_require(data, "program", str, where),
-                search=search,
-                certified_bound=certified,
-            )
-        except CheckpointError as exc:
-            # The shared decoding helpers raise their own error type.
-            raise ResultCacheError(str(exc)) from exc
+        if _DECODE.require(data, "key", str, where) != key:
+            raise ResultCacheError(f"{where}: key {data['key']!r} is not {key!r}")
+        threads = _DECODE.threads(data, where)
+        ctx = _DECODE.context(
+            _DECODE.require(data, "context", dict, where),
+            threads,
+            SearchContext(SearchLimits(stop_on_first_bug=bool(data.get("stop_on_first_bug")))),
+            by_bound=True,
+        )
+        extras: Dict[str, Any] = dict(_DECODE.key_values(data, "extras", where))
+        extras["cache_hit"] = True
+        extras["served_from"] = key
+        search = SearchResult(
+            strategy=_DECODE.require(data, "strategy", str, where),
+            completed=_DECODE.require(data, "completed", bool, where),
+            stop_reason=_DECODE.require(data, "stop_reason", str, where),
+            context=ctx,
+            extras=extras,
+        )
+        return CheckResult(
+            program=_DECODE.require(data, "program", str, where),
+            search=search,
+            certified_bound=_DECODE.optional_int(data, "certified_bound"),
+        )
 
     # -- corpus fast path ----------------------------------------------------
 

@@ -3,8 +3,7 @@
 A checkpoint freezes everything the iterative context-bounding loop
 needs to continue after process death: the current preemption bound,
 the two work queues (current-bound frontier and next-bound deferrals,
-both as replayable :class:`~repro.parallel.workitem.WorkItem` s), the
-accumulated :class:`~repro.search.strategy.SearchContext` statistics
+both as replayable ``(schedule, tid)`` pairs), the accumulated :class:`~repro.search.strategy.SearchContext` statistics
 (states, deduplicated bugs, counters, coverage history), the optional
 work-item cache, and a frozen :class:`~repro.obs.metrics.MetricsSnapshot`.
 
@@ -28,35 +27,26 @@ deliberately *excluded* from the fingerprint: resuming an interrupted
 run with a bigger budget or a deeper bound is the point of the
 exercise.
 
-The on-disk representation is versioned JSON, written atomically
-(temp file + ``os.replace``) so a crash mid-save leaves the previous
-checkpoint intact.  See ``docs/service.md`` for the full schema.
+The on-disk representation is versioned JSON over the shared codec of
+:mod:`repro.persist`, written atomically so a crash mid-save leaves
+the previous checkpoint intact.  See ``docs/service.md`` for the full
+schema.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import pathlib
 from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..core.execution import ExecutionConfig
 from ..core.program import Program
 from ..core.thread import ThreadId
-from ..errors import BugKind, BugReport, ReproError
+from ..errors import ReproError
 from ..obs.instrument import Instrumentation
 from ..obs.metrics import MetricsSnapshot
-from ..parallel.workitem import WorkItem
+from ..persist import Decoder, ThreadTable, context_to_json, write_atomic
 from ..search.statecache import WorkItemCache
 from ..search.plan import CheckPlan
 from ..search.strategy import SearchContext
@@ -74,6 +64,10 @@ CHECKPOINT_SUFFIX = ".ckpt.json"
 #: Default save cadence of the serial engine, in processed work items.
 DEFAULT_STRIDE = 128
 
+#: One ICB work-queue entry: ``(state, tid)``, optionally followed by
+#: the state's fingerprint.  A stateless state *is* its schedule.
+QueueEntry = Sequence[Any]
+
 
 class CheckpointError(ReproError):
     """A checkpoint file violates the schema (or cannot be written)."""
@@ -89,15 +83,7 @@ class CheckpointMismatch(CheckpointError):
     """
 
 
-def _require(data: Dict[str, Any], key: str, kind: type, where: str) -> Any:
-    if not isinstance(data, dict) or key not in data:
-        raise CheckpointError(f"{where}: missing required key {key!r}")
-    value = data[key]
-    if not isinstance(value, kind) or isinstance(value, bool) and kind is int:
-        raise CheckpointError(
-            f"{where}: key {key!r} must be {kind.__name__}, got {type(value).__name__}"
-        )
-    return value
+_DECODE = Decoder(CheckpointError)
 
 
 def search_fingerprint(
@@ -112,169 +98,33 @@ def search_fingerprint(
     return CheckPlan(**fields).fingerprint(program, config, analysis)
 
 
-class _ThreadTable:
-    """Deduplicating encoder for :class:`ThreadId` s in one checkpoint."""
-
-    def __init__(self) -> None:
-        self.threads: List[ThreadId] = []
-        self._index: Dict[ThreadId, int] = {}
-
-    def index(self, tid: ThreadId) -> int:
-        known = self._index.get(tid)
-        if known is None:
-            known = self._index[tid] = len(self.threads)
-            self.threads.append(tid)
-        return known
-
-    def encode_schedule(self, schedule: Iterable[ThreadId]) -> List[int]:
-        return [self.index(tid) for tid in schedule]
-
-    def to_json(self) -> List[Dict[str, Any]]:
-        return [{"path": list(t.path), "label": t.label} for t in self.threads]
-
-    @staticmethod
-    def decode(data: Any, where: str) -> List[ThreadId]:
-        if not isinstance(data, list):
-            raise CheckpointError(f"{where}: threads must be a list")
-        threads: List[ThreadId] = []
-        for i, entry in enumerate(data):
-            path = _require(entry, "path", list, f"{where}[{i}]")
-            label = _require(entry, "label", str, f"{where}[{i}]")
-            try:
-                threads.append(ThreadId.from_path(path, label))
-            except ValueError as exc:
-                raise CheckpointError(f"{where}[{i}]: {exc}") from exc
-        return threads
-
-
-def _decode_schedule(
-    data: Any, threads: List[ThreadId], where: str
-) -> Tuple[ThreadId, ...]:
-    if not isinstance(data, list):
-        raise CheckpointError(f"{where}: schedule must be a list")
-    out: List[ThreadId] = []
-    for i, idx in enumerate(data):
-        if not isinstance(idx, int) or isinstance(idx, bool) or not (
-            0 <= idx < len(threads)
-        ):
-            raise CheckpointError(
-                f"{where}[{i}]: index {idx!r} out of range for "
-                f"{len(threads)} thread(s)"
-            )
-        out.append(threads[idx])
-    return tuple(out)
-
-
-def _sanitize_detail(value: Any) -> Any:
-    """Reduce a bug-detail value to JSON primitives.
-
-    Details never participate in bug signatures or identities, so a
-    lossy ``str()`` fallback cannot affect dedup or parity -- only the
-    human-facing rendering of exotic payloads.
-    """
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, (list, tuple)):
-        return [_sanitize_detail(v) for v in value]
-    return str(value)
-
-
-def _bug_to_json(bug: BugReport, table: _ThreadTable) -> Dict[str, Any]:
-    return {
-        "kind": bug.kind.value,
-        "message": bug.message,
-        "thread": table.index(bug.thread) if bug.thread is not None else None,
-        "schedule": table.encode_schedule(bug.schedule),
-        "preemptions": bug.preemptions,
-        "step_index": bug.step_index,
-        "details": [[key, _sanitize_detail(value)] for key, value in bug.details],
-    }
-
-
-def _bug_from_json(data: Any, threads: List[ThreadId], where: str) -> BugReport:
-    try:
-        kind = BugKind(_require(data, "kind", str, where))
-    except ValueError as exc:
-        raise CheckpointError(f"{where}: {exc}") from exc
-    thread_raw = data.get("thread") if isinstance(data, dict) else None
-    if thread_raw is not None:
-        if not isinstance(thread_raw, int) or isinstance(thread_raw, bool) or not (
-            0 <= thread_raw < len(threads)
-        ):
-            raise CheckpointError(f"{where}: thread index {thread_raw!r} out of range")
-        thread: Optional[ThreadId] = threads[thread_raw]
-    else:
-        thread = None
-    details_raw = _require(data, "details", list, where)
-    details: List[Tuple[str, Any]] = []
-    for i, pair in enumerate(details_raw):
-        if not isinstance(pair, list) or len(pair) != 2 or not isinstance(pair[0], str):
-            raise CheckpointError(f"{where}: details[{i}] must be a [key, value] pair")
-        value = pair[1]
-        details.append((pair[0], tuple(value) if isinstance(value, list) else value))
-    return BugReport(
-        kind=kind,
-        message=_require(data, "message", str, where),
-        thread=thread,
-        schedule=_decode_schedule(data.get("schedule"), threads, f"{where}.schedule"),
-        preemptions=_require(data, "preemptions", int, where),
-        step_index=_require(data, "step_index", int, where),
-        details=tuple(details),
-    )
-
-
-def _items_to_json(
-    items: Sequence[WorkItem], table: _ThreadTable
+def _pairs_to_json(
+    items: Iterable[QueueEntry], table: ThreadTable
 ) -> List[Dict[str, Any]]:
+    # ``preemptions`` is advisory and always 0: the replay recomputes it.
+    # A fingerprint carried as a third element (see
+    # IterativeContextBounding._search_item) is dropped: a resumed item
+    # recomputes it.
     return [
-        {
-            "schedule": table.encode_schedule(item.schedule),
-            "tid": table.index(item.tid),
-            "preemptions": item.preemptions,
-        }
+        {"schedule": table.schedule(item[0]), "tid": table.index(item[1]), "preemptions": 0}
         for item in items
     ]
 
 
-def _items_from_json(
-    data: Any, threads: List[ThreadId], where: str
-) -> Tuple[WorkItem, ...]:
-    if not isinstance(data, list):
-        raise CheckpointError(f"{where}: must be a list")
-    items: List[WorkItem] = []
-    for i, entry in enumerate(data):
-        schedule = _decode_schedule(
+def _pairs_from_json(
+    data: Any, threads: List[ThreadId], key: str
+) -> Tuple[QueueEntry, ...]:
+    pairs: List[QueueEntry] = []
+    for i, entry in enumerate(_DECODE.require(data, key, list, "checkpoint")):
+        where = f"{key}[{i}]"
+        schedule = _DECODE.schedule(
             entry.get("schedule") if isinstance(entry, dict) else None,
             threads,
-            f"{where}[{i}].schedule",
+            f"{where}.schedule",
         )
-        tid_idx = _require(entry, "tid", int, f"{where}[{i}]")
-        if not (0 <= tid_idx < len(threads)):
-            raise CheckpointError(f"{where}[{i}]: tid index {tid_idx!r} out of range")
-        items.append(
-            WorkItem(
-                schedule=schedule,
-                tid=threads[tid_idx],
-                preemptions=_require(entry, "preemptions", int, f"{where}[{i}]"),
-            )
-        )
-    return tuple(items)
-
-
-def normalize_items(raw_items: Iterable[Tuple[object, ThreadId]]) -> List[WorkItem]:
-    """Wrap the serial engine's raw ``(state, tid)`` queue entries.
-
-    A stateless state *is* its schedule, so ``tuple(state)`` is the
-    replay recipe; the preemption count is advisory (``as_pair``
-    discards it on the way back in) and recorded as zero.  A
-    fingerprint carried as a third element (see
-    :meth:`~repro.search.icb.IterativeContextBounding._search_item`)
-    is dropped: a resumed item recomputes it.
-    """
-    return [
-        WorkItem(schedule=tuple(item[0]), tid=item[1])  # type: ignore[arg-type]
-        for item in raw_items
-    ]
+        tid = _DECODE.thread(_DECODE.require(entry, "tid", int, where), threads, where)
+        pairs.append((schedule, tid))
+    return tuple(pairs)
 
 
 @dataclass
@@ -284,19 +134,14 @@ class Checkpoint:
     fingerprint: Dict[str, Any]
     bound: int
     completed_bound: Optional[int]
-    work_items: Tuple[WorkItem, ...]
-    next_items: Tuple[WorkItem, ...]
-    executions: int
-    transitions: int
-    analysis_pruned: int
-    max_steps: int
-    max_blocking: int
-    max_preemptions: int
-    #: state fingerprint -> minimal preemption count (the ground truth
-    #: every resumed statistic reconciles against).
-    states: Dict[int, int]
-    bugs: Tuple[BugReport, ...]
-    history: Tuple[Tuple[int, int], ...]
+    #: The two ICB work queues (loaded ones hold ``(schedule, tid)``
+    #: pairs).
+    work_items: Tuple[QueueEntry, ...]
+    next_items: Tuple[QueueEntry, ...]
+    #: The accumulated statistics.  A captured checkpoint holds the
+    #: live context, so it is saved before the search continues; a
+    #: loaded one holds its own.
+    context: SearchContext
     #: Serialized work-item cache (``None`` when state caching is off).
     cache: Optional[Dict[str, Any]] = None
     #: Frozen metrics at save time (``None`` for uninstrumented runs).
@@ -313,8 +158,8 @@ class Checkpoint:
         cls,
         fingerprint: Dict[str, Any],
         bound: int,
-        work_items: Sequence[WorkItem],
-        next_items: Sequence[WorkItem],
+        work_items: Iterable[QueueEntry],
+        next_items: Iterable[QueueEntry],
         ctx: SearchContext,
         completed_bound: Optional[int],
         cache: Optional[WorkItemCache] = None,
@@ -322,33 +167,21 @@ class Checkpoint:
         parallel: Optional[Dict[str, int]] = None,
         sequence: int = 0,
     ) -> "Checkpoint":
-        states: Dict[int, int] = {}
-        for fp, preemptions in ctx.states.items():
-            if not isinstance(fp, int) or isinstance(fp, bool):
+        """Snapshot a search between work items."""
+        for fp in ctx.states:
+            if type(fp) is not int:
                 raise CheckpointError(
                     "only integer state fingerprints can be checkpointed "
                     f"(got {type(fp).__name__})"
                 )
-            states[fp] = preemptions
-        cache_state: Optional[Dict[str, Any]] = None
-        if cache is not None:
-            cache_state = cache.export_state()
         return cls(
             fingerprint=dict(fingerprint),
             bound=bound,
             completed_bound=completed_bound,
             work_items=tuple(work_items),
             next_items=tuple(next_items),
-            executions=ctx.executions,
-            transitions=ctx.transitions,
-            analysis_pruned=ctx.analysis_pruned,
-            max_steps=ctx.max_steps,
-            max_blocking=ctx.max_blocking,
-            max_preemptions=ctx.max_preemptions,
-            states=states,
-            bugs=tuple(ctx.bugs.values()),
-            history=tuple(ctx.history),
-            cache=cache_state,
+            context=ctx,
+            cache=cache.export_state() if cache is not None else None,
             metrics=metrics,
             parallel=dict(parallel or {}),
             sequence=sequence,
@@ -357,16 +190,15 @@ class Checkpoint:
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> Dict[str, Any]:
-        table = _ThreadTable()
-        work = _items_to_json(self.work_items, table)
-        nxt = _items_to_json(self.next_items, table)
-        bugs = [_bug_to_json(bug, table) for bug in self.bugs]
+        # Thread indices follow first mention: queues, bugs, cache.
+        table = ThreadTable()
+        work = _pairs_to_json(self.work_items, table)
+        nxt = _pairs_to_json(self.next_items, table)
+        context = context_to_json(self.context, table)
         cache_json: Optional[Dict[str, Any]] = None
         if self.cache is not None:
             cache_json = {
-                "items": [
-                    [fp, table.index(tid)] for fp, tid in self.cache["items"]
-                ],
+                "items": [[fp, table.index(tid)] for fp, tid in self.cache["items"]],
                 "hits": self.cache["hits"],
                 "misses": self.cache["misses"],
             }
@@ -380,17 +212,7 @@ class Checkpoint:
             "threads": table.to_json(),
             "work_items": work,
             "next_items": nxt,
-            "context": {
-                "executions": self.executions,
-                "transitions": self.transitions,
-                "analysis_pruned": self.analysis_pruned,
-                "max_steps": self.max_steps,
-                "max_blocking": self.max_blocking,
-                "max_preemptions": self.max_preemptions,
-                "states": [[fp, pre] for fp, pre in sorted(self.states.items())],
-                "bugs": bugs,
-                "history": [[e, s] for e, s in self.history],
-            },
+            "context": context,
             "cache": cache_json,
             "metrics": self.metrics.to_dict() if self.metrics is not None else None,
             "parallel": dict(self.parallel),
@@ -403,76 +225,33 @@ class Checkpoint:
                 f"checkpoint must be a JSON object, got {type(data).__name__}"
             )
         where = "checkpoint"
-        fmt = _require(data, "format", str, where)
+        fmt = _DECODE.require(data, "format", str, where)
         if fmt != CHECKPOINT_FORMAT:
             raise CheckpointError(f"not a {CHECKPOINT_FORMAT} file (format={fmt!r})")
-        version = _require(data, "version", int, where)
+        version = _DECODE.require(data, "version", int, where)
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(
                 f"unsupported checkpoint version {version} "
                 f"(this build reads {CHECKPOINT_VERSION})"
                 + (_V1_REFUSED if version == 1 else "")
             )
-        fingerprint = _require(data, "fingerprint", dict, where)
-        threads = _ThreadTable.decode(_require(data, "threads", list, where), "threads")
-        context = _require(data, "context", dict, where)
-        states_raw = _require(context, "states", list, "context")
-        states: Dict[int, int] = {}
-        for i, pair in enumerate(states_raw):
-            if (
-                not isinstance(pair, list)
-                or len(pair) != 2
-                or not all(isinstance(v, int) and not isinstance(v, bool) for v in pair)
-            ):
-                raise CheckpointError(
-                    f"context.states[{i}] must be a [fingerprint, bound] int pair"
-                )
-            states[pair[0]] = pair[1]
-        bugs_raw = _require(context, "bugs", list, "context")
-        bugs = tuple(
-            _bug_from_json(entry, threads, f"context.bugs[{i}]")
-            for i, entry in enumerate(bugs_raw)
+        fingerprint = _DECODE.require(data, "fingerprint", dict, where)
+        threads = _DECODE.threads(data, where)
+        context = _DECODE.context(
+            _DECODE.require(data, "context", dict, where), threads, SearchContext()
         )
-        history_raw = _require(context, "history", list, "context")
-        history: List[Tuple[int, int]] = []
-        for i, pair in enumerate(history_raw):
-            if (
-                not isinstance(pair, list)
-                or len(pair) != 2
-                or not all(isinstance(v, int) and not isinstance(v, bool) for v in pair)
-            ):
-                raise CheckpointError(
-                    f"context.history[{i}] must be an [executions, states] int pair"
-                )
-            history.append((pair[0], pair[1]))
-        completed_bound = data.get("completed_bound")
-        if completed_bound is not None and (
-            not isinstance(completed_bound, int) or isinstance(completed_bound, bool)
-        ):
-            raise CheckpointError("completed_bound must be an integer or null")
         cache_raw = data.get("cache")
         cache: Optional[Dict[str, Any]] = None
         if cache_raw is not None:
-            items_raw = _require(cache_raw, "items", list, "cache")
-            cache_items: List[Tuple[int, ThreadId]] = []
-            for i, pair in enumerate(items_raw):
-                if (
-                    not isinstance(pair, list)
-                    or len(pair) != 2
-                    or not isinstance(pair[0], int)
-                    or isinstance(pair[0], bool)
-                    or not isinstance(pair[1], int)
-                    or isinstance(pair[1], bool)
-                    or not (0 <= pair[1] < len(threads))
-                ):
-                    raise CheckpointError(
-                        f"cache.items[{i}] must be a [fingerprint, thread-index] pair"
-                    )
-                cache_items.append((pair[0], threads[pair[1]]))
             cache = {
-                "items": cache_items,
-                "hits": _require(cache_raw, "hits", int, "cache"),
-                "misses": _require(cache_raw, "misses", int, "cache"),
+                "items": [
+                    (fp, _DECODE.thread(tid, threads, f"cache.items[{i}]"))
+                    for i, (fp, tid) in enumerate(
+                        _DECODE.int_pairs(cache_raw, "items", "cache", "[fingerprint, thread-index]")
+                    )
+                ],
+                "hits": _DECODE.require(cache_raw, "hits", int, "cache"),
+                "misses": _DECODE.require(cache_raw, "misses", int, "cache"),
             }
         metrics_raw = data.get("metrics")
         metrics = (
@@ -482,60 +261,33 @@ class Checkpoint:
         if not isinstance(parallel_raw, dict):
             raise CheckpointError("parallel must be an object")
         parallel = {
-            str(k): v
-            for k, v in parallel_raw.items()
-            if isinstance(v, int) and not isinstance(v, bool)
+            str(k): v for k, v in parallel_raw.items() if type(v) is int
         }
         return cls(
             fingerprint=fingerprint,
-            bound=_require(data, "bound", int, where),
-            completed_bound=completed_bound,
-            work_items=_items_from_json(
-                _require(data, "work_items", list, where), threads, "work_items"
-            ),
-            next_items=_items_from_json(
-                _require(data, "next_items", list, where), threads, "next_items"
-            ),
-            executions=_require(context, "executions", int, "context"),
-            transitions=_require(context, "transitions", int, "context"),
-            analysis_pruned=_require(context, "analysis_pruned", int, "context"),
-            max_steps=_require(context, "max_steps", int, "context"),
-            max_blocking=_require(context, "max_blocking", int, "context"),
-            max_preemptions=_require(context, "max_preemptions", int, "context"),
-            states=states,
-            bugs=bugs,
-            history=tuple(history),
+            bound=_DECODE.require(data, "bound", int, where),
+            completed_bound=_DECODE.optional_int(data, "completed_bound"),
+            work_items=_pairs_from_json(data, threads, "work_items"),
+            next_items=_pairs_from_json(data, threads, "next_items"),
+            context=context,
             cache=cache,
             metrics=metrics,
             parallel=parallel,
-            sequence=_require(data, "sequence", int, where),
+            sequence=_DECODE.require(data, "sequence", int, where),
         )
 
     def save(self, path: Union[str, pathlib.Path]) -> pathlib.Path:
         """Atomically persist this checkpoint (temp file + rename)."""
         target = pathlib.Path(path)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        payload = json.dumps(self.to_json(), sort_keys=True)
-        tmp = target.with_name(target.name + ".tmp")
         try:
-            tmp.write_text(payload + "\n")
-            os.replace(tmp, target)
+            write_atomic(target, json.dumps(self.to_json(), sort_keys=True) + "\n")
         except OSError as exc:
             raise CheckpointError(f"cannot write checkpoint {target}: {exc}") from exc
         return target
 
     @classmethod
     def load(cls, path: Union[str, pathlib.Path]) -> "Checkpoint":
-        source = pathlib.Path(path)
-        try:
-            text = source.read_text()
-        except OSError as exc:
-            raise CheckpointError(f"cannot read checkpoint {source}: {exc}") from exc
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise CheckpointError(f"checkpoint is not valid JSON: {exc}") from exc
-        return cls.from_json(data)
+        return cls.from_json(_DECODE.read_json(pathlib.Path(path), "checkpoint"))
 
     # -- resuming -----------------------------------------------------------
 
@@ -555,22 +307,17 @@ class Checkpoint:
     def restore_context(self, ctx: SearchContext) -> None:
         """Install this checkpoint's statistics into a live context.
 
-        Overwrites (rather than merges) every accumulated quantity:
-        the context is expected to be fresh apart from the
-        ``record_initial`` call the strategy driver already made.  When
-        the context is instrumented, the saved metrics snapshot is
-        absorbed and state/bug counts reconciled from the restored
-        ground truth, so resumed metrics line up with the context.
+        The context is fresh apart from the ``record_initial`` call the
+        strategy driver already made (whose state the checkpoint holds
+        too), so folding the saved statistics in with
+        :meth:`~repro.search.strategy.SearchContext.absorb` installs
+        them.  When the context is instrumented, the saved metrics
+        snapshot is absorbed and state/bug counts reconciled from the
+        restored ground truth, so resumed metrics line up with the
+        context.
         """
-        ctx.states = dict(self.states)
-        ctx.bugs = {bug.signature: bug for bug in self.bugs}
-        ctx.executions = self.executions
-        ctx.transitions = self.transitions
-        ctx.analysis_pruned = self.analysis_pruned
-        ctx.max_steps = self.max_steps
-        ctx.max_blocking = self.max_blocking
-        ctx.max_preemptions = self.max_preemptions
-        ctx.history = list(self.history)
+        saved = self.context
+        ctx.absorb(saved)
         obs = ctx.obs
         if obs is not None:
             if self.metrics is not None:
@@ -578,11 +325,11 @@ class Checkpoint:
             else:
                 # Uninstrumented save, instrumented resume: recover the
                 # totals (per-bound execution breakdowns are lost).
-                obs.metrics.add("executions", self.executions)
-                obs.metrics.add("transitions", self.transitions)
+                obs.metrics.add("executions", saved.executions)
+                obs.metrics.add("transitions", saved.transitions)
             obs.metrics.reconcile_states(ctx.states_by_bound(), bugs=len(ctx.bugs))
             obs.checkpoint_resumed(
-                self.sequence, self.bound, self.executions, self.transitions
+                self.sequence, self.bound, saved.executions, saved.transitions
             )
 
     def restore_cache(self, cache: WorkItemCache) -> None:
@@ -642,8 +389,8 @@ class Checkpointer:
     def save_state(
         self,
         bound: int,
-        work_items: Sequence[WorkItem],
-        next_items: Sequence[WorkItem],
+        work_items: Iterable[QueueEntry],
+        next_items: Iterable[QueueEntry],
         ctx: SearchContext,
         completed_bound: Optional[int],
         cache: Optional[WorkItemCache] = None,
@@ -671,7 +418,11 @@ class Checkpointer:
         obs = self.obs or ctx.obs
         if obs is not None:
             obs.checkpoint_saved(
-                self.sequence, bound, len(work_items), len(next_items), ctx.executions
+                self.sequence,
+                bound,
+                len(checkpoint.work_items),
+                len(checkpoint.next_items),
+                ctx.executions,
             )
         return checkpoint
 

@@ -27,7 +27,6 @@ latest error).
 
 from __future__ import annotations
 
-import importlib
 import json
 import pathlib
 import time
@@ -46,23 +45,11 @@ RESULT_SUFFIX = ".json"
 
 
 def resolve_spec(spec: str) -> Program:
-    """Build a program from a job spec (builtin or ``module:factory``)."""
-    from ..programs import resolve_builtin
+    """Build a program from a job spec: :func:`repro.programs.resolve_spec`,
+    imported on first use so importing the service loads no program."""
+    from ..programs import resolve_spec as resolve
 
-    program = resolve_builtin(spec)
-    if program is not None:
-        return program
-    if ":" in spec and "." in spec.split(":", 1)[0]:
-        module_name, factory_name = spec.split(":", 1)
-        try:
-            module = importlib.import_module(module_name)
-            program = getattr(module, factory_name)()
-        except Exception as exc:
-            raise ReproError(f"cannot resolve spec {spec!r}: {exc}") from exc
-        if isinstance(program, Program):
-            return program
-        raise ReproError(f"spec {spec!r} did not produce a Program")
-    raise ReproError(f"unknown program spec {spec!r}")
+    return resolve(spec)
 
 
 class CheckingService:

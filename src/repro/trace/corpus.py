@@ -17,7 +17,6 @@ registry; a custom ``resolve`` callable overrides both.
 
 from __future__ import annotations
 
-import importlib
 import pathlib
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Union
@@ -34,33 +33,23 @@ Resolver = Callable[[TraceRecord], Program]
 def resolve_trace_program(trace: TraceRecord) -> Program:
     """Default resolver: recorded spec first, then built-in name match.
 
-    Raises :class:`~repro.errors.ReproError` when nothing matches; the
-    corpus runner converts that into a per-trace failure rather than
-    aborting the whole run.
+    Raises :class:`~repro.errors.ReproError` when nothing matches (the
+    spec's own failure, if one was recorded); the corpus runner
+    converts that into a per-trace failure rather than aborting the
+    whole run.
     """
-    from ..programs import find_builtin_by_name, resolve_builtin
+    from ..programs import find_builtin_by_name, resolve_spec
 
+    failure: Optional[ReproError] = None
     if trace.spec is not None:
-        program = resolve_builtin(trace.spec)
-        if program is not None:
-            return program
-        if ":" in trace.spec and "." in trace.spec.split(":", 1)[0]:
-            module_name, factory_name = trace.spec.split(":", 1)
-            try:
-                module = importlib.import_module(module_name)
-                factory = getattr(module, factory_name)
-                program = factory()
-            except Exception as exc:
-                raise ReproError(
-                    f"cannot rebuild program from spec {trace.spec!r}: {exc}"
-                ) from exc
-            if isinstance(program, Program):
-                return program
-            raise ReproError(f"spec {trace.spec!r} did not produce a Program")
+        try:
+            return resolve_spec(trace.spec)
+        except ReproError as exc:
+            failure = exc
     program = find_builtin_by_name(trace.program.name)
     if program is not None:
         return program
-    raise ReproError(
+    raise failure or ReproError(
         f"cannot resolve program for trace of {trace.program.name!r}; "
         "no spec recorded and no built-in has that name"
     )

@@ -8,9 +8,10 @@ the :class:`~repro.core.execution.ExecutionConfig` knobs the bug was
 found under, the witness schedule itself, its preemption count, and
 the identity of the bug the schedule is expected to reproduce.
 
-The on-disk representation is versioned JSON.  Thread identities are
-stored *losslessly*: a table of distinct ``(path, label)`` pairs plus
-a schedule of indices into that table, rebuilt on load through
+The on-disk representation is versioned JSON over the shared codec of
+:mod:`repro.persist`.  Thread identities are stored *losslessly*: a
+table of distinct ``(path, label)`` pairs plus a schedule of indices
+into that table, rebuilt on load through
 :meth:`~repro.core.thread.ThreadId.from_path` (the dotted string
 rendering used by reports is display-only and one-way).  Loading
 validates the schema strictly -- a malformed or truncated trace raises
@@ -26,12 +27,13 @@ import json
 import pathlib
 import re
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Optional, Sequence, Tuple, Union
 
 from ..core.execution import ExecutionConfig, RaceDetection, SchedulingPolicy
 from ..core.program import Program
 from ..core.thread import ThreadId
 from ..errors import BugKind, BugReport, ReproError
+from ..persist import Decoder, ThreadTable, write_atomic
 
 #: Identifies a file as one of ours regardless of extension.
 FORMAT_NAME = "repro-trace"
@@ -46,15 +48,7 @@ class TraceFormatError(ReproError):
     """A trace file violates the schema (or uses an unknown version)."""
 
 
-def _require(data: Dict[str, Any], key: str, kind: type, where: str) -> Any:
-    if key not in data:
-        raise TraceFormatError(f"{where}: missing required key {key!r}")
-    value = data[key]
-    if not isinstance(value, kind) or isinstance(value, bool) and kind is int:
-        raise TraceFormatError(
-            f"{where}: key {key!r} must be {kind.__name__}, got {type(value).__name__}"
-        )
-    return value
+_DECODE = Decoder(TraceFormatError)
 
 
 def _path_tuple(value: Any, where: str) -> Tuple[int, ...]:
@@ -144,14 +138,14 @@ def config_from_json(data: Dict[str, Any]) -> ExecutionConfig:
     """Rebuild an execution config saved by :func:`config_to_json`."""
     where = "config"
     try:
-        policy = SchedulingPolicy(_require(data, "policy", str, where))
-        race_detection = RaceDetection(_require(data, "race_detection", str, where))
+        policy = SchedulingPolicy(_DECODE.require(data, "policy", str, where))
+        race_detection = RaceDetection(_DECODE.require(data, "race_detection", str, where))
     except ValueError as exc:
         raise TraceFormatError(f"{where}: {exc}") from exc
     kwargs: Dict[str, Any] = {}
     for name in _CONFIG_SCALARS:
         expected = int if name == "max_accesses_per_step" else bool
-        kwargs[name] = _require(data, name, expected, where)
+        kwargs[name] = _DECODE.require(data, name, expected, where)
     return ExecutionConfig(policy=policy, race_detection=race_detection, **kwargs)
 
 
@@ -232,21 +226,15 @@ class TraceRecord:
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> Dict[str, Any]:
-        threads: List[ThreadId] = []
-        index: Dict[ThreadId, int] = {}
-        for tid in self.schedule:
-            if tid not in index:
-                index[tid] = len(threads)
-                threads.append(tid)
+        table = ThreadTable()
+        schedule = table.schedule(self.schedule)  # fills the table
         return {
             "format": FORMAT_NAME,
             "version": FORMAT_VERSION,
             "program": {"name": self.program.name, "structure": self.program.structure},
             "config": config_to_json(self.config),
-            "threads": [
-                {"path": list(tid.path), "label": tid.label} for tid in threads
-            ],
-            "schedule": [index[tid] for tid in self.schedule],
+            "threads": table.to_json(),
+            "schedule": schedule,
             "preemptions": self.preemptions,
             "bug": {
                 "kind": self.bug.kind.value,
@@ -267,8 +255,7 @@ class TraceRecord:
         target = pathlib.Path(path)
         if target.is_dir():
             target = target / self.default_filename()
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(self.dumps() + "\n")
+        write_atomic(target, self.dumps() + "\n")
         return target
 
     @classmethod
@@ -276,59 +263,35 @@ class TraceRecord:
         if not isinstance(data, dict):
             raise TraceFormatError(f"trace must be a JSON object, got {type(data).__name__}")
         where = "trace"
-        fmt = _require(data, "format", str, where)
+        fmt = _DECODE.require(data, "format", str, where)
         if fmt != FORMAT_NAME:
             raise TraceFormatError(f"not a {FORMAT_NAME} file (format={fmt!r})")
-        version = _require(data, "version", int, where)
+        version = _DECODE.require(data, "version", int, where)
         if version != FORMAT_VERSION:
             raise TraceFormatError(
                 f"unsupported trace version {version} (this build reads {FORMAT_VERSION})"
             )
-        prog = _require(data, "program", dict, where)
+        prog = _DECODE.require(data, "program", dict, where)
         fingerprint = ProgramFingerprint(
-            name=_require(prog, "name", str, "program"),
-            structure=_require(prog, "structure", str, "program"),
+            name=_DECODE.require(prog, "name", str, "program"),
+            structure=_DECODE.require(prog, "structure", str, "program"),
         )
-        config = config_from_json(_require(data, "config", dict, where))
-
-        threads_raw = _require(data, "threads", list, where)
-        threads: List[ThreadId] = []
-        for i, entry in enumerate(threads_raw):
-            if not isinstance(entry, dict):
-                raise TraceFormatError(f"threads[{i}]: must be an object")
-            path = _path_tuple(entry.get("path"), f"threads[{i}]")
-            label = entry.get("label", "")
-            if not isinstance(label, str):
-                raise TraceFormatError(f"threads[{i}]: label must be a string")
-            threads.append(ThreadId.from_path(path, label))
-
-        schedule_raw = _require(data, "schedule", list, where)
-        schedule: List[ThreadId] = []
-        for i, idx in enumerate(schedule_raw):
-            if not isinstance(idx, int) or isinstance(idx, bool) or not (
-                0 <= idx < len(threads)
-            ):
-                raise TraceFormatError(
-                    f"schedule[{i}]: index {idx!r} out of range for {len(threads)} thread(s)"
-                )
-            schedule.append(threads[idx])
-
-        preemptions = _require(data, "preemptions", int, where)
+        config = config_from_json(_DECODE.require(data, "config", dict, where))
+        threads = _DECODE.threads(data, where)
+        schedule = _DECODE.schedule(
+            _DECODE.require(data, "schedule", list, where), threads, "schedule"
+        )
+        preemptions = _DECODE.require(data, "preemptions", int, where)
         if preemptions < 0:
             raise TraceFormatError("preemptions must be non-negative")
 
-        bug_raw = _require(data, "bug", dict, where)
-        try:
-            kind = BugKind(_require(bug_raw, "kind", str, "bug"))
-        except ValueError as exc:
-            raise TraceFormatError(f"bug: {exc}") from exc
+        bug_raw = _DECODE.require(data, "bug", dict, where)
         thread_raw = bug_raw.get("thread")
-        thread = _path_tuple(thread_raw, "bug.thread") if thread_raw is not None else None
         bug = ExpectedBug(
-            kind=kind,
-            message=_require(bug_raw, "message", str, "bug"),
-            thread=thread,
-            step_index=_require(bug_raw, "step_index", int, "bug"),
+            kind=_DECODE.kind(bug_raw, "bug"),
+            message=_DECODE.require(bug_raw, "message", str, "bug"),
+            thread=_path_tuple(thread_raw, "bug.thread") if thread_raw is not None else None,
+            step_index=_DECODE.require(bug_raw, "step_index", int, "bug"),
         )
 
         spec = data.get("spec")
@@ -341,7 +304,7 @@ class TraceRecord:
         return cls(
             program=fingerprint,
             config=config,
-            schedule=tuple(schedule),
+            schedule=schedule,
             preemptions=preemptions,
             bug=bug,
             spec=spec,
@@ -350,20 +313,11 @@ class TraceRecord:
 
     @classmethod
     def loads(cls, text: str) -> "TraceRecord":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise TraceFormatError(f"trace is not valid JSON: {exc}") from exc
-        return cls.from_json(data)
+        return cls.from_json(_DECODE.parse_json(text, "trace"))
 
     @classmethod
     def load(cls, path: Union[str, pathlib.Path]) -> "TraceRecord":
-        source = pathlib.Path(path)
-        try:
-            text = source.read_text()
-        except OSError as exc:
-            raise TraceFormatError(f"cannot read trace {source}: {exc}") from exc
-        return cls.loads(text)
+        return cls.from_json(_DECODE.read_json(pathlib.Path(path), "trace"))
 
     # -- reporting ----------------------------------------------------------
 

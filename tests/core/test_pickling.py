@@ -19,7 +19,6 @@ from repro import (
     SearchLimits,
     SearchResult,
     ThreadId,
-    WorkItem,
 )
 from repro.parallel.workitem import ShardTask
 
@@ -80,19 +79,11 @@ class TestConfigPickling:
 
 
 class TestParallelPayloadPickling:
-    def test_work_item_roundtrip(self):
-        item = WorkItem(
-            schedule=(ThreadId((0,), "a"), ThreadId((1,), "b")),
-            tid=ThreadId((1,), "b"),
-            preemptions=1,
-        )
-        assert roundtrip(item) == item
-
     def test_shard_task_roundtrip(self):
         task = ShardTask(
             shard_id=3,
             bound=1,
-            items=(WorkItem((), ThreadId((0,), "a"), 0),),
+            items=(((ThreadId((0,), "a"),), ThreadId((1,), "b")),),
         )
         assert roundtrip(task) == task
 

@@ -11,7 +11,7 @@ import pytest
 from repro.net.http_api import HttpFrontend, ServiceAPI
 from repro.net.sync import CacheSync, job_cache_key
 from repro.obs import Instrumentation
-from repro.service.cache import RESULT_CACHE_SUFFIX
+from repro.service.cache import RESULT_CACHE_FORMAT, RESULT_CACHE_SUFFIX
 from repro.service.daemon import CheckingService
 from repro.service.jobs import Job
 from repro.trace.format import TRACE_SUFFIX
@@ -120,3 +120,20 @@ def test_foreign_or_mismatched_entries_are_rejected(tmp_path):
     assert sync._store_entry(key, "not a dict", "peer") is False
     assert sync._store_trace("../escape" + TRACE_SUFFIX, {}, "peer") is False
     assert not cold.cache.path_for(key).exists()
+
+
+def test_malformed_entries_are_not_installed(tmp_path):
+    # An entry with the right format and key but nothing else used to be
+    # installed as is; every job of its plan then failed to decode it.
+    cold = CheckingService(tmp_path / "b")
+    sync = CacheSync(cold)
+    job = cold.queue.submit("toy:racy-counter", max_bound=1)
+    key = job_cache_key(job)
+    bare = {"format": RESULT_CACHE_FORMAT, "key": key}
+    assert sync._store_entry(key, bare, "peer") is False
+    assert sync._store_trace("bare" + TRACE_SUFFIX, {"format": "repro-trace"}, "peer") is False
+    assert not cold.cache.path_for(key).exists()
+    assert not (cold.traces_dir / ("bare" + TRACE_SUFFIX)).exists()
+    cold.serve(once=True)
+    record = cold.queue.get(job.id)
+    assert record.status == "done" and not record.cache_hit

@@ -18,7 +18,10 @@ guarantee:
   checkpoint;
 * the parallel engine (``workers=2``): on a fixed two-bug shape in
   every run, and on generated shapes under the ``ci`` profile only,
-  because each check starts worker processes.
+  because each check starts worker processes;
+* a cached check of the fixed shape in fresh interpreters under two
+  different ``PYTHONHASHSEED`` values, whose cache entries must also
+  be byte-identical.
 
 The enumeration itself reaches states through ``ProgramStateSpace``,
 which restores or replays them; every enumerated schedule is therefore
@@ -27,7 +30,11 @@ re-checked with a fresh ``Execution.replay``.
 
 from __future__ import annotations
 
+import json
+import os
 import pathlib
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -160,3 +167,58 @@ def test_parallel_icb_reports_the_fixed_shapes_bugs():
     program = build_program(two_bug_shape())
     truth, _ = brute_force(program)
     assert_verdict(ChessChecker(program).check(workers=2), truth, "workers=2")
+
+
+#: A cached serial check of the fixed shape, run in a fresh interpreter:
+#: its bugs, certified bound and cache entry, as JSON on stdout.
+FRESH_CHECK = """
+import json, pathlib, sys
+from repro import ChessChecker, ResultCache
+from tests.properties.program_gen import build_program
+from tests.properties.test_oracle import two_bug_shape
+
+root = pathlib.Path(sys.argv[1])
+result = ChessChecker(build_program(two_bug_shape())).check(cache=ResultCache(root))
+(entry,) = root.iterdir()
+print(json.dumps({
+    "bugs": sorted(
+        [b.kind.value, b.message, str(b.thread), b.preemptions]
+        for b in result.bugs
+    ),
+    "certified_bound": result.certified_bound,
+    "entry": entry.read_text(),
+}))
+"""
+
+
+def test_fresh_interpreters_under_different_hash_seeds_agree():
+    program = build_program(two_bug_shape())
+    truth, _ = brute_force(program)
+    deepest = max(p for _, p, _ in enumerate_executions(program, limit=LIMIT))
+    repo = pathlib.Path(__file__).resolve().parents[2]
+    runs = []
+    for seed in ("0", "1"):
+        env = dict(
+            os.environ,
+            PYTHONHASHSEED=seed,
+            PYTHONPATH=os.pathsep.join([str(repo / "src"), str(repo)]),
+        )
+        with tempfile.TemporaryDirectory() as root:
+            out = subprocess.run(
+                [sys.executable, "-c", FRESH_CHECK, root],
+                cwd=repo,
+                env=env,
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout
+        runs.append(json.loads(out))
+    expected = sorted(
+        [bug.kind.value, bug.message, str(bug.thread), bug.preemptions]
+        for bug in truth.values()
+    )
+    for run in runs:
+        assert run["bugs"] == expected
+        # Stateless ICB runs every bound up to the deepest execution.
+        assert run["certified_bound"] == deepest
+    assert runs[0]["entry"] == runs[1]["entry"]
