@@ -176,11 +176,10 @@ class ChessChecker:
                 ``state_caching``, ``workers``, ``checkpoint`` or
                 ``cache``.
             parallel_settings: tuning/robustness knobs for ``workers``.
-            trace_dir: when set, every deduplicated bug's witness is
-                persisted there as a ``*.trace.json`` file (see
-                :mod:`repro.trace`); under ``workers`` the coordinator
-                additionally persists bugs as they stream in, so a
-                cross-process witness survives even a crashed run.
+            trace_dir: when set, the witness of every bug in the
+                final result is persisted there as a ``*.trace.json``
+                file (see :mod:`repro.trace`), once the search is done;
+                serial and parallel runs write the same files.
             trace_spec: optional program spec (e.g. ``wsq:pop-race``)
                 recorded in saved traces so ``corpus run`` can rebuild
                 the program later.
@@ -208,9 +207,10 @@ class ChessChecker:
                 prior identical check (the plan's
                 :meth:`~repro.search.plan.CheckPlan.cache_key`) is
                 served from disk without exploring anything
-                (``extras["cache_hit"]``); authoritative new results
-                are stored on the way out.  Runs with a wall-clock
-                budget bypass the cache entirely.
+                (``extras["cache_hit"]``, reported through ``obs``);
+                authoritative new results are stored on the way out.
+                Runs with a wall-clock budget bypass the cache
+                entirely.
         """
         plan = CheckPlan.take(plan, fields)
         if fields:
@@ -219,23 +219,16 @@ class ChessChecker:
             strategy,
             wrapped=checkpoint is not None or cache is not None,
             settings=parallel_settings,
-            trace_dir=trace_dir,
-            trace_spec=trace_spec,
         )
         limits = plan.limits
         cache_key: Optional[str] = None
         if cache is not None and cache.cacheable(limits):
-            if cache.obs is None and obs is not None:
-                cache.obs = obs
-
             cache_key = plan.cache_key(self.program, self.config, bool(analysis))
             served = cache.lookup(cache_key)
             if served is not None:
+                if obs is not None:
+                    obs.cache_served(cache_key, served.program)
                 return served
-            if limits.stop_on_first_bug:
-                fastpath = cache.corpus_fastpath(self.program, self.config)
-                if fastpath is not None:
-                    return fastpath
         if checkpoint is not None:
             # Built only on a cache miss: it fingerprints the program.
             from ..service.checkpoint import DEFAULT_STRIDE, Checkpointer

@@ -45,6 +45,7 @@ through the trace subsystem (see ``docs/trace.md``)::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Any, Callable, Dict, Optional
 
@@ -661,18 +662,31 @@ def _add_server_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _result_cache(args: argparse.Namespace):
-    """Build the --cache-dir result cache (with the --trace-dir corpus
-    as its fast path), or None when caching was not requested."""
+    """Build the --cache-dir result cache, or None when caching was not
+    requested."""
     if args.cache_dir is None:
         return None
     from .service import ResultCache
-    from .trace.corpus import TraceCorpus
 
-    corpus = TraceCorpus(args.trace_dir) if args.trace_dir else None
-    return ResultCache(args.cache_dir, corpus=corpus)
+    return ResultCache(args.cache_dir)
 
 
 def main(argv: Optional[list] = None) -> int:
+    """Run the ``repro`` command line; returns the exit status."""
+    try:
+        status = _main(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader of stdout has gone (``repro ... | head``).  Stop
+        # quietly, with the status a shell gives a process killed by
+        # SIGPIPE, and point stdout at devnull so that the interpreter's
+        # last flush does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return status
+
+
+def _main(argv: Optional[list]) -> int:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Systematic concurrency testing with iterative "
@@ -927,34 +941,7 @@ def main(argv: Optional[list] = None) -> int:
     parallel_settings = _parallel_settings(args)
     cache = _result_cache(args)
     obs = _make_obs(args, limits)
-
-    if args.command == "explain":
-        from .trace.format import TraceRecord
-        from .trace.replay import replay_trace
-
-        bug = _run_checker(
-            checker.find_bug,
-            max_bound=args.bound, limits=limits, workers=args.workers,
-            parallel_settings=parallel_settings,
-            trace_dir=args.trace_dir, trace_spec=spec, obs=obs,
-            analysis=args.analysis,
-            checkpoint=args.checkpoint,
-            checkpoint_stride=args.checkpoint_stride,
-            cache=cache,
-        )
-        _finish_obs(args, obs)
-        if bug is None:
-            print("no bug found")
-            return 0
-        # Replay through the trace subsystem from the (possibly merged,
-        # cross-process) result's witness -- never by re-searching.
-        trace = TraceRecord.from_bug(program, checker.config, bug, spec=spec)
-        print(replay_trace(trace, program, config=checker.config).explain())
-        return 1
-
-    result = _run_checker(
-        checker.check,
-        strategy=_make_strategy(args),
+    options = dict(
         max_bound=args.bound,
         limits=limits,
         workers=args.workers,
@@ -967,6 +954,23 @@ def main(argv: Optional[list] = None) -> int:
         checkpoint_stride=args.checkpoint_stride,
         cache=cache,
     )
+
+    if args.command == "explain":
+        from .trace.format import TraceRecord
+        from .trace.replay import replay_trace
+
+        bug = _run_checker(checker.find_bug, **options)
+        _finish_obs(args, obs)
+        if bug is None:
+            print("no bug found")
+            return 0
+        # Replay through the trace subsystem from the (possibly merged,
+        # cross-process) result's witness -- never by re-searching.
+        trace = TraceRecord.from_bug(program, checker.config, bug, spec=spec)
+        print(replay_trace(trace, program, config=checker.config).explain())
+        return 1
+
+    result = _run_checker(checker.check, strategy=_make_strategy(args), **options)
     _finish_obs(args, obs)
     print(result.summary())
     return 1 if result.found_bug else 0

@@ -168,7 +168,7 @@ class BugReport:
         Unlike :attr:`signature` it distinguishes different witnesses
         of the same defect, and unlike ``hash()``-derived keys it is
         stable across processes (thread ids compare by path), so
-        cross-process deduplication in ``SearchResult.merge`` and the
+        cross-process deduplication in ``SearchContext.absorb`` and the
         determinism tests can rely on it.
         """
         return (self.kind, tuple(t.path for t in self.schedule))

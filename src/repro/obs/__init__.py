@@ -12,7 +12,7 @@ fans observations out three ways:
 * **metrics** (:mod:`repro.obs.metrics`): counters, gauges, per-bound
   breakdowns and sampled latency histograms, frozen into a picklable
   :class:`MetricsSnapshot` that merges across parallel workers exactly
-  like ``SearchResult.merge``;
+  like ``SearchContext.absorb`` folds their shards;
 * **phase profiling** (:mod:`repro.obs.profile`): wall time
   partitioned into schedule / execute / fingerprint / race-detect /
   cache-lookup, so benchmarks report *where* time goes.

@@ -9,7 +9,7 @@ the clock on a stride rather than on every call.
 A :class:`MetricsSnapshot` freezes the registry into plain dicts: it
 is picklable, JSON-serializable (versioned, like the trace format) and
 mergeable across parallel workers with the same algebra as
-``SearchResult.merge`` -- sums for counters and per-bound breakdowns,
+``SearchContext.absorb`` -- sums for counters and per-bound breakdowns,
 bucket-wise sums for histograms, maxima for gauges and elapsed time.
 ``merge`` folds a whole sequence at once, so the result is independent
 of how workers are grouped.

@@ -39,7 +39,7 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import
     from ..service.checkpoint import Checkpointer
 
 from ..core.transition import ProgramStateSpace, StateSpace
-from ..errors import BugReport, ReproError, SearchBudgetExceeded, SearchInterrupted
+from ..errors import ReproError, SearchBudgetExceeded, SearchInterrupted
 from ..obs.instrument import Instrumentation
 from ..search.icb import IterativeContextBounding
 from ..search.statecache import WorkItemCache
@@ -99,7 +99,6 @@ class _Pool:
         workers: int,
         settings: ParallelSettings,
         collect_metrics: bool,
-        trace_writer: Optional[Callable[[BugReport], Any]],
     ) -> None:
         mp_ctx = _mp_context(space)
         self.tasks = mp_ctx.Queue()
@@ -118,10 +117,6 @@ class _Pool:
         #: their bugs again on completion; these cover the shards that
         #: never complete (a worker lost with its shard).
         self.streamed = SearchContext()
-        #: Persists each adopted witness as a trace file the moment it
-        #: streams in, so a bug found in a worker process is durable
-        #: even if the run later crashes or is killed.
-        self.trace_writer = trace_writer
         self.procs: Dict[int, Any] = {}
         for wid in range(workers):
             proc = mp_ctx.Process(
@@ -147,10 +142,6 @@ class _Pool:
             proc.start()
             self.procs[wid] = proc
 
-    def note_streamed(self, bug: BugReport) -> None:
-        if self.streamed.note_bug(bug) and self.trace_writer is not None:
-            self.trace_writer(bug)
-
     def shutdown(self) -> int:
         """Stop every worker; returns how many exited abnormally."""
         self.stop_event.set()
@@ -165,7 +156,7 @@ class _Pool:
             except (EOFError, OSError):  # pragma: no cover - teardown races
                 break
             if msg and msg[0] == MSG_BUG:
-                self.note_streamed(msg[2])
+                self.streamed.note_bug(msg[2])
         deadline = time.monotonic() + JOIN_TIMEOUT
         for proc in self.procs.values():
             proc.join(timeout=max(0.0, deadline - time.monotonic()))
@@ -228,31 +219,13 @@ class ParallelCoordinator(IterativeContextBounding):
         max_bound: Optional[int] = None,
         state_caching: bool = False,
         settings: Optional[ParallelSettings] = None,
-        trace_dir: Optional[Any] = None,
-        trace_spec: Optional[str] = None,
         checkpointer: Optional["Checkpointer"] = None,
     ) -> None:
         refuse(max_bound, state_caching, workers, parallel=True)
         super().__init__(max_bound=max_bound, checkpointer=checkpointer)
         self.workers = workers
         self.settings = settings or ParallelSettings()
-        self.trace_dir = trace_dir
-        self.trace_spec = trace_spec
         self._pool: Optional[_Pool] = None
-
-    def _trace_writer(
-        self, space: ProgramStateSpace
-    ) -> Optional[Callable[[BugReport], Any]]:
-        """Build the streamed-bug persister for this run, if enabled."""
-        if self.trace_dir is None:
-            return None
-        from ..trace.corpus import TraceCorpus
-        from ..trace.format import TraceRecord
-
-        corpus = TraceCorpus(self.trace_dir)
-        return lambda bug: corpus.save(
-            TraceRecord.from_bug(space.program, space.config, bug, spec=self.trace_spec)
-        )
 
     # -- the run: the serial loop around a worker pool -----------------------
 
@@ -285,12 +258,7 @@ class ParallelCoordinator(IterativeContextBounding):
         for key in ("shards", "shard_retries", "unexplored_items"):
             extras[key] = carried.get(key, 0)
         pool = self._pool = _Pool(
-            space,
-            ctx.limits,
-            self.workers,
-            self.settings,
-            ctx.obs is not None,
-            self._trace_writer(space),
+            space, ctx.limits, self.workers, self.settings, ctx.obs is not None
         )
         try:
             super()._search(space, ctx, extras)
@@ -395,7 +363,7 @@ class ParallelCoordinator(IterativeContextBounding):
                     pool.worker_totals[wid] = totals
                     obs.worker_heartbeat(wid, totals[0], totals[1])
             elif tag == MSG_BUG:
-                pool.note_streamed(msg[2])
+                pool.streamed.note_bug(msg[2])
             elif tag == MSG_DONE:
                 _, _wid, sid, outcome = msg
                 if outstanding.pop(sid, None) is None:

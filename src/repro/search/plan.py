@@ -226,17 +226,15 @@ class CheckPlan:
         custom: Optional["Strategy"] = None,
         wrapped: bool = False,
         settings: Any = None,
-        trace_dir: Any = None,
-        trace_spec: Optional[str] = None,
     ) -> "Strategy":
         """The search this plan runs.
 
         ``custom`` replaces ICB (any strategy of :mod:`repro.search`);
         only the budgets apply to it, so a bound, the work-item table,
         workers, or a checkpoint or cache (``wrapped``) is refused with
-        it.  ``settings``, ``trace_dir`` and ``trace_spec`` go to the
-        parallel coordinator.  Both ICB engines call :func:`refuse`,
-        so a plan folded from a journal record is refused here.
+        it.  ``settings`` goes to the parallel coordinator.  Both ICB
+        engines call :func:`refuse`, so a plan folded from a journal
+        record is refused here.
         """
         if custom is not None:
             if (
@@ -258,8 +256,6 @@ class CheckPlan:
                 max_bound=self.max_bound,
                 state_caching=self.state_caching,
                 settings=settings,
-                trace_dir=trace_dir,
-                trace_spec=trace_spec,
             )
         from .icb import IterativeContextBounding
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import abc
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 from ..errors import (
     BugReport,
@@ -165,8 +165,9 @@ class SearchContext:
     def absorb(self, other: "SearchContext") -> None:
         """Fold the statistics of a disjoint exploration into this one.
 
-        Used by the parallel engine to fold each shard into the run's
-        live context, and by :meth:`SearchResult.merge`:
+        Used by the parallel engine to fold each shard (and the bugs
+        its workers streamed) into the run's live context, and to fold
+        a checkpoint's statistics into a resumed one:
 
         * executions, transitions and analysis-pruned deferrals are
           summed;
@@ -336,52 +337,6 @@ class SearchResult:
         return (
             f"{self.strategy}: {self.executions} executions, "
             f"{self.distinct_states} states, {len(self.bugs)} bug(s), {status}"
-        )
-
-    # -- merging ----------------------------------------------------------------
-
-    @classmethod
-    def merge(
-        cls,
-        results: Sequence["SearchResult"],
-        strategy: Optional[str] = None,
-        completed: Optional[bool] = None,
-        stop_reason: Optional[str] = None,
-    ) -> "SearchResult":
-        """Fold results of disjoint explorations into one.
-
-        Usable for any partition of a search (e.g. per-bound runs):
-        the parts' contexts are folded in order with
-        :meth:`SearchContext.absorb`.  ``completed`` defaults to
-        all-parts-completed; ``stop_reason`` to the first incomplete
-        part's reason; ``extras["completed_bound"]`` to the parts'
-        minimum (``None`` if any part certified nothing).
-        """
-        if not results:
-            raise ValueError("merge needs at least one result")
-        merged = SearchContext(results[0].context.limits)
-        merged.started_at = min(r.context.started_at for r in results)
-        for result in results:
-            merged.absorb(result.context)
-        if completed is None:
-            completed = all(r.completed for r in results)
-        if stop_reason is None:
-            stop_reason = next(
-                (r.stop_reason for r in results if not r.completed),
-                "exhausted state space",
-            )
-        extras: Dict[str, Any] = {}
-        bounds = [r.extras.get("completed_bound") for r in results]
-        if any("completed_bound" in r.extras for r in results):
-            extras["completed_bound"] = (
-                None if any(b is None for b in bounds) else min(bounds)
-            )
-        return cls(
-            strategy=strategy or results[0].strategy,
-            completed=completed,
-            stop_reason=stop_reason,
-            context=merged,
-            extras=extras,
         )
 
 

@@ -10,7 +10,7 @@ restart and resubmit to without losing or repeating work:
   their frontier and resume from it; an interrupted-then-resumed run
   reports exactly what an uninterrupted one would.
 * :mod:`repro.service.cache` -- a content-addressed store of completed
-  results, plus a witness-trace fast path for bug-finding checks.
+  results, served only to a check with the same plan.
 * :mod:`repro.service.jobs` / :mod:`repro.service.daemon` -- a
   crash-safe JSONL job queue and the ``repro serve`` loop dispatching
   it, with submissions deduplicated and died-mid-run jobs requeued.

@@ -29,13 +29,6 @@ fingerprints carrying the per-bound histogram -- counts, certificates
 and bug reports are exact; only the raw fingerprint values, which no
 verdict depends on, are not stored.  Served results carry
 ``extras["cache_hit"] = True`` and ``extras["served_from"]``.
-
-**Corpus fast path.**  Independently of exact-key hits, a cache built
-with a :class:`~repro.trace.corpus.TraceCorpus` can answer
-``stop_on_first_bug`` checks by replaying stored witness traces for
-the same program: a reproduced trace *is* the answer the search would
-eventually produce, at the cost of one schedule replay instead of an
-exploration (``extras["corpus_fastpath"] = True``).
 """
 
 from __future__ import annotations
@@ -47,14 +40,12 @@ from typing import TYPE_CHECKING, Any, Dict, Optional, Union
 from ..core.execution import ExecutionConfig
 from ..core.program import Program
 from ..errors import ReproError
-from ..obs.instrument import Instrumentation
 from ..persist import Decoder, ThreadTable, context_to_json, sanitize, write_atomic
 from ..search.plan import CheckPlan, SearchLimits
 from ..search.strategy import SearchContext, SearchResult
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from ..chess.checker import CheckResult
-    from ..trace.corpus import TraceCorpus
 
 RESULT_CACHE_FORMAT = "repro-result-cache"
 RESULT_CACHE_VERSION = 1
@@ -81,23 +72,11 @@ _DECODE = Decoder(ResultCacheError)
 
 
 class ResultCache:
-    """A directory of completed :class:`CheckResult` s, by content key.
+    """A directory of completed :class:`CheckResult` s, by content key:
+    ``<key>.result.json`` entries under ``root``."""
 
-    Args:
-        root: directory holding ``<key>.result.json`` entries.
-        corpus: optional witness-trace corpus enabling the
-            ``stop_on_first_bug`` fast path (see module docstring).
-    """
-
-    def __init__(
-        self,
-        root: Union[str, pathlib.Path],
-        corpus: Optional["TraceCorpus"] = None,
-        obs: Optional[Instrumentation] = None,
-    ) -> None:
+    def __init__(self, root: Union[str, pathlib.Path]) -> None:
         self.root = pathlib.Path(root)
-        self.corpus = corpus
-        self.obs = obs
 
     def path_for(self, key: str) -> pathlib.Path:
         return self.root / f"{key}{RESULT_CACHE_SUFFIX}"
@@ -187,10 +166,7 @@ class ResultCache:
         path = self.path_for(key)
         if not path.exists():
             return None
-        result = self._decode(_DECODE.read_json(path, "cache entry"), key)
-        if self.obs is not None:
-            self.obs.cache_served(key, result.program)
-        return result
+        return self._decode(_DECODE.read_json(path, "cache entry"), key)
 
     def _decode(self, data: Any, key: str) -> "CheckResult":
         from ..chess.checker import CheckResult
@@ -231,45 +207,3 @@ class ResultCache:
             search=search,
             certified_bound=_DECODE.optional_int(data, "certified_bound"),
         )
-
-    # -- corpus fast path ----------------------------------------------------
-
-    def corpus_fastpath(
-        self,
-        program: Program,
-        config: Optional[ExecutionConfig] = None,
-    ) -> Optional["CheckResult"]:
-        """Answer a ``stop_on_first_bug`` check by replaying a stored
-        witness trace of the same program, if one reproduces."""
-        if self.corpus is None:
-            return None
-        from ..chess.checker import CheckResult
-        from ..trace.replay import replay_trace
-
-        for path, trace in self.corpus.matching(program):
-            report = replay_trace(trace, program, config=config)
-            if not report.reproduced or report.bug is None:
-                continue
-            bug = report.bug
-            ctx = SearchContext(SearchLimits(stop_on_first_bug=True))
-            ctx.executions = 1
-            ctx.transitions = report.steps_replayed
-            ctx.bugs[bug.signature] = bug
-            result = CheckResult(
-                program=program.name,
-                search=SearchResult(
-                    strategy="corpus-fastpath",
-                    completed=False,
-                    stop_reason="stopping at first bug",
-                    context=ctx,
-                    extras={
-                        "corpus_fastpath": True,
-                        "trace": path.name,
-                    },
-                ),
-                certified_bound=None,
-            )
-            if self.obs is not None:
-                self.obs.cache_served(f"corpus:{path.name}", program.name)
-            return result
-        return None

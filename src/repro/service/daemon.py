@@ -36,7 +36,6 @@ from ..chess.checker import ChessChecker, CheckResult
 from ..core.program import Program
 from ..errors import ReproError
 from ..obs.instrument import Instrumentation
-from ..trace.corpus import TraceCorpus
 from .cache import ResultCache
 from .checkpoint import CHECKPOINT_SUFFIX, Checkpointer
 from .jobs import Job, JobQueue
@@ -68,9 +67,7 @@ class CheckingService:
         self.traces_dir = self.root / "traces"
         self.max_attempts = max(1, max_attempts)
         self.obs = obs
-        self.cache = ResultCache(
-            self.root / "cache", corpus=TraceCorpus(self.traces_dir), obs=obs
-        )
+        self.cache = ResultCache(self.root / "cache")
 
     # -- paths ---------------------------------------------------------------
 
@@ -169,7 +166,6 @@ class CheckingService:
             "found_bug": result.found_bug,
             "bugs": bugs,
             "cache_hit": bool(search.extras.get("cache_hit")),
-            "corpus_fastpath": bool(search.extras.get("corpus_fastpath")),
             "resumed": bool(search.extras.get("resumed")),
         }
         self.results_dir.mkdir(parents=True, exist_ok=True)

@@ -121,8 +121,8 @@ class TraceCorpus:
         """Persist a trace under its content-addressed default name.
 
         The filename is derived from the witness identity, so saving
-        the same bug twice (e.g. re-streamed after a worker retry, or
-        found again by a later run) overwrites instead of duplicating.
+        the same bug twice (found again by a later run) overwrites
+        instead of duplicating.
         """
         self.root.mkdir(parents=True, exist_ok=True)
         return trace.save(self.root / trace.default_filename())
@@ -138,30 +138,6 @@ class TraceCorpus:
     def load_all(self) -> List[TraceRecord]:
         """Load every trace, raising on the first malformed file."""
         return [TraceRecord.load(path) for path in self.paths()]
-
-    def matching(self, program: Program) -> List[tuple]:
-        """``(path, trace)`` pairs recorded for ``program``.
-
-        Matches on the full :class:`~repro.trace.format.ProgramFingerprint`
-        (display name plus thread-structure hash), so a same-named
-        program whose thread layout changed is not offered for replay.
-        Malformed trace files are skipped -- callers use this as an
-        opportunistic fast path (see
-        :meth:`repro.service.cache.ResultCache.corpus_fastpath`), not
-        as validation.
-        """
-        from .format import ProgramFingerprint
-
-        wanted = ProgramFingerprint.of(program)
-        found: List[tuple] = []
-        for path in self.paths():
-            try:
-                trace = TraceRecord.load(path)
-            except TraceFormatError:
-                continue
-            if trace.program == wanted:
-                found.append((path, trace))
-        return found
 
     def __len__(self) -> int:
         return len(self.paths())

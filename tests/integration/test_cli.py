@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.cli import main
 
 
@@ -167,3 +173,24 @@ class TestCorpus:
         capsys.readouterr()
         assert main(["corpus", "run", str(corpus)]) == 1
         assert "ERROR" in capsys.readouterr().out
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize(
+        "args", [["list"], ["check", "toy:stats-assert", "--bound", "1"]]
+    )
+    def test_a_reader_that_has_gone_ends_the_command_quietly(self, args):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # like `repro ... | head` after head exits
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", *args],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode != 0
+        assert "Traceback" not in proc.stderr
+        assert "BrokenPipeError" not in proc.stderr

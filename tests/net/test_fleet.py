@@ -20,8 +20,8 @@ from repro.service import CheckingService
 from repro.service.jobs import JOURNAL_NAME, JobQueue
 
 #: (spec, bound) submissions: distinct work keys, no stop-on-first-bug,
-#: so neither cross-job caching nor the corpus fast path can make the
-#: fleet and single-daemon explorations diverge.
+#: so cross-job caching cannot make the fleet and single-daemon
+#: explorations diverge.
 QUICK_JOBS = [
     ("toy:stats-race", 1),
     ("toy:racy-counter", 1),
@@ -40,9 +40,9 @@ KILL_JOBS = [
 ]
 
 #: Result keys recording *how* the answer was produced (served from
-#: cache, replayed corpus witness, resumed from a checkpoint) rather
-#: than what it is; everything else must match byte for byte.
-PROVENANCE = ("cache_hit", "corpus_fastpath", "resumed")
+#: cache, resumed from a checkpoint) rather than what it is; everything
+#: else must match byte for byte.
+PROVENANCE = ("cache_hit", "resumed")
 
 
 def canonical_results(root):

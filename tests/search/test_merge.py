@@ -1,22 +1,11 @@
-"""SearchResult.merge: folding disjoint explorations together."""
+"""SearchContext.absorb: folding disjoint explorations together."""
 
 from __future__ import annotations
 
-import pytest
-
-from repro import BugKind, BugReport, SearchContext, SearchLimits, SearchResult, ThreadId
+from repro import BugKind, BugReport, SearchContext, SearchLimits, ThreadId
 
 
-def make_result(
-    states=None,
-    bugs=(),
-    executions=0,
-    transitions=0,
-    completed=True,
-    stop_reason="exhausted state space",
-    extras=None,
-    history=(),
-):
+def make_context(states=None, bugs=(), executions=0, transitions=0, history=()):
     ctx = SearchContext(SearchLimits())
     ctx.states = dict(states or {})
     for bug in bugs:
@@ -24,13 +13,19 @@ def make_result(
     ctx.executions = executions
     ctx.transitions = transitions
     ctx.history = list(history)
-    return SearchResult(
-        strategy="icb",
-        completed=completed,
-        stop_reason=stop_reason,
-        context=ctx,
-        extras=dict(extras or {}),
-    )
+    return ctx
+
+
+def fold(*parts):
+    """A fresh context with ``parts`` absorbed in order."""
+    ctx = SearchContext(SearchLimits())
+    for part in parts:
+        ctx.absorb(part)
+    return ctx
+
+
+def first_bug(ctx):
+    return min(ctx.bugs.values(), key=lambda b: (b.preemptions, str(b.kind)))
 
 
 def tid(*path, label=""):
@@ -45,66 +40,40 @@ def bug(kind=BugKind.ASSERTION, message="boom", preemptions=0, schedule=()):
 
 class TestMerge:
     def test_sums_and_unions(self):
-        a = make_result(states={1: 0, 2: 1}, executions=3, transitions=30)
-        b = make_result(states={2: 0, 3: 2}, executions=4, transitions=40)
-        merged = SearchResult.merge([a, b])
+        a = make_context(states={1: 0, 2: 1}, executions=3, transitions=30)
+        b = make_context(states={2: 0, 3: 2}, executions=4, transitions=40)
+        merged = fold(a, b)
         assert merged.executions == 7
         assert merged.transitions == 70
-        assert merged.context.states == {1: 0, 2: 0, 3: 2}
+        assert merged.states == {1: 0, 2: 0, 3: 2}
 
     def test_bug_dedup_keeps_minimal_preemptions(self):
         worse = bug(preemptions=2, schedule=(tid(0), tid(1)))
         better = bug(preemptions=1, schedule=(tid(1), tid(0)))
-        merged = SearchResult.merge([make_result(bugs=[worse]), make_result(bugs=[better])])
-        assert len(merged.bugs) == 1
-        assert merged.first_bug.preemptions == 1
+        for parts in ((worse, better), (better, worse)):
+            merged = fold(*(make_context(bugs=[b]) for b in parts))
+            assert len(merged.bugs) == 1
+            assert first_bug(merged).preemptions == 1
 
     def test_bug_dedup_tie_break_is_order_independent(self):
         x = bug(preemptions=1, schedule=(tid(0), tid(1)))
         y = bug(preemptions=1, schedule=(tid(1), tid(0)))
-        one = SearchResult.merge([make_result(bugs=[x]), make_result(bugs=[y])])
-        two = SearchResult.merge([make_result(bugs=[y]), make_result(bugs=[x])])
-        assert one.first_bug.identity == two.first_bug.identity
-        assert one.first_bug.identity == x.identity  # lexicographically smaller
+        one = fold(make_context(bugs=[x]), make_context(bugs=[y]))
+        two = fold(make_context(bugs=[y]), make_context(bugs=[x]))
+        assert first_bug(one).identity == first_bug(two).identity
+        assert first_bug(one).identity == x.identity  # lexicographically smaller
 
     def test_distinct_defects_both_survive(self):
         race = bug(kind=BugKind.DATA_RACE, message="race on x", preemptions=2)
         dead = bug(kind=BugKind.DEADLOCK, message="deadlock", preemptions=1)
-        merged = SearchResult.merge([make_result(bugs=[race]), make_result(bugs=[dead])])
+        merged = fold(make_context(bugs=[race]), make_context(bugs=[dead]))
         assert len(merged.bugs) == 2
-        assert merged.first_bug.kind == BugKind.DEADLOCK  # fewest preemptions first
-
-    def test_completed_and_stop_reason_defaults(self):
-        ok = make_result()
-        stopped = make_result(completed=False, stop_reason="execution budget 5 reached")
-        merged = SearchResult.merge([ok, stopped])
-        assert not merged.completed
-        assert merged.stop_reason == "execution budget 5 reached"
-        assert SearchResult.merge([ok, ok]).completed
-
-    def test_explicit_overrides(self):
-        merged = SearchResult.merge(
-            [make_result()], strategy="icb-parallel", completed=False, stop_reason="x"
-        )
-        assert merged.strategy == "icb-parallel"
-        assert not merged.completed
-        assert merged.stop_reason == "x"
-
-    def test_completed_bound_takes_minimum(self):
-        a = make_result(extras={"completed_bound": 2})
-        b = make_result(extras={"completed_bound": 1})
-        assert SearchResult.merge([a, b]).extras["completed_bound"] == 1
-        c = make_result(extras={"completed_bound": None})
-        assert SearchResult.merge([a, c]).extras["completed_bound"] is None
+        assert first_bug(merged).kind == BugKind.DEADLOCK  # fewest preemptions first
 
     def test_history_concatenates_with_offsets(self):
-        a = make_result(executions=2, history=[(1, 5), (2, 9)])
-        b = make_result(executions=2, history=[(1, 4), (2, 12)])
-        merged = SearchResult.merge([a, b])
+        a = make_context(executions=2, history=[(1, 5), (2, 9)])
+        b = make_context(executions=2, history=[(1, 4), (2, 12)])
+        merged = fold(a, b)
         assert [e for e, _ in merged.history] == [1, 2, 3, 4]
         distinct = [s for _, s in merged.history]
         assert distinct == sorted(distinct)  # forced monotone
-
-    def test_empty_merge_rejected(self):
-        with pytest.raises(ValueError):
-            SearchResult.merge([])

@@ -1,12 +1,15 @@
-"""The content-addressed result cache and its corpus fast path."""
+"""The content-addressed result cache: a check is answered from its
+plan's exact key or by the search, never from stored witnesses."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro import ChessChecker, SearchLimits
+from repro.obs import Instrumentation, Sink
 from repro.programs import resolve_builtin, toy
 from repro.service.cache import ResultCache, result_cache_key
+from repro.service.daemon import CheckingService
 
 from ._parity import identities, summary
 
@@ -85,41 +88,74 @@ def test_stop_on_first_bug_results_are_stored(tmp_path):
     assert identities(served) == identities(first)
 
 
-def test_corpus_fastpath_replays_a_stored_witness(tmp_path):
-    from repro.trace.corpus import TraceCorpus
-
-    spec = "toy:stats-assert"
-    traces = tmp_path / "traces"
-    bug = ChessChecker(resolve_builtin(spec)).find_bug(
-        max_bound=1, trace_dir=traces, trace_spec=spec
+def _traced_full_check(service, spec, bound):
+    """A full check of ``spec`` that fills the service's cache and its
+    trace corpus, as a finished job of the same spec would."""
+    return ChessChecker(resolve_builtin(spec)).check(
+        max_bound=bound, trace_dir=service.traces_dir, trace_spec=spec,
+        cache=service.cache,
     )
-    assert bug is not None and list(traces.glob("*.trace.json"))
 
-    cache = ResultCache(tmp_path / "cache", corpus=TraceCorpus(traces))
-    result = ChessChecker(resolve_builtin(spec)).check(
-        max_bound=1, limits=SearchLimits(stop_on_first_bug=True), cache=cache
+
+def test_stored_witnesses_do_not_answer_a_lower_bound(tmp_path):
+    # wsq:pop-race's bug needs 2 preemptions; its witness in the corpus
+    # must not stand in for the bound-0 search, which is clean.
+    service = CheckingService(tmp_path)
+    full = _traced_full_check(service, "wsq:pop-race", 2)
+    assert full.search.first_bug.preemptions == 2
+    assert list(service.traces_dir.glob("*.trace.json"))
+
+    result = ChessChecker(resolve_builtin("wsq:pop-race")).check(
+        max_bound=0, limits=SearchLimits(stop_on_first_bug=True),
+        cache=service.cache,
     )
-    assert result.search.extras.get("corpus_fastpath") is True
-    assert result.found_bug
-    assert result.executions == 1
-    # A replayed witness is evidence for *this* program only; it is
-    # not a completed search and must not poison the result cache.
-    assert len(cache) == 0
+    assert not result.found_bug
+    assert result.certified_bound == 0
 
 
-def test_corpus_fastpath_only_applies_to_stop_on_first_bug(tmp_path):
-    from repro.trace.corpus import TraceCorpus
-
-    spec = "toy:stats-assert"
-    traces = tmp_path / "traces"
-    ChessChecker(resolve_builtin(spec)).find_bug(
-        max_bound=1, trace_dir=traces, trace_spec=spec
+@pytest.mark.parametrize("spec", ["wsq:pop-race", "bluetooth", "ape:stats-race"])
+def test_cached_find_bug_gives_the_searched_witness(tmp_path, spec):
+    service = CheckingService(tmp_path)
+    _traced_full_check(service, spec, 2)
+    searched = ChessChecker(resolve_builtin(spec)).find_bug(max_bound=2)
+    cached = ChessChecker(resolve_builtin(spec)).find_bug(
+        max_bound=2, cache=service.cache
     )
-    cache = ResultCache(tmp_path / "cache", corpus=TraceCorpus(traces))
-    full = ChessChecker(resolve_builtin(spec)).check(max_bound=1, cache=cache)
-    # An exhaustive check cannot be served by one witness replay.
-    assert not full.search.extras.get("corpus_fastpath")
-    assert full.search.completed
+    assert cached.identity == searched.identity
+
+
+def test_a_bound_zero_job_after_a_bound_two_job_finds_no_bug(tmp_path):
+    service = CheckingService(tmp_path)
+    deep = service.queue.submit("wsq:pop-race", max_bound=2)
+    service.serve(once=True)
+    assert service.load_result(deep.id)["found_bug"] is True
+    shallow = service.queue.submit(
+        "wsq:pop-race", max_bound=0, stop_on_first_bug=True
+    )
+    service.serve(once=True)
+    payload = service.load_result(shallow.id)
+    assert payload["found_bug"] is False
+    assert payload["certified_bound"] == 0
+
+
+class _Recorder(Sink):
+    def __init__(self):
+        self.events = []
+
+    def handle(self, event):
+        self.events.append(event)
+
+
+def test_each_hit_is_reported_once(tmp_path):
+    cache = ResultCache(tmp_path / "cache")
+    checker = ChessChecker(resolve_builtin("toy:stats-assert"))
+    checker.check(max_bound=1, cache=cache)
+    obs = Instrumentation()
+    served = obs.bus.subscribe(_Recorder())
+    checker.check(max_bound=1, cache=cache, obs=obs)
+    kinds = [event.kind for event in served.events]
+    assert kinds.count("result_cache_served") == 1
+    assert obs.snapshot().counters.get("result_cache_hits") == 1
 
 
 def test_cache_and_checkpoint_reject_custom_strategies(tmp_path):

@@ -132,3 +132,21 @@ class TestResolve:
     def test_unresolvable_raises(self, base_trace):
         with pytest.raises(ReproError, match="cannot resolve"):
             resolve_trace_program(base_trace)
+
+
+class TestWitnessesOfOneCheck:
+    @pytest.mark.parametrize("spec", ["wsq:pop-race", "bluetooth"])
+    def test_serial_and_parallel_runs_write_the_same_files(self, spec, tmp_path):
+        from repro import ChessChecker
+        from repro.programs import resolve_builtin
+
+        written = {}
+        for workers in (None, 2):
+            traces = tmp_path / f"workers-{workers}"
+            ChessChecker(resolve_builtin(spec)).check(
+                max_bound=2, workers=workers, trace_dir=traces, trace_spec=spec
+            )
+            corpus = TraceCorpus(traces)
+            assert corpus.run().ok
+            written[workers] = [path.name for path in corpus.paths()]
+        assert written[None] and written[None] == written[2]
