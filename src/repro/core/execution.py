@@ -42,38 +42,37 @@ from ..races.goldilocks import GoldilocksDetector
 from ..races.happens_before import HBTracker
 from .effects import Effect, EffectKind
 from .heap import HeapRef
-from .objects import ABSENT, DIGEST_MASK, LEAF_TYPES, BugSignal, SharedObject, rebind
+from .objects import DIGEST_MASK, BugSignal, SharedObject
 from .program import Program
 from .sync import CondVar, Event, Mutex
 from .thread import ThreadHandle, ThreadId, ThreadState, ThreadStatus
 
 Schedule = Tuple[ThreadId, ...]
 
-#: A thread's pending effect is the one its body last yielded.
-_FROM_BODY: Any = type("FromBody", (), {})()
-
-#: Fields of a per-step restore-log entry (see ``Execution.restore``):
-#: the threads' states and the objects' saved states before the step,
-#: then the step's starting position in the HB and Goldilocks journals,
-#: the delivered values, the bugs, and the access count.
-_THREADS, _OBJECTS, _HB, _GL, _DELIVERED, _BUGS, _ACCESSES = range(7)
+#: Fields of a per-step rewind-log entry (see ``Execution.rewind``):
+#: the changed threads' and the touched objects' states before the
+#: step, then the step's starting position in the HB and Goldilocks
+#: journals, the bug and access counts, and the numbers of threads and
+#: world objects that existed.
+_THREADS, _OBJECTS, _HB, _GL, _BUGS, _ACCESSES, _THREAD_COUNT, _OBJECT_COUNT = range(8)
 
 
 def _thread_state(thread: ThreadState) -> Tuple[Any, ...]:
-    """What :meth:`Execution.restore` sets on a thread rebuilt by its inputs.
+    """What :meth:`Execution.rewind` puts back on ``thread``.
 
-    The generator and the spawn and allocation counters follow from
-    the delivered values; the rest is saved.  The input chain is
-    copied, because the thread keeps folding values into its own.
+    The input chain is copied, because the thread keeps folding values
+    into its own; the inputs are kept as their count.
     """
-    pending = thread.pending
     chain = thread._chain
     return (
         thread.status,
-        _FROM_BODY if pending is not None and pending is thread.yielded else pending,
+        thread.pending,
         thread.steps,
         thread.blocking_steps,
         None if chain is None else chain.copy(),
+        thread.spawn_counter,
+        thread.alloc_counter,
+        len(thread.inputs),
     )
 
 
@@ -205,22 +204,21 @@ class Execution:
         )
         self.monitors = [factory(self) for factory in self.config.monitors]
 
-        #: What :meth:`restore` needs, kept along this execution's path
-        #: only (O(depth) memory): one log entry per step, every value
-        #: delivered to a body in order, and the state each touched
-        #: object's ``save`` last returned.  ``None`` when this
-        #: execution cannot be restored: monitors keep state of their
-        #: own, an in-vivo program's threads are OS threads, and some
-        #: object kinds have no ``restore``.
-        self._log: Optional[List[Tuple[Any, ...]]] = (
-            [] if program.restorable and not self.monitors else None
-        )
-        #: ``(thread index, value)`` per value sent into a body.
-        self._delivered: List[Tuple[int, Any]] = []
+        #: What :meth:`rewind` needs, kept along this execution's path
+        #: only (O(depth) memory): one log entry per step, and what each
+        #: object's ``save`` last returned (at its creation, or after
+        #: the last step that touched it).  ``None`` when this execution
+        #: cannot be rewound: monitors keep state of their own, an
+        #: in-vivo program's threads are OS threads, and some object
+        #: kinds have no ``restore``.
+        self._log: Optional[List[Tuple[Any, ...]]] = None
         self._saved: Dict[str, Any] = {}
-        #: ``(thread index, state)`` of the threads the current step
-        #: changes, before it (notify adds its waiters').
-        self._befores: List[Tuple[int, Tuple[Any, ...]]] = []
+        if program.restorable and not self.monitors:
+            self._log = []
+            self._saved = {obj.name: obj.save() for obj in world.objects if obj.restorable}
+        #: ``(thread, state)`` of the threads the current step changes,
+        #: before it (notify adds its waiters').
+        self._befores: List[Tuple[ThreadState, Tuple[Any, ...]]] = []
 
     # -- thread management ---------------------------------------------------
 
@@ -235,7 +233,6 @@ class Execution:
         created_event = Event(self.world, f"{prefix}.created", initial=created)
         done_event = Event(self.world, f"{prefix}.done", initial=False)
         thread = ThreadState(tid, body, args, created_event, done_event)
-        thread.index = len(self.threads)
         thread.pending = Effect(EffectKind.START, created_event)
         self.threads[tid] = thread
         order = self._order
@@ -425,14 +422,15 @@ class Execution:
         thread = self.threads[tid]
         log = self._log
         if log is not None:
-            self._befores = [(thread.index, _thread_state(thread))]
+            self._befores = [(thread, _thread_state(thread))]
             goldilocks = self.goldilocks
             marks = (
                 self.hb.mark(),
                 0 if goldilocks is None else goldilocks.mark(),
-                len(self._delivered),
                 len(self.bugs),
                 self.total_accesses,
+                len(self.threads),
+                len(self.world.objects),
             )
 
         last = self.last_tid
@@ -501,12 +499,15 @@ class Execution:
                 monitor.on_terminal(self)
         return record
 
-    # -- restore ------------------------------------------------------------
+    # -- rewind ------------------------------------------------------------
 
     def _log_step(self, marks: Tuple[int, ...]) -> None:
-        """Append the restore-log entry of the step just executed."""
+        """Append the rewind-log entry of the step just executed."""
         saved = self._saved
-        objects: List[Tuple[str, Any]] = []
+        for obj in self.world.objects[marks[-1]:]:  # created by this step
+            if obj.restorable:
+                saved[obj.name] = obj.save()
+        objects: List[Tuple[SharedObject, Any]] = []
         previous = None
         for obj in self._touched:
             # A repeat is harmless (it undoes to the state it saved a
@@ -518,102 +519,88 @@ class Execution:
                 self._log = None
                 return
             name = obj.name
-            objects.append((name, saved.get(name, ABSENT)))
+            objects.append((obj, saved[name]))
             saved[name] = obj.save()
         assert self._log is not None
         self._log.append((self._befores, objects) + marks)
 
-    def restore(self, length: int) -> "Execution":
-        """A fresh execution at this one's first ``length`` steps.
+    def rewind(self, length: int) -> None:
+        """Put this execution back in its state after ``length`` steps.
 
-        The state is *restored*, not replayed: no engine step runs.
-        The program is instantiated afresh, each thread's generator is
-        fast-forwarded by sending it the values it was delivered (in
-        the order they were delivered, so spawned children and heap
-        objects are recreated by the effects their creators yield
-        again), and the world, threads and race detectors take the
-        state they had after ``length`` steps.  This relies on the
-        invariant fingerprints already rest on: a thread's delivered
-        values determine its local state.
-
-        Consumes this execution: its race detectors, rolled back, move
-        to the result, so it must not be stepped again.
+        The state is *rewound*, not replayed: no engine step runs.  The
+        later steps are undone from the log, latest first: each object
+        they touched and each thread they changed takes back its state
+        from before them, and the objects and threads they created are
+        dropped.  A body's local state lives in its generator, which
+        cannot run backwards, so a thread that was sent values after
+        ``length`` steps gets a fresh generator, fast-forwarded by
+        sending it the values it had been sent by then.  This relies on
+        the invariant fingerprints already rest on: a thread's local
+        state is a function of the values delivered to it.  The race
+        detectors roll back their journals.
         """
         log = self._log
         if log is None or not 0 < length < len(log):
-            raise ValueError(f"cannot restore step {length} of this execution")
+            raise ValueError(f"cannot rewind to step {length} of this execution")
         entry = log[length]
-        fresh = Execution(self.program, self.config)
-        fresh.obs = self.obs
-        world = fresh.world
-        threads = fresh.threads
-
-        created = list(threads.values())
-        delivered = fresh._delivered
-        append = delivered.append
-        for index, value in self._delivered[: entry[_DELIVERED]]:
-            thread = created[index]
-            effect = thread.pending
-            if effect.kind.engine:
-                # Other engine kinds deliver None.
-                kind = effect.kind
-                if kind is EffectKind.START:
-                    fresh._start_body(thread)
-                elif kind is EffectKind.SPAWN:
-                    child = fresh._spawn_child(thread, effect)
-                    created.append(child)
-                    value = ThreadHandle(child.tid)
-                elif kind is EffectKind.ALLOC:
-                    value = fresh._alloc_ref(thread, effect)
-            elif type(value) not in LEAF_TYPES:
-                value = rebind(value, world)
-            append((index, value))
-            try:
-                thread.pending = thread.yielded = thread.generator.send(value)
-            except StopIteration:
-                thread.pending = Effect(EffectKind.EXIT)
-
-        # Undo the later steps' changes, latest first, so each name
-        # ends with its state before the earliest of them.
-        thread_states: Dict[int, Tuple[Any, ...]] = {}
-        object_states: Dict[str, Any] = {}
+        # The earliest state each thread and object had in the steps undone.
+        thread_states: Dict[ThreadState, Tuple[Any, ...]] = {}
+        object_states: Dict[SharedObject, Any] = {}
         for step in reversed(log[length:]):
-            for index, state in reversed(step[_THREADS]):
-                thread_states[index] = state
-            for name, state in reversed(step[_OBJECTS]):
-                object_states[name] = state
-        twins = list(self.threads.values())
-        for index, thread in enumerate(created):
-            state = thread_states.get(index)
-            if state is None:
-                twin = twins[index]
-                state, thread._digest = _thread_state(twin), twin._digest
-            thread.status, pending, thread.steps, thread.blocking_steps, chain = state
-            if pending is not _FROM_BODY:
-                thread.pending = None if pending is None else Effect(
-                    pending.kind, rebind(pending.target, world), rebind(pending.args, world)
-                )
-            thread._chain = None if chain is None else chain.copy()
-        states = dict(self._saved)
-        states.update(object_states)
-        fresh._saved = world.restore(states, self.world, object_states)
+            for thread, state in reversed(step[_THREADS]):
+                thread_states[thread] = state
+            for obj, state in reversed(step[_OBJECTS]):
+                object_states[obj] = state
+        del log[length:]
 
-        hb, goldilocks = self.hb, self.goldilocks
-        hb.rollback(entry[_HB])
-        if goldilocks is not None:
-            goldilocks.rollback(entry[_GL])
-        fresh.hb, fresh.goldilocks = hb, goldilocks
-        self.hb = None  # type: ignore[assignment]  # consumed
-        self._log = None
+        saved = self._saved
+        for obj in self.world.truncate(entry[_OBJECT_COUNT]):
+            saved.pop(obj.name, None)
+        undone = []
+        for obj, state in object_states.items():
+            if obj.name in saved:  # not dropped
+                obj.restore(state)
+                saved[obj.name] = state
+                undone.append(obj)
+        self.world.mark_dirty(*undone)
 
-        fresh.schedule = self.schedule[:length]
-        fresh.step_records = self.step_records[:length]
-        fresh.bugs = self.bugs[: entry[_BUGS]]
-        fresh.preemptions = fresh.step_records[-1].preemptions
-        fresh.last_tid = fresh.schedule[-1]
-        fresh.total_accesses = entry[_ACCESSES]
-        fresh._log = log[:length]
-        return fresh
+        threads = self.threads
+        for tid in list(threads)[entry[_THREAD_COUNT]:]:
+            del threads[tid]
+        self._order = [thread for thread in self._order if thread.tid in threads]
+        for thread, state in thread_states.items():
+            if thread.tid not in threads:
+                continue
+            (thread.status, thread.pending, thread.steps, thread.blocking_steps,
+             thread._chain, thread.spawn_counter, thread.alloc_counter, sent) = state
+            thread._digest = None
+            inputs = thread.inputs
+            if len(inputs) > sent:
+                del inputs[sent:]
+                thread.generator = None
+                if inputs:
+                    self._start_body(thread)
+                    send = thread.generator.send
+                    try:
+                        for value in inputs:
+                            send(value)
+                    except StopIteration:  # the body had returned
+                        pass
+        for thread in self._order:
+            thread.enabled = None
+
+        self.hb.rollback(entry[_HB])
+        if self.goldilocks is not None:
+            self.goldilocks.rollback(entry[_GL])
+        del self.schedule[length:]
+        del self.step_records[length:]
+        del self.bugs[entry[_BUGS]:]
+        self.preemptions = self.step_records[-1].preemptions
+        self.last_tid = self.schedule[-1]
+        self.total_accesses = entry[_ACCESSES]
+        self.failed = self.completed = self.deadlocked = False
+        self._enabled = self._fingerprint = None
+        self._touched.clear()
 
     # -- effect interpretation -----------------------------------------------
 
@@ -685,7 +672,14 @@ class Execution:
             return None, False
 
         if kind is EffectKind.SPAWN:
-            child = self._spawn_child(thread, effect)
+            body, args, name = effect.args
+            index = thread.spawn_counter
+            thread.spawn_counter += 1
+            child_tid = tid.child(index, name or f"{tid.label}.{index}")
+            if child_tid in self.threads:
+                raise ProgramDefinitionError(f"duplicate thread id {child_tid}")
+            child = self._add_thread(child_tid, body, tuple(args), created=False)
+            child.created_event.is_set = True
             self._sync_hb(thread, effect, [child.created_event])
             return ThreadHandle(child.tid), True
 
@@ -702,7 +696,9 @@ class Execution:
             return None, True
 
         if kind is EffectKind.ALLOC:
-            ref = self._alloc_ref(thread, effect)
+            name, fields = effect.args
+            ref = HeapRef(self.world, f"{name}#{tid}:{thread.alloc_counter}", dict(fields))
+            thread.alloc_counter += 1
             self._sync_hb(thread, effect, [ref])
             return ref, True
 
@@ -731,13 +727,11 @@ class Execution:
             waiter_tid, mutex = cv.waiters.pop(0)
             waiter = self.threads[waiter_tid]
             if self._log is not None:
-                self._befores.append((waiter.index, _thread_state(waiter)))
+                self._befores.append((waiter, _thread_state(waiter)))
             waiter.pending = Effect(EffectKind.ACQUIRE, mutex)
             waiter.enabled = None
         self._sync_hb(thread, effect, [cv])
         return None, True
-
-    # The parts of START, SPAWN and ALLOC that restore repeats too.
 
     def _start_body(self, thread: ThreadState) -> None:
         """Create ``thread``'s generator."""
@@ -748,26 +742,6 @@ class Execution:
                 "function; thread bodies must yield effects"
             )
         thread.generator = generator
-
-    def _spawn_child(self, thread: ThreadState, effect: Effect) -> ThreadState:
-        """Create the child a SPAWN ``effect`` of ``thread`` starts."""
-        body, args, name = effect.args
-        tid = thread.tid
-        index = thread.spawn_counter
-        thread.spawn_counter += 1
-        child_tid = tid.child(index, name or f"{tid.label}.{index}")
-        if child_tid in self.threads:
-            raise ProgramDefinitionError(f"duplicate thread id {child_tid}")
-        child = self._add_thread(child_tid, body, tuple(args), created=False)
-        child.created_event.is_set = True
-        return child
-
-    def _alloc_ref(self, thread: ThreadState, effect: Effect) -> HeapRef:
-        """Create the heap object an ALLOC ``effect`` of ``thread`` allocates."""
-        name, fields = effect.args
-        heap_name = f"{name}#{thread.tid}:{thread.alloc_counter}"
-        thread.alloc_counter += 1
-        return HeapRef(self.world, heap_name, dict(fields))
 
     def _check_data_access(
         self, thread: ThreadState, obj: SharedObject, is_write: bool
@@ -807,7 +781,6 @@ class Execution:
     def _advance(self, thread: ThreadState, value: Any) -> None:
         """Send ``value`` into the generator and capture its next effect."""
         thread.record_input(value)
-        self._delivered.append((thread.index, value))
         assert thread.generator is not None
         try:
             effect = thread.generator.send(value)
@@ -829,7 +802,7 @@ class Execution:
                 "yield Effect objects (did you forget `yield from` on a "
                 "composite operation?)"
             )
-        thread.pending = thread.yielded = effect
+        thread.pending = effect
 
     # -- conveniences -----------------------------------------------------------
 

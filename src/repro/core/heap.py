@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Any, Dict, Hashable
 
 from ..errors import BugKind
 from .effects import Effect, EffectKind
-from .objects import BugSignal, SharedObject, rebind
+from .objects import BugSignal, SharedObject
 from .variables import _require_hashable
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -55,8 +55,8 @@ class HeapField(SharedObject):
     def snapshot(self) -> Hashable:
         return ("field", self.value)
 
-    def restore(self, state: Any, world: "World") -> None:
-        self.value = rebind(state[1], world)
+    def restore(self, state: Any) -> None:
+        self.value = state[1]
 
     def is_write(self, effect: Effect) -> bool:
         """Whether ``effect`` modifies this field (for race checks)."""
@@ -129,5 +129,5 @@ class HeapRef(SharedObject):
     def snapshot(self) -> Hashable:
         return ("heapref", self.freed)
 
-    def restore(self, state: Any, world: "World") -> None:
+    def restore(self, state: Any) -> None:
         self.freed = state[1]

@@ -102,10 +102,10 @@ class SharedObject:
       back into the thread generator.
     * :meth:`snapshot` -- a summary of the object's current state in
       values :func:`encode` accepts, folded into the state fingerprint.
-    * :meth:`restore` (optional) -- put the object into a state
-      :meth:`save` returned, possibly from another execution's object
-      of the same name.  A kind that defines it can be *restored*
-      instead of replayed (see ``Execution.restore``); a subclass that
+    * :meth:`restore` (optional) -- put the object back into a state
+      its :meth:`save` returned earlier in the same execution.  An
+      execution whose objects all define it can be *rewound* instead
+      of replayed (see ``Execution.rewind``); a subclass that
       overrides ``snapshot`` or ``save`` but not ``restore`` cannot.
     """
 
@@ -152,8 +152,8 @@ class SharedObject:
         """The complete state :meth:`restore` takes; the snapshot by default."""
         return self.snapshot()
 
-    def restore(self, state: Any, world: "World") -> None:
-        """Adopt ``state`` from :meth:`save`, rebinding objects into ``world``."""
+    def restore(self, state: Any) -> None:
+        """Adopt ``state``, a value :meth:`save` returned."""
         raise NotImplementedError(f"{type(self).__name__} cannot be restored")
 
     def digest(self) -> int:
@@ -180,32 +180,5 @@ class SharedObject:
 
 ENCODERS[SharedObject] = lambda value: b"o" + _encode_str(value.name)
 
-#: Marks a saved state that does not exist (an object not yet touched).
+#: Marks a value that does not exist (a journal entry for a key not yet set).
 ABSENT: Any = type("Absent", (), {"__repr__": lambda self: "ABSENT"})()
-
-#: Values :func:`rebind` returns unchanged without looking inside.
-LEAF_TYPES = frozenset({type(None), bool, int, float, str})
-
-
-def rebind(value: Any, world: "World") -> Any:
-    """``value`` with each shared object replaced by ``world``'s namesake.
-
-    Values that refer to shared objects (a heap reference stored in a
-    variable, a mutex a condition-variable waiter re-acquires) name
-    them, so a state saved in one execution is restored into another
-    by name.  Lists are always copied: a restored thread must not share
-    a mutable value with the execution it was restored from.
-    """
-    cls = type(value)
-    if cls in LEAF_TYPES:
-        return value
-    if isinstance(value, SharedObject):
-        return world.find(value.name)
-    if isinstance(value, (tuple, list, frozenset)):
-        items = [rebind(item, world) for item in value]
-        if cls is not list and all(new is old for new, old in zip(items, value)):
-            return value
-        if isinstance(value, tuple) and hasattr(cls, "_fields"):
-            return cls(*items)  # a named tuple
-        return cls(items)
-    return value

@@ -2,9 +2,15 @@
 
 A :class:`Program` is a *recipe* for building one execution: a setup
 function that, given a fresh :class:`~repro.core.world.World`, creates
-all initial shared state and returns the initial threads.  Because the
-recipe runs from scratch for every execution, the stateless checker can
-replay any schedule deterministically.
+all initial shared state and returns the initial threads.  Every
+:class:`~repro.core.execution.Execution` runs the recipe once, so the
+stateless checker can replay any schedule deterministically.  To
+revisit a state it mostly rewinds the execution it holds instead
+(``Execution.rewind``): the threads that ran after the rewound-to step
+get fresh generators, fed the values they had been sent.  That is
+sound because a thread's local state is a function of the values
+delivered to it, so thread bodies must not mutate Python state that
+setup created.
 
 Setup functions return either a mapping from thread label to thread
 body (a generator function taking no arguments, typically a closure
@@ -81,8 +87,8 @@ class Program:
             this program (used by the Table 2 experiment harness).
     """
 
-    #: Whether an execution can be restored by fast-forwarding its
-    #: thread generators (``Execution.restore``) instead of replayed.
+    #: Whether an execution can be rewound by fast-forwarding fresh
+    #: thread generators (``Execution.rewind``) instead of replayed.
     restorable = True
 
     def __init__(

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Any, Hashable, List, Optional, Tuple
 
 from ..errors import BugKind
 from .effects import Effect, EffectKind
-from .objects import BugSignal, SharedObject, rebind
+from .objects import BugSignal, SharedObject
 from .variables import AtomicVar
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -103,7 +103,7 @@ class Mutex(SharedObject):
     def snapshot(self) -> Hashable:
         return ("mutex", self.holder)
 
-    def restore(self, state: Any, world: "World") -> None:
+    def restore(self, state: Any) -> None:
         self.holder = state[1]
 
 
@@ -168,7 +168,7 @@ class CriticalSection(SharedObject):
     def snapshot(self) -> Hashable:
         return ("critsec", self.holder, self.count)
 
-    def restore(self, state: Any, world: "World") -> None:
+    def restore(self, state: Any) -> None:
         _, self.holder, self.count = state
 
 
@@ -234,7 +234,7 @@ class Event(SharedObject):
     def snapshot(self) -> Hashable:
         return ("event", self.is_set)
 
-    def restore(self, state: Any, world: "World") -> None:
+    def restore(self, state: Any) -> None:
         self.is_set = state[1]
 
 
@@ -300,7 +300,7 @@ class Semaphore(SharedObject):
     def snapshot(self) -> Hashable:
         return ("sem", self.count)
 
-    def restore(self, state: Any, world: "World") -> None:
+    def restore(self, state: Any) -> None:
         self.count = state[1]
 
 
@@ -354,8 +354,8 @@ class CondVar(SharedObject):
         # The snapshot drops each waiter's mutex; restoring needs it.
         return tuple(self.waiters)
 
-    def restore(self, state: Any, world: "World") -> None:
-        self.waiters = [(tid, rebind(mutex, world)) for tid, mutex in state]
+    def restore(self, state: Any) -> None:
+        self.waiters = list(state)
 
 
 class RWLock(SharedObject):
@@ -419,7 +419,7 @@ class RWLock(SharedObject):
         # The snapshot renders readers as sorted strings; keep the ids.
         return (tuple(self.readers), self.writer)
 
-    def restore(self, state: Any, world: "World") -> None:
+    def restore(self, state: Any) -> None:
         readers, self.writer = state
         self.readers = list(readers)
 

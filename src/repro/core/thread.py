@@ -28,6 +28,7 @@ from typing import (
     Callable,
     ClassVar,
     Iterator,
+    List,
     Optional,
     Sequence,
     Tuple,
@@ -188,24 +189,20 @@ ENCODERS[ThreadHandle] = lambda value: b"h" + value.tid._encoded[1:]
 class ThreadState:
     """Mutable per-execution state of one thread.
 
-    The *input hash chain* accumulates a hash of every value the engine
-    sends into the generator.  Because thread bodies are deterministic,
-    the pair (steps executed, input chain) fully determines the
-    thread's local state, which lets state fingerprints identify
-    program states without snapshotting generator frames -- and lets
-    ``Execution.restore`` rebuild the local state by sending a fresh
-    generator the same values.
+    :attr:`inputs` holds every value the engine has sent into the
+    generator, and the *input hash chain* accumulates their encodings.
+    A thread body is deterministic and keeps its local state in its
+    generator, so that state is a function of the values delivered to
+    it: the pair (steps executed, input chain) identifies it, which
+    lets state fingerprints identify program states without
+    snapshotting generator frames, and ``Execution.rewind`` rebuilds
+    it by sending a fresh generator the same inputs.  Bodies must
+    therefore not mutate Python state that setup created.
     """
 
     #: Cached :meth:`digest`, cleared by the engine when the thread steps.
     _digest: Optional[int] = None
     _chain: Any = None  # running BLAKE2b of the delivered values' encodings
-    #: Position in the execution's creation order (roots, then each
-    #: child as it is spawned), the same in every replay of a schedule.
-    index: int = 0
-    #: The effect the body last yielded; :attr:`pending` is this one
-    #: unless the engine rewrote it (START, EXIT, a condition wait).
-    yielded: Optional["Effect"] = None
     #: Whether :attr:`pending` can execute now; ``None`` until the
     #: engine evaluates it (see ``Execution.enabled_threads``).
     enabled: Optional[bool] = None
@@ -231,6 +228,8 @@ class ThreadState:
         #: The effect the thread will execute when next scheduled
         #: (NV(alpha, t) in the paper's notation).
         self.pending: Optional["Effect"] = None
+        #: Every value sent into the generator, in order.
+        self.inputs: List[Any] = []
 
         #: Number of steps (shared accesses) this thread has executed.
         self.steps = 0
@@ -244,7 +243,7 @@ class ThreadState:
     # -- bookkeeping ----------------------------------------------------
 
     def record_input(self, value: Any) -> None:
-        """Fold a delivered value's canonical encoding into the chain."""
+        """Keep a delivered value and fold its encoding into the chain."""
         try:
             data = encode(value)
         except ProgramDefinitionError as exc:
@@ -252,6 +251,7 @@ class ThreadState:
         if self._chain is None:
             self._chain = blake2b(digest_size=8)
         self._chain.update(data)
+        self.inputs.append(value)
 
     @property
     def input_chain(self) -> int:

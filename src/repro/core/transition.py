@@ -87,12 +87,13 @@ class ProgramStateSpace(StateSpace):
     Any other state is rebuilt -- the paper's stateless exploration --
     in one of two ways:
 
-    * *restored*: the longest prefix of its schedule that the live
-      execution holds is rebuilt without running the engine
-      (:meth:`Execution.restore`), then only the remaining steps run;
+    * *restored*: the live execution is rewound in place to the longest
+      prefix of the state's schedule that it holds
+      (:meth:`Execution.rewind`: no engine step runs), then only the
+      remaining steps run;
     * *replayed*: the program is re-executed from scratch.  This is
       the fallback when no prefix is held, or the live execution
-      cannot be restored (in-vivo programs, monitors, object kinds
+      cannot be rewound (in-vivo programs, monitors, object kinds
       without ``restore``).
 
     ``replays`` counts the states rebuilt either way and
@@ -100,9 +101,9 @@ class ProgramStateSpace(StateSpace):
     as in a replay-only checker, so both depend only on the sequence of
     requested states (the parallel engine's merged counters equal the
     serial engine's).  ``restores`` and ``restore_steps`` say how many
-    of those rebuilds were restores and how many of the steps they
-    rebuilt without the engine: ``replay_steps - restore_steps``
-    engine steps were re-executed.
+    of those rebuilds were rewinds and how many of the steps they kept
+    instead of running again: ``replay_steps - restore_steps`` engine
+    steps were re-executed.
     """
 
     def __init__(
@@ -124,9 +125,9 @@ class ProgramStateSpace(StateSpace):
         self.replays = 0
         #: Steps re-executed to reach requested states.
         self.replay_steps = 0
-        #: Rebuilds that restored a prefix of the live execution.
+        #: Rebuilds that rewound the live execution to a prefix.
         self.restores = 0
-        #: Replayed steps those restores rebuilt without the engine.
+        #: Replayed steps those rewinds kept instead of running again.
         self.restore_steps = 0
 
     def attach_obs(self, obs: Optional["Instrumentation"]) -> None:
@@ -166,7 +167,8 @@ class ProgramStateSpace(StateSpace):
         else:
             rebuilt, steps = 1, len(schedule)
             if current is not None and 0 < held < done and current._log is not None:
-                current, restored = current.restore(held), held
+                current.rewind(held)
+                restored = held
             else:
                 current, held = Execution(self.program, self.config), 0
                 current.obs = obs

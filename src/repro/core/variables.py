@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Any, Hashable
 
 from ..errors import BugKind
 from .effects import Effect, EffectKind
-from .objects import BugSignal, SharedObject, rebind
+from .objects import BugSignal, SharedObject
 
 if TYPE_CHECKING:  # pragma: no cover
     from .thread import ThreadState
@@ -74,8 +74,8 @@ class SharedVar(SharedObject):
     def snapshot(self) -> Hashable:
         return ("var", self.value)
 
-    def restore(self, state: Any, world: "World") -> None:
-        self.value = rebind(state[1], world)
+    def restore(self, state: Any) -> None:
+        self.value = state[1]
 
     def is_write(self, effect: Effect) -> bool:
         """Whether ``effect`` modifies this variable (for race checks)."""
@@ -151,8 +151,8 @@ class AtomicVar(SharedObject):
     def snapshot(self) -> Hashable:
         return ("atomic", self.value)
 
-    def restore(self, state: Any, world: "World") -> None:
-        self.value = rebind(state[1], world)
+    def restore(self, state: Any) -> None:
+        self.value = state[1]
 
 
 def make_array(world: "World", name: str, values: list, atomic: bool = False):

@@ -2,18 +2,20 @@
 
 A fresh :class:`World` is built for every execution by the program's
 setup function, so replays always start from identical initial state --
-the engine's determinism rests on this.  The world provides factory
-methods for every kind of shared object and maintains the shared-state
-part of the execution's state fingerprint incrementally.
+the engine's determinism rests on this.  A rewound execution keeps its
+world and drops the objects created after the step it rewinds to.  The
+world provides factory methods for every kind of shared object and
+maintains the shared-state part of the execution's state fingerprint
+incrementally.
 """
 
 from __future__ import annotations
 
-from typing import Any, Container, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from ..errors import ProgramDefinitionError
 from .heap import HeapRef
-from .objects import ABSENT, DIGEST_MASK, SharedObject
+from .objects import DIGEST_MASK, SharedObject
 from .sync import (
     Barrier,
     CondVar,
@@ -146,35 +148,16 @@ class World:
         self._dirty.clear()
         return self._sum
 
-    def restore(
-        self, states: Dict[str, Any], source: "World", stale: Container[str]
-    ) -> Dict[str, Any]:
-        """Put this world's objects into ``states`` (restore, not replay).
-
-        ``states`` maps names to what each object's ``save`` returned;
-        an object it does not name, or names with ``ABSENT``, keeps its
-        initial state.  ``source`` is the world the states came from:
-        an object whose name is not in ``stale`` is in the same state
-        as its namesake there, so it takes that object's digest instead
-        of being digested again.  Returns the states applied.
-        """
-        applied = {}
-        dirty = []
-        total = 0
-        twins = source._by_name
-        for obj in self._objects:
-            name = obj.name
-            state = states.get(name, ABSENT)
-            if state is not ABSENT:
-                obj.restore(state, self)
-                applied[name] = state
-            if name not in stale:
-                twin = twins[name]
-                if not twin._dirty:
-                    obj._digest, obj._dirty = twin._digest, False
-                    total += twin._digest
-                    continue
-            dirty.append(obj)
+    def truncate(self, count: int) -> List[SharedObject]:
+        """Unregister and return every object but the first ``count``."""
+        dropped = self._objects[count:]
+        if not dropped:
+            return dropped
+        del self._objects[count:]
+        total = self._sum
+        for obj in dropped:
+            del self._by_name[obj.name]
+            total -= obj._digest
         self._sum = total & DIGEST_MASK
-        self._dirty = dirty
-        return applied
+        self._dirty = [obj for obj in self._dirty if obj not in dropped]
+        return dropped

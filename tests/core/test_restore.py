@@ -1,17 +1,22 @@
-"""Restoring a state equals replaying it.
+"""Rewinding to a state equals replaying it.
 
 ``ProgramStateSpace`` reaches a state that the live execution's path
-holds a prefix of by *restoring* that prefix (``Execution.restore``:
-fast-forward the thread generators, adopt the saved world, thread and
-race-detector state) and running only the remaining steps.  For twenty
-seeded random schedules of every built-in program and of a
-spawn/join/condition-variable program, this test restores every prefix
-of the schedule and checks, against a plain replay, the fingerprint,
-enabled set and preemption count at the prefix, then every later step
-record and bug.  Seeds alternate between the default configuration and
-one with a scheduling point at every access and both race detectors.
+holds a prefix of by *rewinding* the live execution to that prefix
+(``Execution.rewind``: undo the later steps' object and thread
+changes, drop what they created, fast-forward fresh generators for the
+threads they sent values to, roll back the race detectors) and running
+only the remaining steps.  For twenty seeded random schedules of every
+built-in program and of a spawn/join/condition-variable program, the
+first test rewinds to every prefix of the schedule and checks, against
+a plain replay, the fingerprint, enabled set and preemption count at
+the prefix, then every later step record and bug.  The second rewinds
+to sampled prefixes and then schedules a *different* enabled thread,
+so the steps after the prefix create threads and heap objects that the
+undone steps had created under the same names.  Seeds alternate
+between the default configuration and one with a scheduling point at
+every access and both race detectors.
 
-In-vivo programs and executions with monitors cannot be restored; the
+In-vivo programs and executions with monitors cannot be rewound; the
 last two tests check that they fall back to replay and that the
 fallback is counted.
 """
@@ -98,6 +103,64 @@ def test_restore_at_every_prefix_equals_replay(name, factory):
         assert space.restores == space.replays - 1, (name, seed)
         restored += space.restores
     assert restored > 0
+
+
+#: Programs whose threads spawn children or allocate heap objects.
+CREATING = ("ape", "dryad", "wsq")
+
+#: Prefixes rewound to per schedule in the diverging test.
+DIVERGE_POINTS = 6
+
+
+def diverging_schedule(program, config, schedule, length, rng):
+    """``schedule[:length]``, then another enabled thread, then random
+    steps; with the objects and threads that exist at the prefix."""
+    execution = Execution.replay(program, schedule[:length], config)
+    names = {obj.name for obj in execution.world.objects} | set(map(str, execution.threads))
+    others = [tid for tid in execution.enabled_threads() if tid != schedule[length]]
+    if not others:
+        return None, names
+    execution.execute(rng.choice(others))
+    while not execution.finished and len(execution.schedule) < MAX_STEPS:
+        execution.execute(rng.choice(execution.enabled_threads()))
+    return tuple(execution.schedule), names
+
+
+def created(execution):
+    """Names of the execution's objects and threads."""
+    return {obj.name for obj in execution.world.objects} | set(map(str, execution.threads))
+
+
+@pytest.mark.parametrize("name,factory", list(programs()), ids=lambda v: v if isinstance(v, str) else "")
+def test_rewind_then_diverge_equals_replay(name, factory):
+    rewound = recreated = 0
+    for seed in SEEDS:
+        config = CONFIGS[seed % len(CONFIGS)]
+        program = factory()
+        schedule = random_schedule(program, config, seed)
+        rng = random.Random(seed)
+        space = ProgramStateSpace(program, config)
+        lengths = range(1, len(schedule))
+        for length in sorted(rng.sample(lengths, min(DIVERGE_POINTS, len(lengths)))):
+            where = (name, seed, length)
+            other, at_prefix = diverging_schedule(program, config, schedule, length, rng)
+            if other is None:
+                continue
+            dropped = created(space.execution_at(schedule)) - at_prefix
+            restores = space.restores
+            execution = space.execution_at(other)
+            assert space.restores == restores + 1, where
+            reference = Execution.replay(program, other, config)
+            assert observe(execution) == observe(reference), where
+            assert execution.step_records == reference.step_records, where
+            assert bug_keys(execution) == bug_keys(reference), where
+            assert created(execution) == created(reference), where
+            assert list(execution.threads) == list(reference.threads), where
+            rewound += 1
+            recreated += bool(dropped & created(execution))
+    assert rewound > 0
+    if name.split(":")[0] in CREATING:
+        assert recreated > 0, name
 
 
 def _search(space):
