@@ -19,11 +19,8 @@ clean, and the checker certifies it clean.
 
 Each worker also owns a private ``Atomic`` scratch slot that no other
 thread ever touches.  Atomic operations are scheduling points even
-under the default sync-only policy, so ICB normally defers a
-preemption at each one; the analysis proves the slots thread-local and
-``check(analysis=True)`` skips those deferrals -- this program is the
-in-vivo witness that the sound reduction prunes real transitions
-(``extras["analysis_pruned"] > 0``) while reporting the identical bug.
+under the default sync-only policy, so ICB spends preemptions at each
+one, although none of them can change the outcome.
 """
 
 from repro import invivo

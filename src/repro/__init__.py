@@ -32,8 +32,8 @@ Package layout:
 
 * :mod:`repro.core` -- the controlled concurrency runtime.
 * :mod:`repro.analysis` -- static effect analysis: per-thread access
-  summaries, the lock-order graph, race candidates, lint findings and
-  the analysis-driven search reduction (see ``docs/analysis.md``).
+  summaries, the lock-order graph, race candidates and lint findings
+  (see ``docs/analysis.md``).
 * :mod:`repro.search` -- ICB and the baseline strategies.
 * :mod:`repro.races` -- happens-before tracking and race detection.
 * :mod:`repro.monitors` -- pluggable per-execution property monitors.
@@ -99,7 +99,6 @@ from .search import (
     IterativeDeepening,
     PCTScheduler,
     PlanError,
-    RaceCandidatePrioritizer,
     RandomWalk,
     SearchContext,
     SearchLimits,
@@ -145,7 +144,6 @@ __all__ = [
     "ProgramAnalysis",
     "ProgramStateSpace",
     "RaceCandidate",
-    "RaceCandidatePrioritizer",
     "RaceDetection",
     "RandomWalk",
     "ReplayOutcome",

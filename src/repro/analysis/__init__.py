@@ -9,34 +9,28 @@ The subsystem has three layers (see ``docs/analysis.md``):
    :mod:`repro.analysis.lint` -- consumers of the summaries: the lock
    acquisition-order graph with potential-deadlock cycles, Eraser-style
    race candidates, and DSL lint findings.
-3. :class:`ProgramAnalysis` -- the facade the checkers consume: proven
-   thread-local variables drive the opt-in search-space reduction
-   (``ChessChecker(..., analysis=True)``), race candidates drive
-   preemption prioritization in ICB/PCT.
+3. :class:`ProgramAnalysis` -- the facade behind ``repro analyze`` and
+   ``repro lint``: one program's summaries, lock graph, race
+   candidates and lint findings, with a human-readable report.
 
-Everything is computed once per program, before any execution runs.
+Everything is computed once per program, without running it.  The
+analysis reports what the dynamic checker cannot (potential deadlocks
+and races on paths no bounded search reaches, DSL anomalies); it does
+not steer the search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import FrozenSet, List, Tuple
+from typing import List, Tuple
 
 from ..core.program import Program
 from .lint import LintFinding, format_baseline, lint_program, load_baseline
 from .lockgraph import LockCycle, LockOrderGraph
 from .racecand import RaceCandidate, race_candidates
-from .summary import (
-    PRUNABLE_KINDS,
-    ProgramSummary,
-    StaticAccess,
-    ThreadSummary,
-    analyze_program,
-)
+from .summary import ProgramSummary, StaticAccess, ThreadSummary, analyze_program
 
 __all__ = [
-    "PRUNABLE_KINDS",
     "LintFinding",
     "LockCycle",
     "LockOrderGraph",
@@ -76,47 +70,6 @@ class ProgramAnalysis:
             findings=findings,
         )
 
-    # -- facts the search layer consumes ------------------------------
-
-    @property
-    def program(self) -> str:
-        return self.summary.program
-
-    @property
-    def reduction_enabled(self) -> bool:
-        """Whether the scheduling-point reduction may be applied.
-
-        Any TOP summary disables it: a TOP thread may access anything,
-        so no variable can be proven thread-local.
-        """
-        return not self.summary.any_top
-
-    @property
-    def proven_local(self) -> FrozenSet[str]:
-        """Shared-object names accessed by at most one thread instance."""
-        return self.summary.proven_local
-
-    @cached_property
-    def hot_variables(self) -> FrozenSet[str]:
-        """Variables appearing in some race candidate (for heuristics)."""
-        return frozenset(c.variable for c in self.candidates)
-
-    # -- reporting ----------------------------------------------------
-
-    @cached_property
-    def predicted_reduction(self) -> Tuple[int, int]:
-        """``(prunable, total)`` static accesses: the predicted share of
-        scheduling points the reduction can skip deferrals at."""
-        total = 0
-        prunable = 0
-        local = self.proven_local
-        for thread in self.summary.threads:
-            for access in thread.accesses:
-                total += 1
-                if access.kind in PRUNABLE_KINDS and access.variable in local:
-                    prunable += 1
-        return prunable, total
-
     def render(self) -> str:
         """A human-readable report for ``repro analyze``."""
         lines: List[str] = []
@@ -140,23 +93,6 @@ class ProgramAnalysis:
             if thread.exit_unreleased:
                 held = ", ".join(sorted(thread.exit_unreleased))
                 lines.append(f"    holds at exit: {held}")
-        lines.append("")
-        local = sorted(self.proven_local)
-        if not self.reduction_enabled:
-            lines.append(
-                "proven thread-local: (reduction disabled: some summary is TOP)"
-            )
-        else:
-            lines.append(
-                "proven thread-local: " + (", ".join(local) or "(none)")
-            )
-        prunable, total = self.predicted_reduction
-        if total:
-            share = 100.0 * prunable / total
-            lines.append(
-                f"predicted scheduling-point reduction: {prunable}/{total} "
-                f"static accesses ({share:.0f}%)"
-            )
         lines.append("")
         lines.append(f"lock-order edges: {len(self.graph.edges)}")
         for held, acquired in sorted(self.graph.edges):

@@ -26,7 +26,8 @@ This module implements that walk as a small abstract interpreter:
   lock-order edges in :mod:`repro.analysis.lockgraph` and the lint
   findings in :mod:`repro.analysis.lint`).
 
-Soundness contract (relied on by the search reduction): for every
+Soundness contract (relied on by the lock graph, race candidates and
+lint): for every
 thread whose summary is not TOP, the dynamic accesses the thread
 performs in *any* execution are contained in ``summary.accesses``, and
 the ``must_locks`` attached to each access under-approximate the locks
@@ -66,30 +67,11 @@ from ..core.sync import (
 from ..core.variables import AtomicVar, SharedVar
 
 __all__ = [
-    "PRUNABLE_KINDS",
     "StaticAccess",
     "ThreadSummary",
     "ProgramSummary",
     "analyze_program",
 ]
-
-#: Effect kinds whose steps commute with every step of another thread
-#: when their target is proven thread-local: plain and atomic data
-#: accesses.  Blocking/signalling kinds are never prunable -- even on a
-#: "local" object they change enabledness.
-PRUNABLE_KINDS: FrozenSet[EffectKind] = frozenset(
-    {
-        EffectKind.READ,
-        EffectKind.WRITE,
-        EffectKind.ATOMIC_READ,
-        EffectKind.ATOMIC_WRITE,
-        EffectKind.CAS,
-        EffectKind.ATOMIC_ADD,
-        EffectKind.EXCHANGE,
-        EffectKind.HEAP_READ,
-        EffectKind.HEAP_WRITE,
-    }
-)
 
 _WRITE_KINDS: FrozenSet[EffectKind] = frozenset(
     {
@@ -604,24 +586,6 @@ class ProgramSummary:
     @property
     def any_top(self) -> bool:
         return any(t.top for t in self.threads)
-
-    @cached_property
-    def proven_local(self) -> FrozenSet[str]:
-        """Shared objects accessed by at most one thread instance.
-
-        Empty whenever any summary is TOP (the soundness guard: a TOP
-        thread may access anything).  A variable touched by a summary
-        that can have multiple runtime instances is never local.
-        """
-        if self.any_top or not self.threads:
-            return frozenset()
-        weight: Dict[str, int] = {name: 0 for name in self.variables}
-        for summary in self.threads:
-            per_instance = 2 if summary.multi_instance else 1
-            for name in summary.touched:
-                if name in weight:
-                    weight[name] += per_instance
-        return frozenset(name for name, w in weight.items() if w <= 1)
 
     def covers(self, kind: EffectKind, variable: str) -> bool:
         """Whether some thread summary explains the dynamic access."""

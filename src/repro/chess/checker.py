@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Union
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
-    from ..analysis import ProgramAnalysis
     from ..obs.instrument import Instrumentation
     from ..parallel.coordinator import ParallelSettings
     from ..service.cache import ResultCache
@@ -94,49 +93,9 @@ class ChessChecker:
 
     # -- state-space construction -----------------------------------------
 
-    def space(
-        self,
-        obs: Optional["Instrumentation"] = None,
-        analysis: Optional["ProgramAnalysis"] = None,
-    ) -> ProgramStateSpace:
+    def space(self, obs: Optional["Instrumentation"] = None) -> ProgramStateSpace:
         """A fresh replay-based state space for this program."""
-        return ProgramStateSpace(
-            self.program, self.config, obs=obs, analysis=analysis
-        )
-
-    def analyze(
-        self, obs: Optional["Instrumentation"] = None
-    ) -> "ProgramAnalysis":
-        """Run the static analysis pass over this checker's program.
-
-        Timed under the ``analysis`` profiling phase and reported as an
-        ``analysis_completed`` milestone when instrumented.
-        """
-        from ..analysis import analyze
-
-        if obs is None:
-            return analyze(self.program)
-        t0 = obs.hook_analysis.start()
-        result = analyze(self.program)
-        obs.hook_analysis.stop(t0)
-        obs.analysis_completed(result)
-        return result
-
-    def _resolve_analysis(
-        self,
-        analysis: Union[bool, "ProgramAnalysis", None],
-        obs: Optional["Instrumentation"],
-    ) -> Optional["ProgramAnalysis"]:
-        if analysis is None or analysis is False:
-            return None
-        if analysis is True:
-            return self.analyze(obs=obs)
-        if analysis.program != self.program.name:
-            raise ValueError(
-                f"analysis is for program {analysis.program!r}, "
-                f"not {self.program.name!r}"
-            )
-        return analysis
+        return ProgramStateSpace(self.program, self.config, obs=obs)
 
     # -- checking entry points -----------------------------------------------
 
@@ -149,7 +108,6 @@ class ChessChecker:
         trace_dir: Optional[Union[str, pathlib.Path]] = None,
         trace_spec: Optional[str] = None,
         obs: Optional["Instrumentation"] = None,
-        analysis: Union[bool, "ProgramAnalysis", None] = None,
         checkpoint: Optional[Union[str, pathlib.Path]] = None,
         checkpoint_stride: Optional[int] = None,
         cache: Optional["ResultCache"] = None,
@@ -167,9 +125,7 @@ class ChessChecker:
                 the frontier is sharded across worker processes (see
                 :mod:`repro.parallel`), and the bound-ordering
                 guarantee and the certified bound are preserved by the
-                coordinator's per-bound barrier.  Workers compose with
-                ``analysis``: every worker prunes with the one analysis
-                run here.
+                coordinator's per-bound barrier.
             strategy: overrides the search strategy (any strategy from
                 :mod:`repro.search`); only the plan's budgets apply to
                 it, so the plan refuses it together with a bound,
@@ -187,13 +143,6 @@ class ChessChecker:
                 metrics and phase timings flow through it (see
                 ``docs/observability.md``).  Under ``workers`` the
                 coordinator merges per-worker metric snapshots into it.
-            analysis: opt-in static-analysis search reduction (see
-                ``docs/analysis.md``).  ``True`` runs the analysis
-                pass here; a precomputed
-                :class:`~repro.analysis.ProgramAnalysis` for this
-                program is used as-is.  Proven thread-local accesses
-                stop generating ICB deferrals; any TOP summary
-                disables the reduction, making the flag always safe.
             checkpoint: path of a durable checkpoint file (see
                 :mod:`repro.service` and ``docs/service.md``).  When
                 the file exists the search *resumes* from it instead
@@ -223,7 +172,7 @@ class ChessChecker:
         limits = plan.limits
         cache_key: Optional[str] = None
         if cache is not None and cache.cacheable(limits):
-            cache_key = plan.cache_key(self.program, self.config, bool(analysis))
+            cache_key = plan.cache_key(self.program, self.config)
             served = cache.lookup(cache_key)
             if served is not None:
                 if obs is not None:
@@ -235,14 +184,11 @@ class ChessChecker:
 
             strategy.checkpointer = Checkpointer(
                 checkpoint,
-                plan.fingerprint(self.program, self.config, bool(analysis)),
+                plan.fingerprint(self.program, self.config),
                 stride=DEFAULT_STRIDE if checkpoint_stride is None else checkpoint_stride,
                 obs=obs,
             )
-        resolved = self._resolve_analysis(analysis, obs)
-        result = strategy.run(
-            self.space(obs=obs, analysis=resolved), limits=limits, obs=obs
-        )
+        result = strategy.run(self.space(obs=obs), limits=limits, obs=obs)
         certified = result.extras.get("completed_bound")
         if certified is None and result.completed:
             # Non-ICB strategies that exhausted the space certify all bounds.

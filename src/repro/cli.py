@@ -16,15 +16,12 @@ usual way to check :mod:`repro.invivo` programs -- real ``threading``
 code; see ``docs/invivo.md``).
 
 The static-analysis subsystem (see ``docs/analysis.md``) is exposed
-three ways: ``analyze`` prints a program's access summaries, lock
-graph and race candidates; ``lint`` reports static anomalies (exiting
-non-zero on findings not recorded in a ``--baseline`` file); and
-``check --analysis`` applies the analysis-driven scheduling-point
-reduction during the search::
+two ways: ``analyze`` prints a program's access summaries, lock graph
+and race candidates; ``lint`` reports static anomalies (exiting
+non-zero on findings not recorded in a ``--baseline`` file)::
 
     python -m repro analyze wsq:pop-race
     python -m repro lint --all --baseline ci/lint-baseline.txt
-    python -m repro check toy:stats-race --analysis
 
 ``check`` exits non-zero when a bug is found, so the CLI slots into CI
 pipelines the way the paper envisions systematic testing replacing
@@ -185,10 +182,6 @@ def _add_check_arguments(parser: argparse.ArgumentParser) -> None:
                         help="time every schedule/execute/fingerprint/"
                         "race-detect/cache-lookup call and print a phase "
                         "profile (adds overhead)")
-    parser.add_argument("--analysis", action="store_true",
-                        help="run the static analysis pass first and apply "
-                        "the scheduling-point reduction it proves sound "
-                        "(see docs/analysis.md)")
     parser.add_argument("--checkpoint", default=None, metavar="FILE",
                         help="durable checkpoint file: resume from it if it "
                         "exists, journal the search into it while running "
@@ -278,7 +271,7 @@ def _analysis_specs(args: argparse.Namespace) -> list:
     return [args.program]
 
 
-def _resolve_analysis_program(args: argparse.Namespace, spec: str) -> Program:
+def _program_for_analysis(args: argparse.Namespace, spec: str) -> Program:
     """Resolve one analyze/lint spec (built-in, spec'd, or --module)."""
     if getattr(args, "module", None) is not None:
         return _import_factory(spec)
@@ -293,7 +286,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         if not first:
             print()
         first = False
-        print(analyze(_resolve_analysis_program(args, spec)).render())
+        print(analyze(_program_for_analysis(args, spec)).render())
     return 0
 
 
@@ -302,7 +295,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
     findings: list = []
     for spec in _analysis_specs(args):
-        findings.extend(analyze(_resolve_analysis_program(args, spec)).findings)
+        findings.extend(analyze(_program_for_analysis(args, spec)).findings)
     if args.update_baseline:
         with open(args.update_baseline, "w", encoding="utf-8") as fh:
             fh.write(format_baseline(findings))
@@ -402,7 +395,6 @@ def _cmd_trace_save(args: argparse.Namespace) -> int:
     bug = _run_checker(
         checker.find_bug,
         max_bound=args.bound, limits=limits, workers=args.workers, obs=obs,
-        analysis=args.analysis,
     )
     _finish_obs(args, obs)
     if bug is None:
@@ -949,7 +941,6 @@ def _main(argv: Optional[list]) -> int:
         trace_dir=args.trace_dir,
         trace_spec=spec,
         obs=obs,
-        analysis=args.analysis,
         checkpoint=args.checkpoint,
         checkpoint_stride=args.checkpoint_stride,
         cache=cache,

@@ -16,12 +16,11 @@ import abc
 from typing import TYPE_CHECKING, Hashable, Optional, Tuple
 
 from ..errors import BugReport
-from .execution import Execution, ExecutionConfig, RaceDetection, Schedule, SchedulingPolicy
+from .execution import Execution, ExecutionConfig, Schedule, SchedulingPolicy
 from .program import Program
 from .thread import ThreadId
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
-    from ..analysis import ProgramAnalysis
     from ..obs.instrument import Instrumentation
 
 
@@ -111,13 +110,10 @@ class ProgramStateSpace(StateSpace):
         program: Program,
         config: Optional[ExecutionConfig] = None,
         obs: Optional["Instrumentation"] = None,
-        analysis: Optional["ProgramAnalysis"] = None,
     ):
         self.program = program
         self.config = config or ExecutionConfig()
         self.obs = obs
-        #: Optional static analysis backing :meth:`analysis_prunable`.
-        self.analysis = analysis
         self._current: Optional[Execution] = None
         #: The schedule ``_current`` was last positioned at.
         self._state: Optional[Schedule] = None
@@ -256,44 +252,6 @@ class ProgramStateSpace(StateSpace):
 
     def thread_count(self, state: object) -> Optional[int]:
         return len(self.execution_at(state).threads)
-
-    # -- static-analysis reduction ----------------------------------------
-
-    def analysis_prunable(self, state: object, tid: ThreadId) -> bool:
-        """Whether preempting ``tid`` at ``state`` can be skipped.
-
-        True when the attached :class:`~repro.analysis.ProgramAnalysis`
-        proves that ``tid``'s next step is a data access to a variable
-        no other thread instance can ever touch: every schedule that
-        preempts here is equivalent to one that lets ``tid`` take the
-        step first, so ICB need not defer those preemptions.
-
-        Soundness guards (see ``docs/analysis.md``):
-
-        * any TOP summary disables the reduction entirely
-          (``analysis.reduction_enabled``);
-        * under the ``SYNC_ONLY`` policy one scheduling step also
-          performs the *following* data accesses, whose targets the
-          pending effect does not reveal; skipping the preemption is
-          then sound only relative to race detection (the paper's
-          Theorem 2 argument), so fatal race detection must be on.
-        """
-        analysis = self.analysis
-        if analysis is None or not analysis.reduction_enabled:
-            return False
-        from ..analysis.summary import PRUNABLE_KINDS
-
-        config = self.config
-        if config.policy is not SchedulingPolicy.EVERY_ACCESS and not (
-            config.race_detection is not RaceDetection.NONE
-            and config.races_are_fatal
-        ):
-            return False
-        effect = self.execution_at(state).pending_effect(tid)
-        if effect is None or effect.kind not in PRUNABLE_KINDS:
-            return False
-        target = effect.target
-        return target is not None and target.name in analysis.proven_local
 
     @property
     def supports_por(self) -> bool:

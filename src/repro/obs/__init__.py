@@ -24,7 +24,6 @@ per hook site.  See ``docs/observability.md``.
 
 from .events import (
     EVENT_TYPES,
-    AnalysisCompleted,
     BoundCompleted,
     BoundStarted,
     BugFound,
@@ -55,7 +54,6 @@ from .sinks import (
 
 __all__ = [
     "EVENT_TYPES",
-    "AnalysisCompleted",
     "BoundCompleted",
     "BoundStarted",
     "BugFound",

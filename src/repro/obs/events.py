@@ -148,28 +148,6 @@ class RaceChecked(Event):
 
 
 @dataclass(frozen=True)
-class AnalysisCompleted(Event):
-    """The static analysis pass finished (before the search started).
-
-    ``top_threads`` counts summaries that fell back to TOP; any
-    nonzero value means the scheduling-point reduction is disabled
-    for the run (see ``docs/analysis.md``).  ``top_reasons`` records
-    *why* each TOP thread degraded (``"label: reason"`` joined with
-    ``"; "``, empty when none) so no program -- in particular no
-    in-vivo program -- silently loses the reduction."""
-
-    kind: ClassVar[str] = "analysis_completed"
-
-    program: str
-    threads: int
-    top_threads: int
-    proven_local: int
-    candidates: int
-    findings: int
-    top_reasons: str
-
-
-@dataclass(frozen=True)
 class WorkerHeartbeat(Event):
     """Progress streamed by one parallel worker (cumulative totals)."""
 
@@ -296,7 +274,6 @@ EVENT_TYPES: Dict[str, Type[Event]] = {
         StateVisited,
         BugFound,
         RaceChecked,
-        AnalysisCompleted,
         WorkerHeartbeat,
         CheckpointSaved,
         CheckpointResumed,

@@ -28,7 +28,6 @@ import time
 from typing import TYPE_CHECKING, Optional
 
 from .events import (
-    AnalysisCompleted,
     BoundCompleted,
     BoundStarted,
     BugFound,
@@ -53,7 +52,6 @@ from .metrics import Histogram, MetricsRegistry, MetricsSnapshot
 from .profile import Profiler
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
-    from ..analysis import ProgramAnalysis
     from ..errors import BugReport
 
 
@@ -144,7 +142,6 @@ class Instrumentation:
             "race-detect", registry.histogram("race_check_latency"), profiler, sample_stride
         )
         self.hook_cache = _PhaseHook("cache-lookup", None, profiler)
-        self.hook_analysis = _PhaseHook("analysis", None, profiler)
 
     def now(self) -> float:
         """Seconds since this instrumentation was armed."""
@@ -255,31 +252,6 @@ class Instrumentation:
                     message=bug.message,
                     preemptions=bug.preemptions,
                     new=new,
-                )
-            )
-
-    def analysis_completed(self, analysis: "ProgramAnalysis") -> None:
-        """Milestone: the pre-search static analysis pass finished."""
-        self.metrics.add("analyses")
-        summary = analysis.summary
-        top = [t for t in summary.threads if t.top]
-        if top:
-            # A TOP fallback is never silent: the count is a counter
-            # and the reasons travel on the event.
-            self.metrics.add("analysis_top_threads", len(top))
-        if self.bus.active:
-            self.bus.emit(
-                AnalysisCompleted(
-                    self.now(),
-                    program=summary.program,
-                    threads=len(summary.threads),
-                    top_threads=len(top),
-                    proven_local=len(analysis.proven_local),
-                    candidates=len(analysis.candidates),
-                    findings=len(analysis.findings),
-                    top_reasons="; ".join(
-                        f"{t.label}: {t.top_reason}" for t in top
-                    ),
                 )
             )
 

@@ -2,8 +2,6 @@
 
 The search loop decomposes into recurring kinds of work:
 
-* ``analysis`` -- the one-shot static analysis pass before the search
-  starts (``ChessChecker(..., analysis=True)``);
 * ``schedule`` -- asking the space which threads are enabled;
 * ``execute`` -- running one transition;
 * ``replay`` -- re-executing a schedule from the start to reach a
@@ -33,7 +31,6 @@ from typing import Dict, Optional, Tuple
 
 #: Canonical phase names, in reporting order.
 PHASES: Tuple[str, ...] = (
-    "analysis",
     "schedule",
     "execute",
     "replay",

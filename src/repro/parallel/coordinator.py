@@ -33,7 +33,7 @@ import pickle
 import queue
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Deque, Dict, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from ..service.checkpoint import Checkpointer
@@ -125,7 +125,6 @@ class _Pool:
                     wid,
                     space.program,
                     space.config,
-                    space.analysis,
                     self.tasks,
                     self.results,
                     self.stop_event,
@@ -171,11 +170,11 @@ class _Pool:
 
 def _mp_context(space: ProgramStateSpace) -> Any:
     """``fork`` where available; otherwise children rebuild the program
-    (and its analysis) by unpickling, which is checked up front."""
+    by unpickling, which is checked up front."""
     if "fork" in multiprocessing.get_all_start_methods():
         return multiprocessing.get_context("fork")
     try:
-        pickle.dumps((space.program, space.config, space.analysis))
+        pickle.dumps((space.program, space.config))
     except Exception as exc:
         raise ReproError(
             f"parallel checking without fork requires a picklable program; "
@@ -190,7 +189,7 @@ class ParallelCoordinator(IterativeContextBounding):
 
     A drop-in replacement for the serial strategy on a
     :class:`~repro.core.transition.ProgramStateSpace`, whose program,
-    config and static analysis the workers rebuild::
+    and config the workers rebuild::
 
         coordinator = ParallelCoordinator(workers=4, max_bound=2)
         result = coordinator.run(ChessChecker(program).space(),
@@ -239,7 +238,7 @@ class ParallelCoordinator(IterativeContextBounding):
         if not isinstance(space, ProgramStateSpace):
             raise ReproError(
                 "parallel ICB needs a ProgramStateSpace: workers rebuild it "
-                "from its program, config and analysis"
+                "from its program and config"
             )
         # The coordinator's space only answers the seeding queries; the
         # workers explore.  Detaching it keeps engine counters (replays,
@@ -284,7 +283,6 @@ class ParallelCoordinator(IterativeContextBounding):
         work_queue: Deque[Pair],
         next_queue: Deque[Pair],
         cache: Optional[WorkItemCache],
-        prune: Optional[Callable[[object, Any], bool]],
         extras: Dict[str, Any],
     ) -> None:
         pool = self._pool

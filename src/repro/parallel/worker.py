@@ -35,10 +35,7 @@ import os
 import queue
 import time
 from dataclasses import replace
-from typing import TYPE_CHECKING, Any, List, Optional
-
-if TYPE_CHECKING:  # pragma: no cover - type-only import
-    from ..analysis import ProgramAnalysis
+from typing import Any, List, Optional
 
 from ..core.execution import ExecutionConfig
 from ..core.program import Program
@@ -160,21 +157,18 @@ def explore_shard(
 ) -> ShardOutcome:
     """Explore every item of ``task`` within the current bound.
 
-    Uses the serial ICB item loop verbatim (including the static
-    analysis reduction when the space carries an analysis), so a
-    shard's exploration is indistinguishable from the same items being
+    Uses the serial ICB item loop verbatim, so a shard's exploration is indistinguishable from the same items being
     drained by the serial engine.  Stops early (``completed=False``)
     only when a budget or the coordinator's stop event fires.
     """
 
     icb = IterativeContextBounding()
-    prune = space.analysis_prunable if space.analysis is not None else None
     deferred: List[Pair] = []
     completed, reason = True, "shard exhausted"
     ctx.record_initial(space, space.initial_state())
     for item in task.items:
         try:
-            icb._search_item(space, ctx, item, deferred, None, prune)  # type: ignore[arg-type]
+            icb._search_item(space, ctx, item, deferred, None)  # type: ignore[arg-type]
         except (SearchBudgetExceeded, SearchInterrupted) as exc:
             completed, reason = False, str(exc)
             break
@@ -193,7 +187,6 @@ def worker_main(
     worker_id: int,
     program: Program,
     config: Optional[ExecutionConfig],
-    analysis: Optional["ProgramAnalysis"],
     task_queue: Any,
     result_queue: Any,
     stop_event: Any,
@@ -218,7 +211,7 @@ def worker_main(
     """
 
     parent_pid = os.getppid()
-    space = ProgramStateSpace(program, config, analysis=analysis)
+    space = ProgramStateSpace(program, config)
     while True:
         try:
             task = task_queue.get(timeout=0.2)

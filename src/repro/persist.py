@@ -15,11 +15,12 @@ keys only it has) and its own error type.
   are lists of indices into it, rebuilt on load through
   :meth:`~repro.core.thread.ThreadId.from_path`.
 * **Bugs.**  :func:`bug_to_json` / :meth:`Decoder.bug`.
-* **Statistics.**  :func:`context_to_json` / :meth:`Decoder.context`.
-  Distinct states are ``[fingerprint, bound]`` pairs, or -- for cache
-  entries, whose verdicts need only the counts -- a per-bound
-  histogram served back as synthetic ``("cached", bound, i)``
-  fingerprints.
+* **Statistics.**  :func:`context_to_json` / :meth:`Decoder.context`,
+  and a result's extras, :func:`extras_to_json` /
+  :meth:`Decoder.extras`.  Distinct states are ``[fingerprint, bound]``
+  pairs, or -- for cache entries, whose verdicts need only the counts
+  -- a per-bound histogram served back as synthetic
+  ``("cached", bound, i)`` fingerprints.
 * **Files.**  :func:`write_atomic` (temp file + ``os.replace``, so a
   reader or a crash sees the old file or the new one, never half) and
   :meth:`Decoder.read_json`.
@@ -103,6 +104,19 @@ def bug_to_json(bug: BugReport, table: ThreadTable) -> Dict[str, Any]:
     }
 
 
+#: Count of the removed analysis-driven search reduction.  Contexts and
+#: ICB extras keep writing it, as 0, so every existing cache entry and
+#: checkpoint keeps its bytes; decoding requires it and refuses any
+#: other value, which only the removed reduction could have written.
+PRUNED_KEY = "analysis_pruned"
+
+
+def extras_to_json(extras: Dict[str, Any]) -> List[List[Any]]:
+    """A result's extras as sorted ``[name, value]`` pairs."""
+    pairs = dict(extras, **{PRUNED_KEY: 0})
+    return [[name, sanitize(value)] for name, value in sorted(pairs.items())]
+
+
 def context_to_json(
     ctx: "SearchContext", table: ThreadTable, by_bound: bool = False
 ) -> Dict[str, Any]:
@@ -111,7 +125,7 @@ def context_to_json(
     data: Dict[str, Any] = {
         "executions": ctx.executions,
         "transitions": ctx.transitions,
-        "analysis_pruned": ctx.analysis_pruned,
+        PRUNED_KEY: 0,
         "max_steps": ctx.max_steps,
         "max_blocking": ctx.max_blocking,
         "max_preemptions": ctx.max_preemptions,
@@ -186,6 +200,21 @@ class Decoder:
                 raise self.error(f"{where}.{key}[{i}] must be a [key, value] pair")
             pairs.append((pair[0], pair[1]))
         return pairs
+
+    def unpruned(self, data: Any, where: str) -> None:
+        """Check the constant :data:`PRUNED_KEY` count."""
+        if self.require(data, PRUNED_KEY, int, where) != 0:
+            raise self.error(
+                f"{where}: key {PRUNED_KEY!r} must be 0: it was written by "
+                "the removed analysis reduction"
+            )
+
+    def extras(self, data: Any, where: str) -> Dict[str, Any]:
+        """Read :func:`extras_to_json`'s output under ``data["extras"]``."""
+        extras = dict(self.key_values(data, "extras", where))
+        self.unpruned(extras, f"{where}.extras")
+        del extras[PRUNED_KEY]
+        return extras
 
     def kind(self, data: Any, where: str) -> BugKind:
         try:
@@ -263,7 +292,7 @@ class Decoder:
         """Fill ``ctx`` from :func:`context_to_json`'s output."""
         ctx.executions = self.require(data, "executions", int, where)
         ctx.transitions = self.require(data, "transitions", int, where)
-        ctx.analysis_pruned = self.require(data, "analysis_pruned", int, where)
+        self.unpruned(data, where)
         ctx.max_steps = self.require(data, "max_steps", int, where)
         ctx.max_blocking = self.require(data, "max_blocking", int, where)
         ctx.max_preemptions = self.require(data, "max_preemptions", int, where)

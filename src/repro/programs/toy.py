@@ -393,13 +393,11 @@ def stats_race(rounds: int = 2) -> Program:
     Each thread keeps a per-thread atomic operation counter (``ops0``,
     ``ops1``) around its accesses to the shared unlocked ``stat``
     variable.  The counters are scheduling points (atomic accesses)
-    that static analysis proves thread-local, so the analysis-driven
-    reduction skips every deferral at them; the race itself is already
-    unordered in the round-robin execution and is reported at
-    preemption bound zero, where ICB defers nothing.  Both facts
-    together make this a program where ``analysis=True`` must find the
-    *identical* bug witnesses with strictly fewer transitions (the
-    acceptance test in ``tests/analysis``).
+    on variables no other thread touches, so ICB spends preemptions
+    at them that cannot change any outcome; the race itself is
+    already unordered in the round-robin execution and is reported at
+    preemption bound zero.  ``repro analyze`` reports the race
+    candidate on ``stat``.
     """
 
     def setup(w: World):
@@ -433,15 +431,12 @@ def stats_assert(increments: int = 2) -> Program:
     at the end; a checker thread waits for both events and asserts the
     total.  (Root-spec threads rather than ``spawn``: the analyzer
     treats all instances of a spawned body as one multi-instance
-    summary, which would stop the per-worker counters from being
-    proven thread-local.)  Exposing the lost update requires
-    preempting a worker *between its read and write of ``total``* --
-    both scheduling points on a shared variable, which the reduction
-    never touches.  A preemption spent at a proven-local ``ops<i>``
-    access instead leaves no budget for a second one, so the rest of
-    that execution is serial and the assertion holds: the pruned
-    subtrees are exactly the bug-free ones, keeping the found
-    witnesses identical.
+    summary, whose per-worker counters would then look shared.)
+    Exposing the lost update requires preempting a worker *between its
+    read and write of ``total``*.  A preemption spent at a private
+    ``ops<i>`` access instead leaves no budget for a second one at
+    bound 1, so the rest of that execution is serial and the
+    assertion holds.
     """
 
     def setup(w: World):
@@ -479,10 +474,8 @@ def stats_deadlock() -> Program:
 
     Identical to :func:`lock_order_deadlock` except each thread bumps
     a private atomic counter before its first acquire and after its
-    last release.  The counters are proven thread-local, so the
-    reduction prunes the deferrals at them; the deadlock still needs
-    (and gets) the preemption between the two acquires, where the
-    pending effect is an ``ACQUIRE`` the reduction never prunes.
+    last release.  Preemptions at the private counters are wasted;
+    the deadlock needs the preemption between the two acquires.
     """
 
     def setup(w: World):

@@ -26,11 +26,7 @@ ZING space.
 """
 
 from .dfs import DepthFirstSearch
-from .heuristics import (
-    EnabledThreadsHeuristic,
-    FrontierPrioritizer,
-    RaceCandidatePrioritizer,
-)
+from .heuristics import EnabledThreadsHeuristic
 from .icb import IterativeContextBounding
 from .pct import PCTScheduler
 from .plan import CheckPlan, PlanError
@@ -44,12 +40,10 @@ __all__ = [
     "CheckPlan",
     "DepthFirstSearch",
     "EnabledThreadsHeuristic",
-    "FrontierPrioritizer",
     "IterativeContextBounding",
     "IterativeDeepening",
     "PCTScheduler",
     "PlanError",
-    "RaceCandidatePrioritizer",
     "RandomWalk",
     "SleepSetDFS",
     "SearchContext",

@@ -24,12 +24,8 @@ Consequences (Section 2 of the paper), all preserved here:
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Deque, Dict, Iterable, List, Optional, Tuple
 
-if TYPE_CHECKING:  # pragma: no cover - type-only import
-    from .heuristics import FrontierPrioritizer
-
-from ..core.thread import ThreadId
 from ..core.transition import StateSpace
 from ..errors import SearchInterrupted
 from .plan import refuse
@@ -40,10 +36,6 @@ from .strategy import SearchContext, Strategy
 #: items append the state's fingerprint (see ``_search_item``).
 WorkItem = Tuple[Any, ...]
 
-#: space.analysis_prunable, bound to the space (see FrontierPrioritizer
-#: in :mod:`repro.search.heuristics` for the companion ordering hook).
-_PruneTest = Callable[[object, ThreadId], bool]
-
 
 class IterativeContextBounding(Strategy):
     """The paper's iterative context-bounding search.
@@ -53,12 +45,6 @@ class IterativeContextBounding(Strategy):
             (``None`` explores bounds until the space is exhausted).
         state_caching: enable the work-item table of Algorithm 1
             (the ZING configuration; CHESS runs without it).
-        prioritizer: optional frontier ordering hook (e.g.
-            :class:`~repro.search.heuristics.RaceCandidatePrioritizer`);
-            applied to the deferred queue at every bound increment.
-            Ordering within one bound never affects which executions
-            the bound explores, so the certified-bound guarantee is
-            untouched -- only discovery order within the bound shifts.
         checkpointer: optional
             :class:`~repro.service.checkpoint.Checkpointer`.  The
             search resumes from its checkpoint when one exists, and
@@ -78,13 +64,11 @@ class IterativeContextBounding(Strategy):
         self,
         max_bound: Optional[int] = None,
         state_caching: bool = False,
-        prioritizer: Optional["FrontierPrioritizer"] = None,
         checkpointer: Optional[Any] = None,
     ) -> None:
         refuse(max_bound, state_caching)
         self.max_bound = max_bound
         self.state_caching = state_caching
-        self.prioritizer = prioritizer
         self.checkpointer = checkpointer
 
     def _search(
@@ -92,12 +76,6 @@ class IterativeContextBounding(Strategy):
     ) -> None:
         cache = WorkItemCache() if self.state_caching else None
         initial = space.initial_state()
-
-        # The static-analysis reduction: only spaces carrying a
-        # ProgramAnalysis expose a usable analysis_prunable.
-        prune: Optional[_PruneTest] = None
-        if getattr(space, "analysis", None) is not None:
-            prune = getattr(space, "analysis_prunable", None)
 
         work_queue: Deque[WorkItem] = deque()
         next_queue: Deque[WorkItem] = deque()
@@ -130,7 +108,7 @@ class IterativeContextBounding(Strategy):
                 if obs is not None:
                     obs.bound_started(bound, len(work_queue))
                 self._explore_bound(
-                    space, ctx, bound, work_queue, next_queue, cache, prune, extras
+                    space, ctx, bound, work_queue, next_queue, cache, extras
                 )
                 # All executions with at most `bound` preemptions explored.
                 extras["completed_bound"] = bound
@@ -150,14 +128,9 @@ class IterativeContextBounding(Strategy):
                 if self.max_bound is not None and bound >= self.max_bound:
                     break
                 bound += 1
-                if self.prioritizer is not None:
-                    next_queue = deque(
-                        self.prioritizer.sort_frontier(space, next_queue)
-                    )
                 work_queue, next_queue = next_queue, deque()
         finally:
             extras["final_frontier"] = len(next_queue)
-            extras["analysis_pruned"] = ctx.analysis_pruned
             if cache is not None:
                 extras["cache_hits"] = cache.hits
                 extras["cache_size"] = len(cache)
@@ -170,7 +143,6 @@ class IterativeContextBounding(Strategy):
         work_queue: Deque[WorkItem],
         next_queue: Deque[WorkItem],
         cache: Optional[WorkItemCache],
-        prune: Optional[_PruneTest],
         extras: Dict[str, Any],
     ) -> None:
         """Drain ``work_queue``: explore every item within ``bound``,
@@ -183,7 +155,7 @@ class IterativeContextBounding(Strategy):
         checkpointer = self.checkpointer
         while work_queue:
             item = work_queue.popleft()
-            self._search_item(space, ctx, item, next_queue, cache, prune)
+            self._search_item(space, ctx, item, next_queue, cache)
             if checkpointer is not None and checkpointer.note_item():
                 self._save_checkpoint(
                     bound, work_queue, next_queue, ctx, cache, extras
@@ -216,7 +188,6 @@ class IterativeContextBounding(Strategy):
         item: WorkItem,
         next_queue: Deque[WorkItem],
         cache: Optional[WorkItemCache],
-        prune: Optional[_PruneTest] = None,
     ) -> None:
         """The recursive ``Search`` procedure, iteratively.
 
@@ -253,16 +224,6 @@ class IterativeContextBounding(Strategy):
                 # The running thread may continue: scheduling any other
                 # enabled thread here would be a preemption.
                 stack.append((successor, tid) + carried)
-                if (
-                    prune is not None
-                    and len(enabled) > 1
-                    and prune(successor, tid)
-                ):
-                    # The next step is a proven-thread-local data
-                    # access: preempting here commutes with letting
-                    # `tid` take it, so every deferral is redundant.
-                    ctx.analysis_pruned += len(enabled) - 1
-                    continue
                 for other in enabled:
                     if other != tid:
                         next_queue.append((successor, other) + carried)

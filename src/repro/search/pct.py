@@ -20,14 +20,11 @@ other strategy.
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Any, Dict, FrozenSet, List, Optional
+from typing import Any, Dict, List
 
 from ..core.thread import ThreadId
 from ..core.transition import StateSpace
 from .strategy import SearchContext, Strategy
-
-if TYPE_CHECKING:  # pragma: no cover - type-only import
-    from ..analysis import ProgramAnalysis
 
 
 class PCTScheduler(Strategy):
@@ -41,14 +38,6 @@ class PCTScheduler(Strategy):
             to place change points (runs longer than this simply get
             no further priority changes).
         seed: PRNG seed for reproducibility.
-        analysis: optional :class:`~repro.analysis.ProgramAnalysis`;
-            when given, steps about to access a statically
-            race-candidate variable also become change points with
-            probability 1/2, biasing the ``d - 1`` demotions toward
-            the accesses that can actually race.  The PCT probability
-            guarantee is unaffected: the uniformly random change
-            points are still placed, extra ones only spend the
-            remaining demotion budget earlier.
     """
 
     name = "pct"
@@ -59,7 +48,6 @@ class PCTScheduler(Strategy):
         executions: int = 1000,
         max_steps: int = 200,
         seed: int = 0,
-        analysis: Optional["ProgramAnalysis"] = None,
     ) -> None:
         if depth < 1:
             raise ValueError("depth must be at least 1")
@@ -71,10 +59,6 @@ class PCTScheduler(Strategy):
         self.executions = executions
         self.max_steps = max_steps
         self.seed = seed
-        self.analysis = analysis
-        self._hot: FrozenSet[str] = (
-            analysis.hot_variables if analysis is not None else frozenset()
-        )
 
     def _search(
         self, space: StateSpace, ctx: SearchContext, extras: Dict[str, Any]
@@ -107,8 +91,6 @@ class PCTScheduler(Strategy):
         ]
         demoted = 0
         step = 0
-        hot = self._hot
-        execution_at = getattr(space, "execution_at", None) if hot else None
         while not space.is_terminal(state):
             step += 1
             enabled = space.enabled(state)
@@ -117,21 +99,9 @@ class PCTScheduler(Strategy):
                     # Fresh threads draw a random high priority.
                     priorities[tid] = rng.random()
             tid = max(enabled, key=lambda t: priorities[t])
-            change_here = step in change_points
-            if (
-                not change_here
-                and execution_at is not None
-                and demoted < len(demotions)
-            ):
-                # Analysis bias: an imminent access to a statically
-                # race-candidate variable is worth a change point too.
-                effect = execution_at(state).pending_effect(tid)
-                target = getattr(effect, "target", None)
-                if getattr(target, "name", None) in hot:
-                    change_here = rng.random() < 0.5
             state = space.execute(state, tid)
             ctx.visit(space, state)
-            if change_here and demoted < len(demotions):
+            if step in change_points and demoted < len(demotions):
                 priorities[tid] = demotions[demoted]
                 demoted += 1
         ctx.note_terminal(space, state)

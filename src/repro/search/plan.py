@@ -267,7 +267,6 @@ class CheckPlan:
         self,
         program: "Program",
         config: Optional["ExecutionConfig"] = None,
-        analysis: bool = False,
     ) -> Dict[str, Any]:
         """The identity a checkpoint of this search binds to.
 
@@ -286,14 +285,17 @@ class CheckPlan:
             "config": config_to_json(config or ExecutionConfig()),
             "strategy": "icb",
             "state_caching": self.state_caching,
-            "analysis": analysis,
+            # Constant: the analysis-driven search reduction it once
+            # recorded is gone.  Kept so every checkpoint written
+            # before resumes, and one written with the reduction on
+            # ("analysis": true) is refused as another search.
+            "analysis": False,
         }
 
     def cache_key(
         self,
         program: "Program",
         config: Optional["ExecutionConfig"] = None,
-        analysis: bool = False,
     ) -> str:
         """The content address of this check's outcome.
 
@@ -303,7 +305,7 @@ class CheckPlan:
         parallel runs report identical results; so is ``max_seconds``,
         because a run with a wall-clock budget is never cached.
         """
-        fingerprint = self.fingerprint(program, config, analysis)
+        fingerprint = self.fingerprint(program, config)
         limits = self.limits
         payload = {
             "program": fingerprint["program"],
@@ -317,7 +319,9 @@ class CheckPlan:
                 "name": "icb",
                 "max_bound": self.max_bound,
                 "state_caching": self.state_caching,
-                "analysis": analysis,
+                # Constant, as in fingerprint(): keeps every existing
+                # result-cache key byte-identical.
+                "analysis": False,
             },
         }
         return hashlib.sha256(

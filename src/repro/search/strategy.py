@@ -79,9 +79,6 @@ class SearchContext:
         self.bugs: Dict[Tuple[Any, ...], BugReport] = {}
         self.executions = 0
         self.transitions = 0
-        #: Deferrals ICB skipped because static analysis proved the
-        #: preempted step thread-local (see ``docs/analysis.md``).
-        self.analysis_pruned = 0
         #: Bounded recorder behind the :attr:`history` property.
         self._history = CoverageRecorder(max_samples=history_samples)
         self.max_steps = 0
@@ -169,8 +166,7 @@ class SearchContext:
         its workers streamed) into the run's live context, and to fold
         a checkpoint's statistics into a resumed one:
 
-        * executions, transitions and analysis-pruned deferrals are
-          summed;
+        * executions and transitions are summed;
         * distinct states are unioned, each keeping the minimum
           preemption count;
         * bugs are deduplicated by :attr:`BugReport.signature`, keeping
@@ -204,7 +200,6 @@ class SearchContext:
             self._history.extend_raw(points)
         self.executions += other.executions
         self.transitions += other.transitions
-        self.analysis_pruned += other.analysis_pruned
         self.max_steps = max(self.max_steps, other.max_steps)
         self.max_blocking = max(self.max_blocking, other.max_blocking)
         self.max_preemptions = max(self.max_preemptions, other.max_preemptions)

@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING, Any, Dict, Optional, Union
 from ..core.execution import ExecutionConfig
 from ..core.program import Program
 from ..errors import ReproError
-from ..persist import Decoder, ThreadTable, context_to_json, sanitize, write_atomic
+from ..persist import Decoder, ThreadTable, context_to_json, extras_to_json, write_atomic
 from ..search.plan import CheckPlan, SearchLimits
 from ..search.strategy import SearchContext, SearchResult
 
@@ -59,13 +59,12 @@ class ResultCacheError(ReproError):
 def result_cache_key(
     program: Program,
     config: Optional[ExecutionConfig] = None,
-    analysis: bool = False,
     **fields: Any,
 ) -> str:
     """The content address of one check's outcome: the
     :meth:`~repro.search.plan.CheckPlan.cache_key` of the plan whose
     fields are ``fields``."""
-    return CheckPlan(**fields).cache_key(program, config, analysis)
+    return CheckPlan(**fields).cache_key(program, config)
 
 
 _DECODE = Decoder(ResultCacheError)
@@ -137,9 +136,7 @@ class ResultCache:
                 "certified_bound": result.certified_bound,
                 "stop_on_first_bug": ctx.limits.stop_on_first_bug,
                 "threads": table.to_json(),
-                "extras": [
-                    [name, sanitize(value)] for name, value in sorted(search.extras.items())
-                ],
+                "extras": extras_to_json(search.extras),
                 "context": context,
             },
         )
@@ -192,7 +189,7 @@ class ResultCache:
             SearchContext(SearchLimits(stop_on_first_bug=bool(data.get("stop_on_first_bug")))),
             by_bound=True,
         )
-        extras: Dict[str, Any] = dict(_DECODE.key_values(data, "extras", where))
+        extras = _DECODE.extras(data, where)
         extras["cache_hit"] = True
         extras["served_from"] = key
         search = SearchResult(

@@ -17,8 +17,8 @@ and ``BugReport.identity`` set of an uninterrupted run -- the property
 
 **Identity.**  A checkpoint binds to a search via a *fingerprint*:
 program name + thread-structure hash, the replay-relevant
-``ExecutionConfig`` knobs and the strategy shape (name, state caching,
-analysis reduction).  State fingerprints are pure functions of program
+``ExecutionConfig`` knobs and the strategy shape (name, state
+caching).  State fingerprints are pure functions of program
 state (see ``Execution.fingerprint``), so any process can resume any
 checkpoint of the same search.  Version 1 files hold fingerprints from
 an earlier, hash-seed-dependent scheme and are refused: they cannot be
@@ -89,13 +89,12 @@ _DECODE = Decoder(CheckpointError)
 def search_fingerprint(
     program: Program,
     config: Optional[ExecutionConfig] = None,
-    analysis: bool = False,
     **fields: Any,
 ) -> Dict[str, Any]:
     """The identity a checkpoint binds to: the
     :meth:`~repro.search.plan.CheckPlan.fingerprint` of the plan whose
     fields are ``fields``."""
-    return CheckPlan(**fields).fingerprint(program, config, analysis)
+    return CheckPlan(**fields).fingerprint(program, config)
 
 
 def _pairs_to_json(

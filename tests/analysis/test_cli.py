@@ -1,4 +1,4 @@
-"""CLI coverage for ``repro analyze``, ``repro lint`` and ``check --analysis``."""
+"""CLI coverage for ``repro analyze`` and ``repro lint``."""
 
 from __future__ import annotations
 
@@ -131,21 +131,3 @@ class TestLint:
         capsys.readouterr()
         assert main(["lint", "--module", spec, "--baseline", str(baseline)]) == 0
         assert "all baselined" in capsys.readouterr().out
-
-
-class TestCheckAnalysis:
-    def test_buggy_program_still_fails(self):
-        # --analysis must not mask the assertion failure.
-        code = main(["check", "toy:stats-race", "--analysis", "--bound", "1"])
-        assert code != 0
-
-    def test_clean_program_passes(self):
-        code = main(["check", "toy:chain", "--analysis", "--bound", "1"])
-        assert code == 0
-
-    def test_analysis_composes_with_workers(self):
-        assert main(["check", "toy:chain", "--analysis", "--workers", "2"]) == 0
-        code = main(
-            ["check", "toy:stats-race", "--analysis", "--workers", "2", "--bound", "1"]
-        )
-        assert code != 0

@@ -8,7 +8,7 @@ Two soundness obligations, checked over *every* builtin program:
   that appears among the static race candidates (the candidate set is
   a superset of the real races).
 
-These are the properties the search reduction and the prioritizer
+These are the properties the lock graph, race candidates and lint
 lean on, so they are exercised against the whole benchmark registry
 rather than hand-picked examples.
 """

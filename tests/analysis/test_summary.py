@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro import EffectKind, Program
-from repro.analysis import analyze, analyze_program
+from repro.analysis import analyze_program
 from repro.programs import toy, workstealqueue
 
 from .fixtures import opaque_program
@@ -29,22 +29,35 @@ class TestLockedCounter:
             assert not thread.exit_unreleased
 
 
+def touching(summary, variable):
+    """Runtime thread instances whose summaries touch ``variable``
+    (a multi-instance summary counts twice)."""
+    return sum(
+        2 if t.multi_instance else 1 for t in summary.threads if variable in t.touched
+    )
+
+
 class TestProvenLocal:
+    """Which thread instances touch which variable: the facts behind
+    the self-race candidates and the hidden-state lint."""
+
     def test_chain_counters_are_local(self):
-        analysis = analyze(toy.chain_program(n_threads=2, steps=2))
-        assert analysis.reduction_enabled
-        assert {"c0", "c1"} <= analysis.proven_local
+        summary = analyze_program(toy.chain_program(n_threads=2, steps=2))
+        assert not summary.any_top
+        assert touching(summary, "c0") == touching(summary, "c1") == 1
 
     def test_shared_variable_is_not_local(self):
-        analysis = analyze(toy.racy_counter())
-        assert "counter" not in analysis.proven_local
+        summary = analyze_program(toy.racy_counter())
+        assert touching(summary, "counter") > 1
 
     def test_spawned_bodies_count_as_multiple_instances(self):
         # atomic_counter_assert spawns its workers from one function:
-        # the analyzer folds them into one multi-instance summary, so
-        # nothing that body touches can be proven thread-local.
-        analysis = analyze(toy.atomic_counter_assert())
-        assert "counter" not in analysis.proven_local
+        # the analyzer folds them into one multi-instance summary.
+        summary = analyze_program(toy.atomic_counter_assert())
+        assert any(
+            t.multi_instance and "counter" in t.touched for t in summary.threads
+        )
+        assert touching(summary, "counter") > 1
 
 
 class TestCoverage:
@@ -68,11 +81,6 @@ class TestTopFallback:
         for thread in summary.threads:
             assert thread.top
             assert thread.top_reason
-
-    def test_top_disables_reduction_and_localness(self):
-        analysis = analyze(opaque_program())
-        assert not analysis.reduction_enabled
-        assert analysis.proven_local == frozenset()
 
     def test_top_thread_covers_everything(self):
         summary = analyze_program(opaque_program())

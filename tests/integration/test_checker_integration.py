@@ -33,6 +33,20 @@ class TestFacade:
                 strategy=DepthFirstSearch(), max_bound=1
             )
 
+    def test_the_removed_analysis_option_fails_loudly(self):
+        # The analysis-driven search reduction is gone: a stale caller
+        # is refused, never silently run without it.
+        from repro.cli import main
+
+        checker = ChessChecker(toy.locked_counter())
+        with pytest.raises(TypeError, match="analysis"):
+            checker.check(analysis=True)
+        with pytest.raises(TypeError, match="analysis"):
+            checker.find_bug(analysis=True)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["check", "wsq", "--analysis"])
+        assert excinfo.value.code == 2
+
 
 class TestWitnessReplay:
     def test_replay_reaches_the_bug(self):

@@ -1,4 +1,4 @@
-"""In-vivo static analysis: soundness, reduction equivalence, lint.
+"""In-vivo static analysis: soundness, lint, loud TOP fallback.
 
 :mod:`repro.analysis.invivo` abstractly interprets the *source* of
 real thread callables, so in-vivo programs get the same static
@@ -8,16 +8,11 @@ summaries as the DSL.  These tests pin its contracts over every
 * soundness -- every shared access observed dynamically is covered by
   the static summary, and every dynamic race variable appears among
   the static race candidates;
-* reduction equivalence -- ``check(analysis=True)`` reports the
-  identical ``BugReport.identity`` set while never exploring more
-  transitions, and prunes strictly (``analysis_pruned > 0``) on at
-  least one program;
 * the hidden-state lint -- plain attributes written by more than one
   checked thread are flagged with fingerprints stable across fresh
   interpreters; and
 * no silent TOP -- when a body defeats the analyzer, the summary
-  records *why* and the reason travels on the ``analysis_completed``
-  event.
+  records *why* and ``repro analyze`` prints the reason.
 """
 
 from __future__ import annotations
@@ -41,7 +36,6 @@ from repro import (
 )
 from repro.analysis import analyze, analyze_program, lint_program
 from repro.invivo import InvivoProgram
-from repro.obs import Instrumentation
 from repro.races import race_variable_from_message
 
 EXAMPLES = [
@@ -124,45 +118,6 @@ class TestSoundness:
         }
         missed = sorted(raced - candidate_vars)
         assert not missed, f"dynamic races not predicted statically: {missed}"
-
-
-class TestReductionEquivalence:
-    """``analysis=True`` never changes the verdict, only the work."""
-
-    @pytest.mark.parametrize("name,factory", VARIANTS, ids=VARIANT_IDS)
-    def test_identical_bug_identities(self, name, factory):
-        mod = importlib.import_module(name)
-        bound = mod.EXPECTED["bound"]
-        baseline = ChessChecker(build(name, factory)).check(max_bound=bound)
-        reduced = ChessChecker(build(name, factory)).check(
-            max_bound=bound, analysis=True
-        )
-        assert sorted(b.identity for b in reduced.bugs) == sorted(
-            b.identity for b in baseline.bugs
-        )
-        assert reduced.transitions <= baseline.transitions
-
-    def test_hidden_state_prunes_strictly(self):
-        # The acceptance witness: an in-vivo program that explores
-        # strictly fewer transitions under the reduction.  The private
-        # Atomic scratch slots are proven thread-local, so ICB skips
-        # deferring a preemption at each of their operations.
-        baseline = ChessChecker(build(HIDDEN_STATE, "make_program")).check(
-            max_bound=1
-        )
-        reduced = ChessChecker(build(HIDDEN_STATE, "make_program")).check(
-            max_bound=1, analysis=True
-        )
-        assert reduced.search.extras["analysis_pruned"] > 0
-        assert reduced.transitions < baseline.transitions
-        assert sorted(b.identity for b in reduced.bugs) == sorted(
-            b.identity for b in baseline.bugs
-        )
-
-    def test_proven_local_covers_the_scratch_slots(self):
-        analysis = analyze(build(HIDDEN_STATE, "make_program"))
-        assert analysis.reduction_enabled
-        assert {"stats.scratch-1", "stats.scratch-2"} <= analysis.proven_local
 
 
 class TestHiddenStateLint:
@@ -278,25 +233,4 @@ class TestTopFallback:
         (thread,) = analysis.summary.threads
         assert thread.top
         assert "construction" in thread.top_reason
-        assert not analysis.reduction_enabled
-
-    def test_analysis_completed_event_carries_the_reasons(self):
-        events = []
-
-        class Recorder:
-            def handle(self, event):
-                events.append(event)
-
-            def close(self):
-                pass
-
-        obs = Instrumentation()
-        obs.bus.subscribe(Recorder())
-        ChessChecker(self._opaque_program()).check(
-            max_bound=0, analysis=True, obs=obs
-        )
-        completed = [e for e in events if e.kind == "analysis_completed"]
-        assert len(completed) == 1
-        assert completed[0].top_threads == 1
-        assert "builder: " in completed[0].top_reasons
-        assert obs.metrics.counters.get("analysis_top_threads") == 1
+        assert f"builder: TOP -- {thread.top_reason}" in analysis.render()

@@ -15,8 +15,7 @@ The cross-validation half pins how ``repro.analysis`` composes: the
 in-vivo analyzer (:mod:`repro.analysis.invivo`) interprets the real
 callables' source, so the kitchen sink analyzes without TOP and its
 summary must cover the dynamic trace -- the same soundness obligation
-the DSL twin carries.  Opting in to the analysis reduction must never
-hide a bug.
+the DSL twin carries.
 """
 
 from __future__ import annotations
@@ -267,17 +266,3 @@ class TestAnalysisCrossValidation:
                 if name is None or name.startswith("$") or "#" in name:
                     continue
                 assert summary.covers(kind, name), (kind, name)
-
-    def test_analysis_flag_is_safe_on_invivo_programs(self):
-        # Opting in to the analysis reduction must not hide the bug.
-        def setup():
-            data = Shared(0, name="d")
-
-            def bump():
-                data.set(data.get() + 1)
-
-            return {"a": bump, "b": bump}
-
-        program = InvivoProgram("racy-bump", setup)
-        bug = ChessChecker(program).find_bug(max_bound=1, analysis=True)
-        assert bug is not None and bug.kind is BugKind.DATA_RACE

@@ -11,10 +11,8 @@ from repro import (
     ParallelSettings,
     SearchLimits,
 )
-from repro.programs import resolve_builtin, toy
+from repro.programs import toy
 from repro.programs.bluetooth import bluetooth
-
-from ..service._parity import BOUNDS
 
 
 def summary(check_result):
@@ -83,20 +81,6 @@ class TestSerialEquivalence:
             checker.check(workers=2, state_caching=True)
 
 
-@pytest.mark.parametrize("spec", sorted(BOUNDS))
-def test_analysis_composes_with_workers(spec):
-    """Workers prune with the checker's one analysis, so the reduced
-    search is the serial reduced search, sharded."""
-
-    def reduced(workers):
-        result = ChessChecker(resolve_builtin(spec)).check(
-            max_bound=BOUNDS[spec], analysis=True, workers=workers
-        )
-        return summary(result), result.search.extras["analysis_pruned"]
-
-    assert reduced(2) == reduced(None)
-
-
 @pytest.mark.parametrize("workers", [None, 2])
 @pytest.mark.parametrize(
     "limits",
@@ -111,7 +95,7 @@ def test_every_exit_carries_the_same_extras(workers, limits):
     result = ChessChecker(bluetooth(buggy=True)).check(
         max_bound=1, limits=limits, workers=workers
     )
-    assert {"completed_bound", "final_frontier", "analysis_pruned"} <= set(
+    assert {"completed_bound", "final_frontier"} <= set(
         result.search.extras
     )
 

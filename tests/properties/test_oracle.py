@@ -120,7 +120,6 @@ def test_icb_reports_the_brute_force_bugs(shape):
     checker = ChessChecker(program)
     assert_verdict(checker.check(), truth, "stateless", witness=True)
     assert_verdict(checker.check(state_caching=True), truth, "state_caching")
-    assert_verdict(checker.check(analysis=True), truth, "analysis")
     with tempfile.TemporaryDirectory() as root:
         assert_verdict(served_from_cache(program, root), truth, "cache")
     with tempfile.TemporaryDirectory() as root:

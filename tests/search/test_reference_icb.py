@@ -19,19 +19,31 @@ Both searches explore each bound to completion (no budget stop, whose
 cut depends on exploration order), so they must agree on executions
 per bound, transitions, distinct states, the kept witness of every bug
 and its preemptions, and the certified bound.
+
+Tier-1 runs the four :data:`SPECS`.  Under the ``ci`` Hypothesis
+profile (``tests/properties/profiles.py``) the comparison also covers
+every builtin and every ``examples/invivo`` program, buggy and fixed
+(:data:`CI_SPECS`), each at the largest bound up to 2 whose search
+fits in :data:`BUDGET` transitions; none is left out.  So the
+``dryad`` family runs at bound 0 (``dryad:missing-handler`` at 2),
+and ``ape``, ``ape:double-take``, ``ape:early-return``,
+``ape:stats-race`` and ``filesystem`` at bound 1.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+import importlib
 from typing import Dict, List, Optional, Tuple
 
 import pytest
 
-from repro import ChessChecker, Execution
+from repro import ChessChecker, Execution, SearchLimits
 from repro.core.effects import EffectKind
 from repro.core.objects import DIGEST_MASK, digest, encode
 from repro.programs import builtin_registry
+
+from ..properties.profiles import CI
 
 #: ``(spec, max_bound)``: small enough to rebuild every state from scratch.
 SPECS = (
@@ -40,6 +52,51 @@ SPECS = (
     ("bluetooth", 1),
     ("ape:stats-race", 1),
 )
+
+#: Most transitions a ci-profile case may take: rebuilding every state
+#: by a full replay costs a millisecond or more per transition.
+BUDGET = 25_000
+
+#: ``(spec, max_bound)`` beyond :data:`SPECS`, run under the ``ci``
+#: profile only; ``module:factory`` specs name ``examples/invivo``
+#: programs.
+CI_SPECS = (
+    ("ape", 1),
+    ("ape:double-take", 1),
+    ("ape:early-return", 1),
+    ("ape:init-race", 2),
+    ("bluetooth:fixed", 2),
+    ("dryad", 0),
+    ("dryad:close-sem-race", 0),
+    ("dryad:double-free", 0),
+    ("dryad:missing-handler", 2),
+    ("dryad:refcount-race", 0),
+    ("dryad:use-after-free", 0),
+    ("filesystem", 1),
+    ("toy:atomic-counter", 2),
+    ("toy:chain", 2),
+    ("toy:deadlock", 2),
+    ("toy:peterson", 2),
+    ("toy:racy-counter", 2),
+    ("toy:stats-assert", 2),
+    ("toy:stats-deadlock", 2),
+    ("toy:stats-race", 2),
+    ("toy:uaf", 2),
+    ("wsq", 2),
+    ("wsq:pop-lost-restore", 2),
+    ("wsq:steal-stale-tail", 2),
+) + tuple(
+    (f"examples.invivo.{module}:{factory}", 2)
+    for module in ("bounded_queue", "lazy_singleton", "barrier_misuse", "hidden_state")
+    for factory in ("make_program", "make_fixed")
+)
+
+
+def factory_of(spec: str):
+    if spec.startswith("examples."):
+        module, name = spec.split(":")
+        return getattr(importlib.import_module(module), name)
+    return builtin_registry()[spec]
 
 
 def scratch_fingerprint(execution: Execution) -> int:
@@ -141,9 +198,30 @@ def witnesses(bugs):
     return Counter((bug.identity, bug.preemptions) for bug in bugs)
 
 
+def test_ci_specs_cover_every_builtin():
+    assert {spec for spec, _ in SPECS + CI_SPECS} >= set(builtin_registry())
+
+
 @pytest.mark.parametrize("spec,max_bound", SPECS)
 def test_chess_checker_matches_reference_algorithm_1(spec, max_bound):
-    factory = builtin_registry()[spec]
+    assert_matches_reference(factory_of(spec), max_bound)
+
+
+@pytest.mark.skipif(not CI, reason="a full replay per state; ci profile only")
+@pytest.mark.parametrize("spec,max_bound", CI_SPECS)
+def test_every_program_matches_reference_algorithm_1(spec, max_bound):
+    factory = factory_of(spec)
+    if max_bound < 2:
+        # The largest bound that fits the budget: one more does not.
+        deeper = ChessChecker(factory()).check(
+            max_bound=max_bound + 1, limits=SearchLimits(max_transitions=BUDGET)
+        )
+        assert not deeper.search.completed
+    assert assert_matches_reference(factory, max_bound) <= BUDGET
+
+
+def assert_matches_reference(factory, max_bound) -> int:
+    """Compare the checker with the reference; returns the transitions."""
     reference = ReferenceICB(factory(), max_bound).run()
     per_bound = [
         ChessChecker(factory()).check(max_bound=bound).executions
@@ -159,3 +237,4 @@ def test_chess_checker_matches_reference_algorithm_1(spec, max_bound):
     assert result.search.context.states == reference.states
     assert witnesses(result.bugs) == witnesses(bug for _, bug in reference.bugs.values())
     assert result.certified_bound == reference.certified
+    return reference.transitions

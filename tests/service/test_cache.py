@@ -3,12 +3,14 @@ plan's exact key or by the search, never from stored witnesses."""
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro import ChessChecker, SearchLimits
 from repro.obs import Instrumentation, Sink
 from repro.programs import resolve_builtin, toy
-from repro.service.cache import ResultCache, result_cache_key
+from repro.service.cache import ResultCache, ResultCacheError, result_cache_key
 from repro.service.daemon import CheckingService
 
 from ._parity import identities, summary
@@ -39,22 +41,45 @@ def test_cache_hit_serves_without_exploring(tmp_path, monkeypatch):
 def test_key_separates_programs_bounds_limits_and_options(tmp_path):
     program = resolve_builtin("toy:stats-assert")
     base = result_cache_key(program, None, limits=None, max_bound=1,
-                            state_caching=False, analysis=False)
+                            state_caching=False)
     assert base == result_cache_key(program, None, limits=None, max_bound=1,
-                                    state_caching=False, analysis=False)
+                                    state_caching=False)
     variants = [
         result_cache_key(toy.racy_counter(), None, limits=None, max_bound=1,
-                         state_caching=False, analysis=False),
+                         state_caching=False),
         result_cache_key(program, None, limits=None, max_bound=2,
-                         state_caching=False, analysis=False),
+                         state_caching=False),
         result_cache_key(program, None, limits=SearchLimits(max_executions=5),
-                         max_bound=1, state_caching=False, analysis=False),
+                         max_bound=1, state_caching=False),
         result_cache_key(program, None, limits=None, max_bound=1,
-                         state_caching=True, analysis=False),
-        result_cache_key(program, None, limits=None, max_bound=1,
-                         state_caching=False, analysis=True),
+                         state_caching=True),
     ]
     assert len({base, *variants}) == len(variants) + 1
+
+
+def test_an_entry_of_the_removed_analysis_reduction_is_refused(tmp_path):
+    # Entries keep the constant "analysis_pruned": 0 in their extras
+    # and context; any other count was written by the removed mode.
+    cache = ResultCache(tmp_path / "cache")
+    program = resolve_builtin("toy:stats-assert")
+    ChessChecker(program).check(max_bound=1, cache=cache)
+    key = result_cache_key(program, None, max_bound=1)
+    path = cache.path_for(key)
+    entry = json.loads(path.read_text())
+    assert ["analysis_pruned", 0] in entry["extras"]
+    assert entry["context"]["analysis_pruned"] == 0
+    for where in ("extras", "context"):
+        bad = json.loads(path.read_text())
+        if where == "extras":
+            bad["extras"] = [
+                [name, 4 if name == "analysis_pruned" else value]
+                for name, value in bad["extras"]
+            ]
+        else:
+            bad["context"]["analysis_pruned"] = 4
+        path.write_text(json.dumps(bad))
+        with pytest.raises(ResultCacheError, match="analysis_pruned"):
+            cache.lookup(key)
 
 
 def test_wall_clock_budgets_bypass_the_cache(tmp_path):

@@ -73,6 +73,15 @@ class TestFormat:
         with pytest.raises(CheckpointError):
             Checkpoint.load(path)
 
+    def test_nonzero_analysis_pruned_is_a_checkpoint_error(self, tmp_path):
+        path = _interrupted_checkpoint(tmp_path)
+        data = json.loads(path.read_text())
+        assert data["context"]["analysis_pruned"] == 0
+        data["context"]["analysis_pruned"] = 3
+        path.write_text(json.dumps(data))
+        with pytest.raises(CheckpointError, match="analysis_pruned"):
+            Checkpoint.load(path)
+
     def test_unknown_version_is_a_checkpoint_error(self, tmp_path):
         path = _interrupted_checkpoint(tmp_path)
         data = json.loads(path.read_text())
@@ -96,8 +105,20 @@ class TestValidation:
         program = resolve_builtin("wsq:pop-race")
         with pytest.raises(CheckpointMismatch):
             checkpoint.validate(search_fingerprint(program, state_caching=True))
+
+    def test_checkpoint_of_the_analysis_reduction_is_refused(self, tmp_path):
+        # Fingerprints still carry the constant "analysis": false; one
+        # written with the since-removed reduction on named another
+        # search and must not resume.
+        path = _interrupted_checkpoint(tmp_path)
+        data = json.loads(path.read_text())
+        assert data["fingerprint"]["analysis"] is False
+        data["fingerprint"]["analysis"] = True
+        path.write_text(json.dumps(data))
         with pytest.raises(CheckpointMismatch):
-            checkpoint.validate(search_fingerprint(program, analysis=True))
+            ChessChecker(resolve_builtin("wsq:pop-race")).check(
+                max_bound=2, checkpoint=path
+            )
 
     def test_v1_checkpoint_is_refused_with_a_rerun_hint(self, tmp_path):
         # v1 files hold hash-seed-dependent state fingerprints: resuming
