@@ -31,9 +31,6 @@ Quickstart::
 Package layout:
 
 * :mod:`repro.core` -- the controlled concurrency runtime.
-* :mod:`repro.analysis` -- static effect analysis: per-thread access
-  summaries, the lock-order graph, race candidates and lint findings
-  (see ``docs/analysis.md``).
 * :mod:`repro.search` -- ICB and the baseline strategies.
 * :mod:`repro.races` -- happens-before tracking and race detection.
 * :mod:`repro.monitors` -- pluggable per-execution property monitors.
@@ -52,9 +49,11 @@ Package layout:
   ``docs/service.md``).
 * :mod:`repro.experiments` -- drivers regenerating every table and
   figure of the evaluation.
+* :mod:`repro.invivo` -- real ``threading`` code under the checker
+  (see ``docs/invivo.md``); :mod:`repro.analysis` lints its plain
+  shared state statically.  Neither is imported by ``import repro``.
 """
 
-from .analysis import LintFinding, ProgramAnalysis, RaceCandidate, analyze
 from .chess.checker import CheckResult, ChessChecker
 from .core.effects import Effect, EffectKind, alloc, join, sched_yield, spawn
 from .core.execution import (
@@ -132,7 +131,6 @@ __all__ = [
     "IterativeContextBounding",
     "IterativeDeepening",
     "JobQueue",
-    "LintFinding",
     "MetricsSnapshot",
     "MinimizationResult",
     "Monitor",
@@ -141,9 +139,7 @@ __all__ = [
     "ParallelSettings",
     "PlanError",
     "Program",
-    "ProgramAnalysis",
     "ProgramStateSpace",
-    "RaceCandidate",
     "RaceDetection",
     "RandomWalk",
     "ReplayOutcome",
@@ -166,7 +162,6 @@ __all__ = [
     "TraceRecord",
     "World",
     "alloc",
-    "analyze",
     "check",
     "join",
     "minimize_trace",

@@ -1,32 +1,21 @@
-"""DSL lint: static anomaly findings over effect-program summaries.
+"""The in-vivo lint: shared state the checker cannot see.
 
 Findings are *warnings about likely mistakes*, not bug reports: the
 dynamic checkers stay the ground truth.  Codes:
 
-``unreleased-lock``
-    A thread can reach its normal exit while definitely holding a lock
-    (the lock is in ``must_held`` on some fall-off-the-end path).
-``double-acquire``
-    A thread acquires a non-re-entrant mutex it definitely already
-    holds -- a guaranteed self-deadlock on that path.
-``wait-never-set``
-    Some thread waits on an event that starts unset and that no thread
-    summary ever signals.  Suppressed when any summary is TOP (the TOP
-    thread might signal it).
-``lock-cycle``
-    The static lock-order graph has a cycle (see
-    :mod:`repro.analysis.lockgraph`): a potential ABBA deadlock.
 ``hidden-state``
-    In-vivo only: a plain attribute or module global is written by more
-    than one checked thread instance without a ``Shared``/``Atomic``
-    wrapper -- invisible to race detection and state fingerprints (see
-    ``docs/invivo.md``).  Suppressed when any summary is TOP (writes of
-    the TOP thread are unknown).
+    A plain attribute or module global is written by more than one
+    checked thread without a ``Shared``/``Atomic`` wrapper -- invisible
+    to race detection and state fingerprints (see ``docs/invivo.md``).
+    Reported only when no thread summary is TOP: the writes of a TOP
+    thread are unknown, and its folds may have named the wrong state.
+``incomplete``
+    A thread's summary degraded to TOP; the message carries the reason.
+    The lint cannot vouch for a program it could not read.
 
 Each finding carries a stable ``fingerprint`` so a committed baseline
-file can distinguish known findings (e.g. in the intentionally buggy
-builtin programs) from regressions; ``repro lint`` exits nonzero only
-on non-baselined findings.
+file can distinguish known findings from regressions; ``repro lint``
+exits nonzero only on non-baselined findings.
 """
 
 from __future__ import annotations
@@ -34,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Set, Tuple
 
-from .lockgraph import LockOrderGraph
 from .summary import ProgramSummary
 
 __all__ = ["LintFinding", "lint_program", "load_baseline", "format_baseline"]
@@ -42,7 +30,7 @@ __all__ = ["LintFinding", "lint_program", "load_baseline", "format_baseline"]
 
 @dataclass(frozen=True)
 class LintFinding:
-    """One static anomaly in a program's synchronization structure."""
+    """One static finding about a program's shared state."""
 
     program: str
     code: str
@@ -58,75 +46,28 @@ class LintFinding:
         return f"[{self.code}] {self.message}"
 
 
-def lint_program(
-    summary: ProgramSummary, graph: LockOrderGraph | None = None
-) -> Tuple[LintFinding, ...]:
+def lint_program(summary: ProgramSummary) -> Tuple[LintFinding, ...]:
     """All lint findings for one analyzed program, sorted."""
-    if graph is None:
-        graph = LockOrderGraph.from_summary(summary)
-    findings: List[LintFinding] = []
     program = summary.program
+    findings: List[LintFinding] = [
+        LintFinding(
+            program=program,
+            code="incomplete",
+            subject=thread.label,
+            message=(
+                f"thread {thread.label!r} could not be analyzed: "
+                f"{thread.top_reason}"
+            ),
+        )
+        for thread in summary.threads
+        if thread.top
+    ]
 
-    for thread in summary.threads:
-        for lock in sorted(thread.exit_unreleased):
-            findings.append(
-                LintFinding(
-                    program=program,
-                    code="unreleased-lock",
-                    subject=f"{thread.label}:{lock}",
-                    message=(
-                        f"thread {thread.label!r} can exit while still "
-                        f"holding {lock!r}"
-                    ),
-                )
-            )
-        for lock in sorted(set(thread.double_acquires)):
-            findings.append(
-                LintFinding(
-                    program=program,
-                    code="double-acquire",
-                    subject=f"{thread.label}:{lock}",
-                    message=(
-                        f"thread {thread.label!r} acquires non-re-entrant "
-                        f"mutex {lock!r} while already holding it "
-                        "(self-deadlock)"
-                    ),
-                )
-            )
-
-    if not summary.any_top:
-        signalled: Set[str] = set()
-        for thread in summary.threads:
-            signalled.update(thread.signalled_events)
-        for thread in summary.threads:
-            for event in sorted(thread.waited_events):
-                if summary.events_initially_set.get(event, False):
-                    continue
-                if event in signalled:
-                    continue
-                if event not in summary.events_initially_set:
-                    # Not a plain event (e.g. an engine-internal wait);
-                    # out of scope for this lint.
-                    continue
-                findings.append(
-                    LintFinding(
-                        program=program,
-                        code="wait-never-set",
-                        subject=f"{thread.label}:{event}",
-                        message=(
-                            f"thread {thread.label!r} waits on event "
-                            f"{event!r} which starts unset and is never "
-                            "signalled by any thread"
-                        ),
-                    )
-                )
-
-    if not summary.any_top:
+    if not findings:
         writers: Dict[str, int] = {}
         for thread in summary.threads:
-            per_instance = 2 if thread.multi_instance else 1
             for key in thread.hidden_writes:
-                writers[key] = writers.get(key, 0) + per_instance
+                writers[key] = writers.get(key, 0) + 1
         for key in sorted(writers):
             if writers[key] < 2:
                 continue
@@ -142,16 +83,6 @@ def lint_program(
                     ),
                 )
             )
-
-    for cycle in graph.cycles():
-        findings.append(
-            LintFinding(
-                program=program,
-                code="lock-cycle",
-                subject="->".join(cycle.locks),
-                message=cycle.describe(),
-            )
-        )
 
     return tuple(
         sorted(findings, key=lambda f: (f.code, f.subject, f.message))
@@ -174,6 +105,7 @@ def format_baseline(findings: Iterable[LintFinding]) -> str:
     lines = sorted({f.fingerprint for f in findings})
     header = [
         "# repro lint baseline: known findings, one fingerprint per line.",
-        "# Regenerate with: repro lint --all --update-baseline <this file>",
+        "# Regenerate with: repro lint --module pkg.mod:factory "
+        "--update-baseline <this file>",
     ]
     return "\n".join(header + lines) + "\n"

@@ -1,42 +1,46 @@
-"""Static per-thread effect summaries over the effect DSL.
+"""Static access summaries of in-vivo thread callables.
 
-Thread bodies in this codebase are Python generator functions that
-yield :class:`~repro.core.effects.Effect` descriptions built by calling
-effect constructors on shared objects (``counter.read()``,
-``lock.acquire()``, ...).  Because every interaction with shared state
-must pass through a ``yield``, a static walk of the body's AST that
-tracks which shared objects flow into those constructor calls sees a
-superset of everything the thread can do at runtime.
-
-This module implements that walk as a small abstract interpreter:
+In-vivo thread bodies (:mod:`repro.invivo`) are ordinary callables
+whose shared-state effects hide inside *method calls* on adapter
+objects (``lock.acquire()``, ``shared.set(...)``, ``with cond:
+cond.wait()``).  This module reads their *source* and abstractly
+interprets it, never running a body:
 
 * **Values** live in a three-level lattice: ``Concrete(v)`` (exactly
-  one runtime value, typically a shared object captured from the
-  enclosing ``setup`` closure), ``AnyOf(v1, ..., vk)`` (one of a small
-  known set, e.g. a loop variable over ``range(3)``), and ``UNKNOWN``
-  (no information).
-* **Effects** are recorded whenever a ``yield`` is interpreted.  A
-  yield whose operand cannot be resolved to a known set of effect
-  descriptions aborts the analysis of that thread with **TOP**: the
-  summary that conservatively contains every possible behaviour.
-* **Locksets** are tracked in both directions: ``must_held``
-  (intersection at joins -- an under-approximation, used by the
-  Eraser-style race candidates in :mod:`repro.analysis.racecand`) and
-  ``may_held`` (union at joins -- an over-approximation, used for
-  lock-order edges in :mod:`repro.analysis.lockgraph` and the lint
-  findings in :mod:`repro.analysis.lint`).
+  one runtime value, typically an adapter captured from the enclosing
+  ``setup`` closure), ``AnyOf(v1, ..., vk)`` (one of a small known
+  set, e.g. a loop variable over ``range(3)``), and ``UNKNOWN`` (no
+  information).
+* **Accesses** are recorded whenever an adapter operation is
+  interpreted: the same ``(kind, variable)`` pairs the adapter's
+  runtime methods perform (``Condition.wait`` records ``CV_WAIT``,
+  ``RELEASE`` and the re-``ACQUIRE`` of the backing mutex, mirroring
+  the engine's wait protocol).  ``with`` statements are interpreted
+  natively.
+* **TOP**: anything the interpreter cannot prove it handles exactly
+  aborts the thread's summary with a recorded reason.  *Every* call of
+  an unresolved or opaque callee is TOP -- real code may hide adapter
+  operations anywhere -- as are generator constructs, dynamic
+  attribute targets, and callable-valued arguments smuggled into
+  builtins.  A per-thread safety net converts any analyzer exception
+  into TOP too, so a bug in the analysis can only lose precision.
 
-Soundness contract (relied on by the lock graph, race candidates and
-lint): for every
-thread whose summary is not TOP, the dynamic accesses the thread
-performs in *any* execution are contained in ``summary.accesses``, and
-the ``must_locks`` attached to each access under-approximate the locks
-actually held.  Anything the interpreter cannot prove it handles
-exactly -- unsupported statements, unresolvable callees, direct
-attribute reads of shared objects -- degrades to TOP rather than
-guessing.  A per-thread safety net additionally converts *any*
-analyzer exception into TOP, so a bug in the analysis itself can only
-lose precision, never soundness.
+On the same pass the interpreter collects the **hidden-state** facts
+the lint in :mod:`repro.analysis.lint` reports: plain attributes and
+module globals written by a checked thread (``hidden_writes``) and the
+attribute/global values the analysis constant-folded
+(``resolved_attrs``).  A post-pass degrades any thread whose folded
+values another thread mutates, so stale folds can never produce an
+unsound summary.
+
+Soundness contract: for every non-TOP thread, the dynamic accesses in
+any execution are contained in ``summary.access_pairs`` (the in-vivo
+oracles cross-validate this dynamically), with one documented
+carve-out (see ``docs/invivo.md``): effects smuggled through
+user-defined dunder methods invoked implicitly (``__bool__``,
+``__iter__``, ``__eq__``...) on objects the analysis holds concretely.
+Adapter operations written as plain statements and calls, the only
+idiom the runtime supports well, are covered exactly.
 """
 
 from __future__ import annotations
@@ -45,53 +49,30 @@ import ast
 import builtins
 import inspect
 import textwrap
+import types
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Any, Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Type,
+)
 
-from ..core import effects as _effects_mod
-from ..core import program as _program_mod
 from ..core.effects import EffectKind
-from ..core.heap import HeapField, HeapRef
 from ..core.objects import SharedObject
-from ..core.program import Program
-from ..core.sync import (
-    Barrier,
-    CondVar,
-    CriticalSection,
-    Event,
-    Mutex,
-    RWLock,
-    Semaphore,
-)
-from ..core.variables import AtomicVar, SharedVar
+from ..core.program import check as _check_fn
+from ..core.sync import Barrier
+from ..invivo import adapters as _ad
+from ..invivo.program import InvivoProgram
 
-__all__ = [
-    "StaticAccess",
-    "ThreadSummary",
-    "ProgramSummary",
-    "analyze_program",
-]
-
-_WRITE_KINDS: FrozenSet[EffectKind] = frozenset(
-    {
-        EffectKind.WRITE,
-        EffectKind.HEAP_WRITE,
-        EffectKind.ATOMIC_WRITE,
-        EffectKind.CAS,
-        EffectKind.ATOMIC_ADD,
-        EffectKind.EXCHANGE,
-        EffectKind.FREE,
-        EffectKind.SIGNAL,
-        EffectKind.RESET,
-    }
-)
-
-#: Categories whose accesses are *data* accesses (race candidates).
-DATA_CATEGORIES: FrozenSet[str] = frozenset({"data", "field"})
-
-#: Categories that participate in locksets and the lock-order graph.
-LOCK_CATEGORIES: FrozenSet[str] = frozenset({"mutex", "critsec", "rwlock"})
+__all__ = ["ProgramSummary", "ThreadSummary", "analyze_program"]
 
 _ANYOF_CAP = 16
 _STEP_BUDGET = 50_000
@@ -162,6 +143,16 @@ def _same_runtime_value(a: Any, b: Any) -> bool:
         return False
 
 
+def _same_abstract(a: AbstractValue, b: AbstractValue) -> bool:
+    if a is b:
+        return True
+    if isinstance(a, Concrete) and isinstance(b, Concrete):
+        return _same_runtime_value(a.value, b.value)
+    if isinstance(a, AnyOf) and isinstance(b, AnyOf):
+        return a == b
+    return False
+
+
 def _possible(value: AbstractValue) -> Optional[Tuple[Any, ...]]:
     """The tuple of possible runtime values, or ``None`` for UNKNOWN."""
     if isinstance(value, Concrete):
@@ -186,12 +177,11 @@ def _value_of(candidates: Sequence[Any]) -> AbstractValue:
 
 
 def _join(a: AbstractValue, b: AbstractValue) -> AbstractValue:
-    if isinstance(a, (Concrete, AnyOf)) and isinstance(b, (Concrete, AnyOf)):
-        pa = _possible(a)
-        pb = _possible(b)
-        assert pa is not None and pb is not None
-        return _value_of(list(pa) + list(pb))
-    return UNKNOWN
+    pa = _possible(a)
+    pb = _possible(b)
+    if pa is None or pb is None:
+        return UNKNOWN
+    return _value_of(list(pa) + list(pb))
 
 
 def _truth(value: AbstractValue) -> Optional[bool]:
@@ -233,89 +223,64 @@ class _StaticFunc:
     snapshot: Dict[str, AbstractValue]
     outer: Callable[[str], AbstractValue]
     defaults: Tuple[AbstractValue, ...]
-    is_generator: bool
 
 
 @dataclass(eq=False)
-class _EffectMethod:
-    """A bound effect constructor, e.g. the value of ``counter.read``."""
+class _AdapterMethod:
+    """A bound adapter operation, e.g. the value of ``lock.acquire``."""
 
     objects: Tuple[Any, ...]
     attr: str
 
 
-@dataclass(eq=False)
-class _GenCall:
-    """A generator call awaiting ``yield from`` inlining."""
+#: Sentinel: an attribute exists but is plain data we refuse to fold.
+_UNFOLDED = object()
 
-    fn: Any  # real generator function or _StaticFunc
-    args: Tuple[AbstractValue, ...]
-    kwargs: Dict[str, AbstractValue]
+#: One recorded access: an effect kind on a core shared object.
+_Access = Tuple[EffectKind, Any]
 
 
-@dataclass(eq=False)
-class _BarrierGen:
-    """The generator returned by ``Barrier.wait()``."""
-
-    barrier: Barrier
+# ---------------------------------------------------------------------------
+# Adapter vocabulary.
+# ---------------------------------------------------------------------------
 
 
-@dataclass(eq=False)
-class _StaticEffect:
-    """A statically resolved effect description (mirrors ``Effect``)."""
-
-    kind: EffectKind
-    targets: Tuple[Any, ...] = ()
-    spawn_fn: AbstractValue = UNKNOWN
-    spawn_args: Tuple[AbstractValue, ...] = ()
-    spawn_name: Optional[str] = None
-
-
-# Effect-constructor tables: (owning type, method name) -> EffectKind.
-_EFFECT_METHODS: Dict[type, Dict[str, EffectKind]] = {
-    SharedVar: {"read": EffectKind.READ, "write": EffectKind.WRITE},
-    AtomicVar: {
-        "read": EffectKind.ATOMIC_READ,
-        "write": EffectKind.ATOMIC_WRITE,
-        "cas": EffectKind.CAS,
-        "add": EffectKind.ATOMIC_ADD,
-        "exchange": EffectKind.EXCHANGE,
-    },
-    Mutex: {
-        "acquire": EffectKind.ACQUIRE,
-        "try_acquire": EffectKind.TRY_ACQUIRE,
-        "release": EffectKind.RELEASE,
-    },
-    CriticalSection: {
-        "enter": EffectKind.ACQUIRE,
-        "try_enter": EffectKind.TRY_ACQUIRE,
-        "leave": EffectKind.RELEASE,
-    },
-    Event: {
-        "wait": EffectKind.WAIT,
-        "set": EffectKind.SIGNAL,
-        "reset": EffectKind.RESET,
-    },
-    Semaphore: {
-        "acquire": EffectKind.SEM_ACQUIRE,
-        "release": EffectKind.SEM_RELEASE,
-    },
-    CondVar: {
-        "wait": EffectKind.CV_WAIT,
-        "notify": EffectKind.CV_NOTIFY,
-        "broadcast": EffectKind.CV_BROADCAST,
-    },
-    RWLock: {
-        "acquire_read": EffectKind.RW_ACQUIRE_READ,
-        "acquire_write": EffectKind.RW_ACQUIRE_WRITE,
-        "release": EffectKind.RW_RELEASE,
-    },
-    HeapRef: {
-        "read": EffectKind.HEAP_READ,
-        "write": EffectKind.HEAP_WRITE,
-        "free": EffectKind.FREE,
-    },
+#: Adapter methods the interpreter models; anything else is TOP.
+_ADAPTER_METHODS: Dict[Type[Any], FrozenSet[str]] = {
+    _ad.Lock: frozenset(
+        {"acquire", "release", "locked", "__enter__", "__exit__"}
+    ),
+    _ad.RLock: frozenset({"acquire", "release", "__enter__", "__exit__"}),
+    _ad.Event: frozenset({"is_set", "set", "clear", "wait"}),
+    _ad.Semaphore: frozenset({"acquire", "release", "__enter__", "__exit__"}),
+    _ad.Condition: frozenset(
+        {
+            "acquire",
+            "release",
+            "__enter__",
+            "__exit__",
+            "wait",
+            "wait_for",
+            "notify",
+            "notify_all",
+        }
+    ),
+    _ad.Shared: frozenset({"get", "set"}),
+    _ad.Atomic: frozenset({"get", "set", "add", "cas", "exchange"}),
 }
+
+_ATOMIC_METHOD_KINDS = {
+    "get": EffectKind.ATOMIC_READ,
+    "set": EffectKind.ATOMIC_WRITE,
+    "add": EffectKind.ATOMIC_ADD,
+    "cas": EffectKind.CAS,
+    "exchange": EffectKind.EXCHANGE,
+}
+
+#: C callables known not to reach back into adapter operations.
+_BENIGN_CALLABLES = frozenset(
+    {isinstance, issubclass, repr, id, hash, callable, format, print}
+)
 
 _SAFE_BUILTINS: Dict[Any, str] = {
     fn: fn.__name__
@@ -362,24 +327,42 @@ _UNARYOPS: Dict[type, Callable[[Any], Any]] = {
 }
 
 
-def _is_generator_node(node: ast.FunctionDef) -> bool:
-    """Whether ``node``'s own scope contains a yield."""
-    stack: List[ast.AST] = list(node.body)
-    while stack:
-        cur = stack.pop()
-        if isinstance(cur, (ast.Yield, ast.YieldFrom)):
-            return True
-        if isinstance(cur, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        stack.extend(ast.iter_child_nodes(cur))
-    return False
+def _methods_of(obj: Any) -> Optional[FrozenSet[str]]:
+    for cls in type(obj).__mro__:
+        methods = _ADAPTER_METHODS.get(cls)
+        if methods is not None:
+            return methods
+    return None
 
 
-def _contains_yield(node: ast.AST) -> bool:
-    for cur in ast.walk(node):
-        if isinstance(cur, (ast.Yield, ast.YieldFrom)):
-            return True
-    return False
+def _data_access(o: Any, write: bool) -> _Access:
+    """The access of reading or writing a ``Shared``/``Atomic`` value."""
+    if isinstance(o, _ad.Shared):
+        return (EffectKind.WRITE if write else EffectKind.READ), o._var
+    return (EffectKind.ATOMIC_WRITE if write else EffectKind.ATOMIC_READ), o._var
+
+
+def _hidden_key(owner: Any, attr: str) -> str:
+    """Stable name for a plain attribute or module global."""
+    if isinstance(owner, type):
+        return f"{owner.__qualname__}.{attr}"
+    if isinstance(owner, types.ModuleType):
+        return f"{owner.__name__}.{attr}"
+    return f"{type(owner).__qualname__}.{attr}"
+
+
+def _foldable_attr(v: Any) -> bool:
+    """Whether an attribute value may be constant-folded.
+
+    Only identity-stable infrastructure values: adapters, callables,
+    classes and modules.  Plain data (ints, ``None``, containers...) is
+    *never* folded from an attribute -- it is exactly the hidden state
+    another thread may mutate behind the analysis's back.
+    """
+    return (
+        isinstance(v, (_ad._Adapter, types.ModuleType, type))
+        or callable(v)
+    )
 
 
 def _local_names(node: ast.FunctionDef) -> FrozenSet[str]:
@@ -416,24 +399,19 @@ def _local_names(node: ast.FunctionDef) -> FrozenSet[str]:
 class _AbsState:
     """Abstract state at one program point of one frame."""
 
-    __slots__ = ("env", "may_held", "must_held", "alive")
+    __slots__ = ("env", "alive")
 
-    def __init__(
-        self,
-        env: Dict[str, AbstractValue],
-        may_held: Set[str],
-        must_held: Set[str],
-        alive: bool = True,
-    ) -> None:
+    def __init__(self, env: Dict[str, AbstractValue], alive: bool = True) -> None:
         self.env = env
-        self.may_held = may_held
-        self.must_held = must_held
         self.alive = alive
 
     def copy(self) -> "_AbsState":
-        return _AbsState(
-            dict(self.env), set(self.may_held), set(self.must_held), self.alive
-        )
+        return _AbsState(dict(self.env), self.alive)
+
+    def adopt(self, other: "_AbsState") -> None:
+        """Take ``other``'s bindings in place (callers hold ``self``)."""
+        self.env.clear()
+        self.env.update(other.env)
 
 
 def _merge_states(a: _AbsState, b: _AbsState) -> _AbsState:
@@ -447,7 +425,7 @@ def _merge_states(a: _AbsState, b: _AbsState) -> _AbsState:
             env[name] = _join(a.env[name], b.env[name])
         else:
             env[name] = UNKNOWN
-    return _AbsState(env, a.may_held | b.may_held, a.must_held & b.must_held, True)
+    return _AbsState(env, True)
 
 
 def _merge_many(states: Sequence[_AbsState]) -> _AbsState:
@@ -466,15 +444,22 @@ class _LoopCtx:
 
 
 class _FrameCtx:
-    __slots__ = ("resolver", "locals", "returns", "loops")
+    __slots__ = ("resolver", "locals", "returns", "loops", "module", "globals")
 
     def __init__(
-        self, resolver: Callable[[str], AbstractValue], local_names: FrozenSet[str]
+        self,
+        resolver: Callable[[str], AbstractValue],
+        local_names: FrozenSet[str],
+        module: str,
     ) -> None:
         self.resolver = resolver
         self.locals = local_names
-        self.returns: List[Tuple[_AbsState, AbstractValue]] = []
+        self.returns: List[AbstractValue] = []
         self.loops: List[_LoopCtx] = []
+        #: Module of the callable (for global hidden-write keys).
+        self.module = module
+        #: Names declared ``global`` in the callable.
+        self.globals: Set[str] = set()
 
 
 @dataclass(eq=False)
@@ -485,38 +470,12 @@ class _FnInfo:
     resolver: Callable[[str], AbstractValue]
     defaults: Tuple[AbstractValue, ...]
     kw_defaults: Dict[str, AbstractValue]
-
-
-class _Collector:
-    """Accumulates the facts one thread's interpretation produces."""
-
-    def __init__(self) -> None:
-        self.accesses: List[StaticAccess] = []
-        self.lock_edges: Set[Tuple[str, str]] = set()
-        self.double_acquires: List[str] = []
-        self.spawns: List[Tuple[Any, Tuple[AbstractValue, ...], Optional[str]]] = []
-        self.waited_events: Set[str] = set()
-        self.signalled_events: Set[str] = set()
+    module: str
 
 
 # ---------------------------------------------------------------------------
 # Summary dataclasses.
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StaticAccess:
-    """One possible shared-object access of a thread.
-
-    ``must_locks`` is the set of lock names *definitely* held when the
-    access executes (an under-approximation, per the Eraser lockset
-    discipline).
-    """
-
-    kind: EffectKind
-    variable: str
-    is_write: bool
-    must_locks: FrozenSet[str]
 
 
 @dataclass(frozen=True)
@@ -526,42 +485,18 @@ class ThreadSummary:
     label: str
     top: bool = False
     top_reason: str = ""
-    multi_instance: bool = False
-    accesses: Tuple[StaticAccess, ...] = ()
-    lock_edges: FrozenSet[Tuple[str, str]] = frozenset()
-    exit_unreleased: FrozenSet[str] = frozenset()
-    double_acquires: Tuple[str, ...] = ()
-    waited_events: FrozenSet[str] = frozenset()
-    signalled_events: FrozenSet[str] = frozenset()
-    spawned_labels: Tuple[str, ...] = ()
-    #: In-vivo only: plain attributes / module globals this thread
-    #: writes without a Shared/Atomic wrapper (hidden-state lint).
+    #: ``(kind.value, variable)`` pairs this thread may perform.
+    access_pairs: FrozenSet[Tuple[str, str]] = frozenset()
+    #: Plain attributes / module globals this thread writes without a
+    #: Shared/Atomic wrapper (the hidden-state lint).
     hidden_writes: FrozenSet[str] = frozenset()
-    #: In-vivo only: attribute/global values the analysis folded
-    #: (degraded to TOP when some checked thread writes them).
+    #: Attribute/global values the analysis folded (degraded to TOP
+    #: when some checked thread writes them).
     resolved_attrs: FrozenSet[str] = frozenset()
 
     @classmethod
-    def make_top(
-        cls, label: str, reason: str, multi_instance: bool = False
-    ) -> "ThreadSummary":
-        return cls(
-            label=label, top=True, top_reason=reason, multi_instance=multi_instance
-        )
-
-    @cached_property
-    def access_pairs(self) -> FrozenSet[Tuple[str, str]]:
-        """``(kind.value, variable)`` pairs this thread may perform."""
-        return frozenset((a.kind.value, a.variable) for a in self.accesses)
-
-    @cached_property
-    def touched(self) -> FrozenSet[str]:
-        """Names of every shared object this thread may access."""
-        return frozenset(a.variable for a in self.accesses)
-
-    @cached_property
-    def written(self) -> FrozenSet[str]:
-        return frozenset(a.variable for a in self.accesses if a.is_write)
+    def make_top(cls, label: str, reason: str) -> "ThreadSummary":
+        return cls(label=label, top=True, top_reason=reason)
 
     def covers(self, kind: EffectKind, variable: str) -> bool:
         """Whether a dynamic ``(kind, variable)`` access is explained."""
@@ -572,16 +507,10 @@ class ThreadSummary:
 
 @dataclass(frozen=True)
 class ProgramSummary:
-    """The static summaries of every thread a program can create."""
+    """The static summaries of every thread a program starts."""
 
     program: str
     threads: Tuple[ThreadSummary, ...]
-    #: shared-object name -> category ("data", "atomic", "mutex",
-    #: "critsec", "event", "semaphore", "condvar", "rwlock", "heap",
-    #: "field").
-    variables: Mapping[str, str]
-    #: event name -> initially-set flag (for the never-set-event lint).
-    events_initially_set: Mapping[str, bool]
 
     @property
     def any_top(self) -> bool:
@@ -591,12 +520,6 @@ class ProgramSummary:
         """Whether some thread summary explains the dynamic access."""
         return any(t.covers(kind, variable) for t in self.threads)
 
-    def summary_for(self, label: str) -> Optional[ThreadSummary]:
-        for t in self.threads:
-            if t.label == label:
-                return t
-        return None
-
 
 # ---------------------------------------------------------------------------
 # The interpreter.
@@ -604,12 +527,19 @@ class ProgramSummary:
 
 
 class _Interpreter:
-    def __init__(self, collector: _Collector) -> None:
-        self.collector = collector
+    """Abstractly interprets one thread callable and what it calls."""
+
+    def __init__(self) -> None:
         self._frames: List[_FrameCtx] = []
         self._active: List[Any] = []
         self._info_cache: Dict[Any, _FnInfo] = {}
         self._steps = 0
+        #: ``(kind.value, variable)`` pairs recorded so far.
+        self.accesses: Set[Tuple[str, str]] = set()
+        #: Plain attributes / module globals this thread writes.
+        self.hidden_writes: Set[str] = set()
+        #: Attributes / globals whose values the analysis folded.
+        self.resolved: Set[str] = set()
 
     # -- frame plumbing -----------------------------------------------
 
@@ -621,6 +551,12 @@ class _Interpreter:
         self._steps += 1
         if self._steps > _STEP_BUDGET:
             raise _Top("analysis step budget exceeded")
+
+    def _record(self, accesses: Sequence[_Access]) -> None:
+        for kind, target in accesses:
+            name = getattr(target, "name", None)
+            if name is not None:
+                self.accesses.add((kind.value, name))
 
     # -- function resolution ------------------------------------------
 
@@ -652,6 +588,8 @@ class _Interpreter:
         for name, cell in zip(code.co_freevars, cells):
             closure[name] = cell
         fn_globals = fn.__globals__
+        module = fn_globals.get("__name__", "?")
+        resolved = self.resolved
 
         def resolver(name: str) -> AbstractValue:
             if name in closure:
@@ -660,6 +598,7 @@ class _Interpreter:
                 except ValueError:
                     return UNKNOWN
             if name in fn_globals:
+                resolved.add(f"{module}.{name}")
                 return Concrete(fn_globals[name])
             if hasattr(builtins, name):
                 return Concrete(getattr(builtins, name))
@@ -669,7 +608,9 @@ class _Interpreter:
         kw_defaults = {
             k: Concrete(v) for k, v in (fn.__kwdefaults__ or {}).items()
         }
-        info = _FnInfo(code, fn.__name__, node, resolver, defaults, kw_defaults)
+        info = _FnInfo(
+            code, fn.__name__, node, resolver, defaults, kw_defaults, module
+        )
         self._info_cache[code] = info
         return info
 
@@ -687,7 +628,10 @@ class _Interpreter:
         for a, dflt in zip(node_args.kwonlyargs, node_args.kw_defaults):
             if dflt is not None:
                 kw_defaults[a.arg] = UNKNOWN
-        return _FnInfo(sf.node, sf.name, sf.node, resolver, sf.defaults, kw_defaults)
+        return _FnInfo(
+            sf.node, sf.name, sf.node, resolver, sf.defaults, kw_defaults,
+            self._frame.module,
+        )
 
     # -- calling ------------------------------------------------------
 
@@ -736,12 +680,10 @@ class _Interpreter:
         fn: Any,
         pos: Sequence[AbstractValue],
         kw: Mapping[str, AbstractValue],
-        state: _AbsState,
-    ) -> Tuple[_AbsState, AbstractValue]:
-        """Interpret a call, threading lock state through the callee.
+    ) -> Tuple[bool, AbstractValue]:
+        """Interpret a call: whether it can return, and its result.
 
-        Returns the caller's state after the call and the abstract
-        return value.  The caller's local environment is untouched.
+        The caller's local environment is untouched.
         """
         if inspect.ismethod(fn):
             pos = [Concrete(fn.__self__)] + list(pos)
@@ -752,29 +694,25 @@ class _Interpreter:
             info = self._info_for_function(fn)
         if any(k is info.key for k in self._active):
             raise _Top(f"recursive call of {info.name!r}")
-        env = self._bind_params(info, pos, kw)
-        callee = _AbsState(env, set(state.may_held), set(state.must_held), True)
+        callee = _AbsState(self._bind_params(info, pos, kw))
         self._active.append(info.key)
-        self._frames.append(_FrameCtx(info.resolver, _local_names(info.node)))
+        self._frames.append(
+            _FrameCtx(info.resolver, _local_names(info.node), info.module)
+        )
         try:
             out = self._exec_block(info.node.body, callee)
-            exits: List[Tuple[_AbsState, AbstractValue]] = list(self._frame.returns)
+            rets = list(self._frame.returns)
             if out.alive:
-                exits.append((out, Concrete(None)))
+                rets.append(Concrete(None))
         finally:
             self._frames.pop()
             self._active.pop()
-        after = state.copy()
-        if not exits:
-            after.alive = False
-            return after, UNKNOWN
-        merged = _merge_many([s for s, _ in exits])
-        ret = exits[0][1]
-        for _, r in exits[1:]:
+        if not rets:
+            return False, UNKNOWN
+        ret = rets[0]
+        for r in rets[1:]:
             ret = _join(ret, r)
-        after.may_held = merged.may_held
-        after.must_held = merged.must_held
-        return after, ret
+        return True, ret
 
     # -- statements ---------------------------------------------------
 
@@ -801,14 +739,7 @@ class _Interpreter:
                 self._assign_target(stmt.target, value, state)
             return state
         if isinstance(stmt, ast.AugAssign):
-            value = self._eval(stmt.value, state)
-            if isinstance(stmt.target, ast.Name):
-                current = self._load_name(stmt.target.id, state)
-                state.env[stmt.target.id] = self._apply_binop(
-                    type(stmt.op), current, value
-                )
-            else:
-                self._invalidate_root(stmt.target, state)
+            self._exec_augassign(stmt, state)
             return state
         if isinstance(stmt, ast.If):
             return self._exec_if(stmt, state)
@@ -816,13 +747,15 @@ class _Interpreter:
             return self._exec_while(stmt, state)
         if isinstance(stmt, ast.For):
             return self._exec_for(stmt, state)
+        if isinstance(stmt, ast.With):
+            return self._exec_with(stmt, state)
         if isinstance(stmt, ast.Return):
             value = (
                 Concrete(None)
                 if stmt.value is None
                 else self._eval(stmt.value, state)
             )
-            self._frame.returns.append((state.copy(), value))
+            self._frame.returns.append(value)
             state.alive = False
             return state
         if isinstance(stmt, ast.Break):
@@ -840,12 +773,17 @@ class _Interpreter:
         if isinstance(stmt, ast.Pass):
             return state
         if isinstance(stmt, ast.Raise):
-            if stmt.exc is not None and _contains_yield(stmt.exc):
-                raise _Top("yield inside raise operand")
+            if stmt.exc is not None:
+                self._eval(stmt.exc, state)
+            if stmt.cause is not None:
+                self._eval(stmt.cause, state)
             state.alive = False
             return state
         if isinstance(stmt, ast.Assert):
             self._eval(stmt.test, state)
+            if stmt.msg is not None:
+                # The message only evaluates on the failing path.
+                self._eval(stmt.msg, state.copy())
             return state
         if isinstance(stmt, ast.FunctionDef):
             self._exec_functiondef(stmt, state)
@@ -855,8 +793,17 @@ class _Interpreter:
                 bound = alias.asname or alias.name.split(".")[0]
                 state.env[bound] = UNKNOWN
             return state
-        if isinstance(stmt, (ast.Global, ast.Nonlocal)):
-            raise _Top("global/nonlocal rebinding is not analyzable")
+        if isinstance(stmt, ast.Global):
+            self._frame.globals.update(stmt.names)
+            return state
+        if isinstance(stmt, ast.Delete):
+            for target in stmt.targets:
+                if not isinstance(target, ast.Name):
+                    raise _Top("del of a non-name target")
+                state.env[target.id] = UNKNOWN
+            return state
+        if isinstance(stmt, ast.Nonlocal):
+            raise _Top("nonlocal rebinding is not analyzable")
         raise _Top(f"unsupported statement {type(stmt).__name__}")
 
     def _exec_functiondef(self, stmt: ast.FunctionDef, state: _AbsState) -> None:
@@ -869,7 +816,6 @@ class _Interpreter:
             snapshot=dict(state.env),
             outer=self._frame.resolver,
             defaults=defaults,
-            is_generator=_is_generator_node(stmt),
         )
         state.env[stmt.name] = Concrete(sf)
 
@@ -926,14 +872,11 @@ class _Interpreter:
         return exit_state
 
     def _exec_while(self, stmt: ast.While, state: _AbsState) -> _AbsState:
-        cond = self._eval(stmt.test, state)
-        truth = _truth(cond)
+        # The condition is evaluated once: it holds no yield (a yield
+        # is TOP), and its accesses are recorded on that one pass.
+        truth = _truth(self._eval(stmt.test, state))
         if truth is False:
             return self._exec_block(stmt.orelse, state) if stmt.orelse else state
-        if _contains_yield(stmt.test):
-            raise _Top("yield inside loop condition")
-        # The condition is effect-free (guarded above), so re-evaluating
-        # it per iteration cannot record anything new; skip the binder.
         return self._run_loop(
             stmt.body, stmt.orelse, state, None, may_skip=truth is not True
         )
@@ -961,8 +904,6 @@ class _Interpreter:
             return UNKNOWN
         elements: List[Any] = []
         for container in poss:
-            if isinstance(container, (_StaticEffect, _GenCall, _BarrierGen)):
-                raise _Top("iteration over an effect value")
             try:
                 items = list(container)
             except Exception:
@@ -972,12 +913,38 @@ class _Interpreter:
             elements.extend(items)
         return _value_of(elements) if elements else UNKNOWN
 
+    def _exec_with(self, stmt: ast.With, state: _AbsState) -> _AbsState:
+        entered: List[Tuple[Any, ...]] = []
+        for item in stmt.items:
+            poss = _possible(self._eval(item.context_expr, state))
+            if poss is None:
+                raise _Top("with-statement on an unresolved context manager")
+            if not all(isinstance(o, _ad._Adapter) for o in poss):
+                raise _Top(
+                    "with-statement on a non-adapter context manager"
+                )
+            objs = tuple(poss)
+            ret = self._adapter_call(objs, "__enter__", (), {}, state)
+            if item.optional_vars is not None:
+                self._assign_target(item.optional_vars, ret, state)
+            entered.append(objs)
+        out = self._exec_block(stmt.body, state)
+        # Every way out of the body -- fall-through, return, break,
+        # continue, or an exception unwinding -- runs ``__exit__``,
+        # which records the same accesses on each.
+        for objs in reversed(entered):
+            self._adapter_call(objs, "__exit__", (), {}, state)
+        return out
+
     # -- assignment ---------------------------------------------------
 
     def _assign_target(
         self, target: ast.expr, value: AbstractValue, state: _AbsState
     ) -> None:
         if isinstance(target, ast.Name):
+            if target.id in self._frame.globals:
+                self._note_global_write(target.id, state)
+                return
             state.env[target.id] = value
             return
         if isinstance(target, (ast.Tuple, ast.List)):
@@ -1011,10 +978,120 @@ class _Interpreter:
                 else:
                     self._assign_target(sub, sub_value, state)
             return
-        if isinstance(target, (ast.Subscript, ast.Attribute)):
+        if isinstance(target, ast.Attribute):
+            objs = self._store_receivers(target, state)
+            adapter_objs = [o for o in objs if isinstance(o, _ad._Adapter)]
+            if adapter_objs:
+                if len(adapter_objs) != len(objs):
+                    raise _Top(
+                        "attribute assignment on mixed adapter/plain "
+                        "values"
+                    )
+                if target.attr == "value" and all(
+                    isinstance(o, (_ad.Shared, _ad.Atomic))
+                    for o in adapter_objs
+                ):
+                    self._record([_data_access(o, True) for o in adapter_objs])
+                    return
+                raise _Top(
+                    f"assignment to adapter attribute {target.attr!r}"
+                )
+            for o in objs:
+                self._note_hidden_write(o, target.attr)
+            return
+        if isinstance(target, ast.Subscript):
+            self._check_subscript_store(target, state)
             self._invalidate_root(target, state)
             return
         raise _Top(f"unsupported assignment target {type(target).__name__}")
+
+    def _store_receivers(
+        self, target: ast.Attribute, state: _AbsState
+    ) -> Tuple[Any, ...]:
+        poss = _possible(self._eval(target.value, state))
+        if poss is None:
+            raise _Top(
+                f"assignment to attribute {target.attr!r} on an "
+                "unresolved receiver"
+            )
+        return poss
+
+    def _exec_augassign(self, stmt: ast.AugAssign, state: _AbsState) -> None:
+        value = self._eval(stmt.value, state)
+        target = stmt.target
+        if isinstance(target, ast.Name):
+            if target.id in self._frame.globals:
+                self._note_global_write(target.id, state)
+                return
+            current = self._load_name(target.id, state)
+            state.env[target.id] = self._apply_binop(
+                type(stmt.op), current, value
+            )
+            return
+        if isinstance(target, ast.Attribute):
+            objs = self._store_receivers(target, state)
+            adapter_objs = [o for o in objs if isinstance(o, _ad._Adapter)]
+            if adapter_objs:
+                if len(adapter_objs) != len(objs) or target.attr != "value":
+                    raise _Top(
+                        "augmented assignment to adapter attribute "
+                        f"{target.attr!r}"
+                    )
+                if not all(
+                    isinstance(o, (_ad.Shared, _ad.Atomic)) for o in adapter_objs
+                ):
+                    raise _Top(
+                        "augmented assignment to 'value' of a "
+                        "non-data adapter"
+                    )
+                # ``shared.value += v`` reads then writes the variable.
+                self._record([_data_access(o, False) for o in adapter_objs])
+                self._record([_data_access(o, True) for o in adapter_objs])
+                return
+            # No invalidation: attribute *data* is never folded, and
+            # folded infrastructure values are protected by the
+            # resolved/written degrade pass in analyze_program.
+            for o in objs:
+                self._note_hidden_write(o, target.attr)
+            return
+        if isinstance(target, ast.Subscript):
+            self._check_subscript_store(target, state)
+            self._invalidate_root(target, state)
+            return
+        raise _Top(
+            f"unsupported augmented-assignment target "
+            f"{type(target).__name__}"
+        )
+
+    def _note_global_write(self, name: str, state: _AbsState) -> None:
+        self.hidden_writes.add(f"{self._frame.module}.{name}")
+        state.env[name] = UNKNOWN
+
+    def _note_hidden_write(self, o: Any, attr: str) -> None:
+        if isinstance(o, (_StaticFunc, _AdapterMethod, SharedObject, Barrier)):
+            raise _Top(f"attribute {attr!r} assigned on analysis value")
+        if not isinstance(o, (type, types.ModuleType)):
+            setter = type(o).__setattr__
+            if setter is not object.__setattr__:
+                raise _Top(
+                    f"attribute store via custom __setattr__ of "
+                    f"{type(o).__name__}"
+                )
+        self.hidden_writes.add(_hidden_key(o, attr))
+
+    def _check_subscript_store(
+        self, target: ast.Subscript, state: _AbsState
+    ) -> None:
+        recv = self._eval(target.value, state)
+        self._eval(target.slice, state)
+        poss = _possible(recv)
+        if poss is None or not all(
+            isinstance(o, (dict, list, set, bytearray)) for o in poss
+        ):
+            raise _Top(
+                "subscript assignment on a non-builtin container "
+                "(a custom __setitem__ may hide adapter operations)"
+            )
 
     def _invalidate_root(self, node: ast.expr, state: _AbsState) -> None:
         cur: ast.expr = node
@@ -1030,6 +1107,9 @@ class _Interpreter:
     def _load_name(self, name: str, state: _AbsState) -> AbstractValue:
         if name in state.env:
             return state.env[name]
+        if name in self._frame.globals:
+            # A ``global`` name this function may rebind: never fold.
+            return UNKNOWN
         if name in self._frame.locals:
             return UNKNOWN
         return self._frame.resolver(name)
@@ -1059,15 +1139,6 @@ class _Interpreter:
             return Concrete(node.value)
         if isinstance(node, ast.Name):
             return self._load_name(node.id, state)
-        if isinstance(node, ast.Yield):
-            operand = (
-                Concrete(None)
-                if node.value is None
-                else self._eval(node.value, state)
-            )
-            return self._record_yield(operand, state)
-        if isinstance(node, ast.YieldFrom):
-            return self._eval_yield_from(node, state)
         if isinstance(node, ast.Call):
             return self._eval_call(node, state)
         if isinstance(node, ast.Attribute):
@@ -1163,13 +1234,38 @@ class _Interpreter:
                 else:
                     return UNKNOWN
             return Concrete("".join(parts_s))
+        if isinstance(
+            node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+        ):
+            for cur in ast.walk(node):
+                if isinstance(cur, (ast.Call, ast.Attribute, ast.Await)):
+                    raise _Top(
+                        f"{type(node).__name__} containing calls or "
+                        "attribute access"
+                    )
+            for gen in node.generators:
+                self._eval(gen.iter, state)
+            return UNKNOWN
+        if isinstance(node, ast.Set):
+            for elt in node.elts:
+                self._eval(elt, state)
+            return UNKNOWN
+        if isinstance(node, ast.Slice):
+            for part in (node.lower, node.upper, node.step):
+                if part is not None:
+                    self._eval(part, state)
+            return UNKNOWN
+        if isinstance(node, ast.NamedExpr):
+            value = self._eval(node.value, state)
+            self._assign_target(node.target, value, state)
+            return value
         if isinstance(node, ast.Lambda):
             raise _Top("lambda in thread body")
-        # Anything else (comprehensions, generators, walrus, await...):
-        # sound only if no effect can hide inside.
-        if _contains_yield(node):
-            raise _Top(f"yield inside unsupported {type(node).__name__}")
-        return UNKNOWN
+        if isinstance(node, (ast.Yield, ast.YieldFrom)):
+            raise _Top("yield in an in-vivo thread body")
+        if isinstance(node, ast.Await):
+            raise _Top("await in an in-vivo thread body")
+        raise _Top(f"unsupported expression {type(node).__name__}")
 
     def _eval_compare(self, node: ast.Compare, state: _AbsState) -> AbstractValue:
         left = self._eval(node.left, state)
@@ -1206,59 +1302,94 @@ class _Interpreter:
             left = right
         return result
 
-    def _eval_attribute(self, node: ast.Attribute, state: _AbsState) -> AbstractValue:
+    def _eval_attribute(
+        self, node: ast.Attribute, state: _AbsState
+    ) -> AbstractValue:
         obj = self._eval(node.value, state)
         poss = _possible(obj)
         if poss is None:
-            # The receiver was evaluated (yields recorded); reading an
-            # attribute performs no effect itself.
+            if node.attr == "value":
+                raise _Top(
+                    "attribute 'value' on an unresolved receiver (may be "
+                    "a Shared/Atomic property read)"
+                )
+            # Reading a plain attribute performs no adapter operation
+            # (property receivers degrade below when resolved; see the
+            # descriptor guard).  The *value* stays unknown.
             return UNKNOWN
-        shared = [
-            o for o in poss if isinstance(o, (SharedObject, Barrier))
-        ]
-        if shared and len(shared) != len(poss):
-            raise _Top(f"attribute {node.attr!r} on mixed shared/plain values")
-        if shared:
-            for o in shared:
-                if isinstance(o, Barrier):
-                    if node.attr == "parties":
-                        continue
-                    if node.attr != "wait":
-                        raise _Top(f"attribute {node.attr!r} on barrier")
-                elif isinstance(o, HeapField):
-                    raise _Top("direct operation on a heap field")
-                else:
-                    table = _EFFECT_METHODS.get(type(o))
-                    if table is None or node.attr not in table:
-                        raise _Top(
-                            f"attribute {node.attr!r} on shared object "
-                            f"{o.name!r} is not an effect constructor"
-                        )
-            if node.attr == "parties":
-                return _value_of([o.parties for o in shared])
-            return Concrete(_EffectMethod(tuple(shared), node.attr))
+        adapter_objs = [o for o in poss if isinstance(o, _ad._Adapter)]
+        if adapter_objs:
+            if len(adapter_objs) != len(poss):
+                raise _Top(
+                    f"attribute {node.attr!r} on mixed adapter/plain values"
+                )
+            return self._adapter_attribute(tuple(adapter_objs), node.attr)
+        if any(isinstance(o, (SharedObject, Barrier)) for o in poss):
+            raise _Top(
+                f"attribute {node.attr!r} on a core shared object "
+                "(adapters only in in-vivo code)"
+            )
         results: List[Any] = []
         for o in poss:
-            if isinstance(o, (_StaticFunc, _EffectMethod, _GenCall, _BarrierGen)):
+            if isinstance(o, (_StaticFunc, _AdapterMethod)):
                 raise _Top(f"attribute {node.attr!r} on analysis value")
-            try:
-                results.append(getattr(o, node.attr))
-            except Exception:
+            value = self._static_getattr(o, node.attr)
+            if value is _UNFOLDED:
                 return UNKNOWN
+            self.resolved.add(_hidden_key(o, node.attr))
+            results.append(value)
         return _value_of(results)
+
+    def _static_getattr(self, o: Any, attr: str) -> Any:
+        """Resolve ``o.attr`` without running user descriptors.
+
+        Returns the folded value, ``_UNFOLDED`` for plain data (sound:
+        hidden state is never folded), and raises :class:`_Top` when
+        the attribute is dynamic or a user descriptor could run code.
+        """
+        try:
+            static_value = inspect.getattr_static(o, attr)
+        except AttributeError:
+            raise _Top(
+                f"dynamic attribute {attr!r} of {type(o).__name__} "
+                "(resolved via __getattr__)"
+            )
+        if isinstance(static_value, property) or (
+            hasattr(type(static_value), "__get__")
+            and not isinstance(
+                static_value,
+                (
+                    types.FunctionType,
+                    types.BuiltinFunctionType,
+                    classmethod,
+                    staticmethod,
+                    types.MemberDescriptorType,
+                    types.GetSetDescriptorType,
+                ),
+            )
+        ):
+            raise _Top(
+                f"descriptor attribute {attr!r} of {type(o).__name__} "
+                "may run arbitrary code"
+            )
+        try:
+            value = getattr(o, attr)
+        except Exception:
+            raise _Top(f"unreadable attribute {attr!r}")
+        if _foldable_attr(value):
+            return value
+        return _UNFOLDED
 
     def _eval_subscript(self, node: ast.Subscript, state: _AbsState) -> AbstractValue:
         container = self._eval(node.value, state)
         index = self._eval(node.slice, state)
         pc = _possible(container)
         if pc is None:
-            # Container and index were evaluated (yields recorded).
+            # Container and index were evaluated (accesses recorded).
             return UNKNOWN
         pi = _possible(index)
         results: List[Any] = []
         for c in pc:
-            if isinstance(c, (_StaticEffect, _GenCall, _BarrierGen)):
-                raise _Top("subscript of an effect value")
             if pi is None:
                 # Unknown index: all elements are possible (sound for
                 # sequences and dicts of bounded size).
@@ -1302,82 +1433,107 @@ class _Interpreter:
             if keyword.arg is None:
                 raise _Top("**kwargs in call")
             kw[keyword.arg] = self._eval(keyword.value, state)
+        return self._call_abstract(func, pos, kw, state, node)
 
+    def _call_abstract(
+        self,
+        func: AbstractValue,
+        pos: Sequence[AbstractValue],
+        kw: Mapping[str, AbstractValue],
+        state: _AbsState,
+        node: Optional[ast.Call] = None,
+    ) -> AbstractValue:
         pf = _possible(func)
-        if pf is None or len(pf) != 1:
-            # Every sub-expression (callee, args, kwargs) has been
-            # evaluated above, so any yields inside are already
-            # recorded; an unresolved plain call cannot emit effects
-            # by itself, making UNKNOWN sound here.
-            if isinstance(node.func, ast.Attribute):
+        if pf is None:
+            # A call in real code may hide adapter operations; an
+            # unresolved callee is never harmless.
+            raise _Top("call of an unresolved callee")
+        methods = [c for c in pf if isinstance(c, _AdapterMethod)]
+        if methods:
+            if len(methods) != len(pf):
+                raise _Top("call of mixed adapter-method/plain values")
+            attrs = {m.attr for m in methods}
+            if len(attrs) != 1:
+                raise _Top("call of an ambiguous adapter method")
+            objs = tuple(o for m in methods for o in m.objects)
+            return self._adapter_call(objs, attrs.pop(), pos, kw, state)
+        if len(pf) == 1:
+            return self._dispatch_call(pf[0], node, pos, kw, state)
+        branches: List[_AbsState] = []
+        result: AbstractValue = UNKNOWN
+        for i, candidate in enumerate(pf):
+            branch = state.copy()
+            ret = self._dispatch_call(candidate, node, pos, kw, branch)
+            result = ret if i == 0 else _join(result, ret)
+            branches.append(branch)
+        merged = _merge_many(branches)
+        state.adopt(merged)
+        state.alive = merged.alive
+        return result
+
+    def _dispatch_call(
+        self,
+        callee: Any,
+        node: Optional[ast.Call],
+        pos: Sequence[AbstractValue],
+        kw: Mapping[str, AbstractValue],
+        state: _AbsState,
+    ) -> AbstractValue:
+        if isinstance(callee, _ad._Adapter):
+            raise _Top(f"adapter {callee.name!r} called directly")
+        if callee is _check_fn:
+            return Concrete(None)
+        if isinstance(callee, _StaticFunc):
+            # A nested generator is inlined like any helper: a yield it
+            # reaches is TOP.
+            self._check_snapshot(callee, state)
+            return self._inline_call(callee, pos, kw, state)
+        if callee in _SAFE_BUILTINS:
+            if self._args_conceal_effects(pos, kw):
+                raise _Top(
+                    "callable or user-typed argument to builtin "
+                    f"{_SAFE_BUILTINS[callee]}() may hide adapter "
+                    "operations"
+                )
+            return self._fold_builtin(callee, pos, kw)
+        if isinstance(callee, type):
+            if issubclass(callee, _ad._Adapter):
+                raise _Top(
+                    "adapter constructed inside a checked thread "
+                    "(create shared state in setup)"
+                )
+            if issubclass(callee, BaseException) or callee is object:
+                return UNKNOWN
+            if callee.__init__ is object.__init__:  # type: ignore[misc]
+                return UNKNOWN
+            raise _Top(
+                f"construction of {callee.__name__!r} inside a checked "
+                "thread"
+            )
+        if inspect.isgeneratorfunction(callee) or inspect.iscoroutinefunction(
+            callee
+        ):
+            name = getattr(callee, "__name__", "?")
+            raise _Top(
+                f"call of generator/coroutine function {name!r} in "
+                "in-vivo code"
+            )
+        if inspect.ismethod(callee) or getattr(callee, "__code__", None):
+            return self._inline_call(callee, pos, kw, state)
+        if callee in _BENIGN_CALLABLES:
+            return Concrete(None) if callee is print else UNKNOWN
+        if callable(callee):
+            if self._args_conceal_effects(pos, kw):
+                name = getattr(callee, "__name__", repr(callee))
+                raise _Top(
+                    f"opaque callable {name!r} with effect-capable "
+                    "arguments"
+                )
+            if node is not None and isinstance(node.func, ast.Attribute):
                 self._invalidate_root(node.func, state)
             return UNKNOWN
-        callee = pf[0]
-
-        if isinstance(callee, _EffectMethod):
-            return Concrete(self._make_effect(callee, pos, kw))
-        if callee is _effects_mod.spawn:
-            if not pos:
-                raise _Top("spawn() with no function argument")
-            name_v = kw.get("name")
-            name: Optional[str] = None
-            if name_v is not None:
-                np = _possible(name_v)
-                if np is not None and len(np) == 1 and isinstance(np[0], str):
-                    name = np[0]
-            return Concrete(
-                _StaticEffect(
-                    EffectKind.SPAWN,
-                    spawn_fn=pos[0],
-                    spawn_args=tuple(pos[1:]),
-                    spawn_name=name,
-                )
-            )
-        if callee is _effects_mod.join:
-            return Concrete(_StaticEffect(EffectKind.JOIN))
-        if callee is _effects_mod.sched_yield:
-            return Concrete(_StaticEffect(EffectKind.YIELD))
-        if callee is _effects_mod.alloc:
-            return Concrete(_StaticEffect(EffectKind.ALLOC))
-        if callee is _program_mod.check:
-            return Concrete(None)
-        if callee in _SAFE_BUILTINS:
-            arg_poss = [_possible(a) for a in pos]
-            kw_poss = {k: _possible(v) for k, v in kw.items()}
-            if all(p is not None and len(p) == 1 for p in arg_poss) and all(
-                p is not None and len(p) == 1 for p in kw_poss.values()
-            ):
-                concrete_args = [p[0] for p in arg_poss if p is not None]
-                concrete_kw = {
-                    k: p[0] for k, p in kw_poss.items() if p is not None
-                }
-                try:
-                    result = callee(*concrete_args, **concrete_kw)
-                    if callee in (zip, enumerate, reversed):
-                        result = tuple(result)
-                    return Concrete(result)
-                except Exception:
-                    return UNKNOWN
-            return UNKNOWN
-        if isinstance(callee, _StaticFunc):
-            self._check_snapshot(callee, state)
-            if callee.is_generator:
-                return Concrete(_GenCall(callee, tuple(pos), kw))
-            new_state, ret = self._run_callable(callee, pos, kw, state)
-            state.may_held = new_state.may_held
-            state.must_held = new_state.must_held
-            state.alive = new_state.alive
-            return ret
-        if inspect.isgeneratorfunction(callee):
-            return Concrete(_GenCall(callee, tuple(pos), kw))
-        if isinstance(callee, Barrier):
-            raise _Top("barrier object called directly")
-        # Any other call: plain Python code.  It cannot emit effects
-        # (effects only happen at a yield), so UNKNOWN is sound -- but a
-        # method call may mutate a tracked container, so invalidate the
-        # receiver.
-        if isinstance(node.func, ast.Attribute):
-            self._invalidate_root(node.func, state)
+        # Calling a non-callable raises at runtime; the path dies.
+        state.alive = False
         return UNKNOWN
 
     def _check_snapshot(self, sf: _StaticFunc, state: _AbsState) -> None:
@@ -1392,192 +1548,233 @@ class _Interpreter:
                     f"of {sf.name!r}"
                 )
 
-    def _make_effect(
+    def _inline_call(
         self,
-        method: _EffectMethod,
+        callee: Any,
         pos: Sequence[AbstractValue],
         kw: Mapping[str, AbstractValue],
-    ) -> Any:
-        objs = method.objects
-        if any(isinstance(o, Barrier) for o in objs):
-            if len(objs) != 1:
-                raise _Top("barrier wait with ambiguous receiver")
-            return _BarrierGen(objs[0])
-        if kw:
-            raise _Top("keyword arguments to an effect constructor")
-        kinds: Set[EffectKind] = set()
-        targets: List[Any] = []
-        for o in objs:
-            table = _EFFECT_METHODS[type(o)]
-            kinds.add(table[method.attr])
-        if len(kinds) != 1:
-            raise _Top(f"ambiguous effect kind for method {method.attr!r}")
-        kind = kinds.pop()
-        if kind in (EffectKind.HEAP_READ, EffectKind.HEAP_WRITE):
-            if not pos:
-                raise _Top("heap access without a field name")
-            fields = _possible(pos[0])
-            if fields is None:
-                # Unknown field: every field of the object is possible.
-                for o in objs:
-                    targets.extend(o.fields.values())
-            else:
-                for o in objs:
-                    for f in fields:
-                        hf = o.fields.get(f)
-                        if hf is None:
-                            raise _Top(
-                                f"unknown field {f!r} of heap object {o.name!r}"
-                            )
-                        targets.append(hf)
-            return _StaticEffect(kind, tuple(targets))
-        return _StaticEffect(kind, tuple(objs))
+        state: _AbsState,
+    ) -> AbstractValue:
+        returns, ret = self._run_callable(callee, list(pos), kw)
+        state.alive = returns
+        return ret
 
-    # -- yields (effect recording) ------------------------------------
-
-    def _record_yield(self, operand: AbstractValue, state: _AbsState) -> AbstractValue:
-        poss = _possible(operand)
-        if poss is None:
-            raise _Top("yield of an unresolved effect")
-        effects: List[_StaticEffect] = []
-        for p in poss:
-            if isinstance(p, _StaticEffect):
-                effects.append(p)
-            elif isinstance(p, (_GenCall, _BarrierGen)):
-                raise _Top("generator yielded directly (use `yield from`)")
-            else:
-                raise _Top(f"yield of a non-effect value {p!r}")
-        if len(effects) == 1:
-            self._apply_effect(effects[0], state)
-        else:
-            branches: List[_AbsState] = []
-            for eff in effects:
-                s = state.copy()
-                self._apply_effect(eff, s)
-                branches.append(s)
-            merged = _merge_many(branches)
-            state.may_held = merged.may_held
-            state.must_held = merged.must_held
+    def _fold_builtin(
+        self,
+        callee: Any,
+        pos: Sequence[AbstractValue],
+        kw: Mapping[str, AbstractValue],
+    ) -> AbstractValue:
+        arg_poss = [_possible(a) for a in pos]
+        kw_poss = {k: _possible(v) for k, v in kw.items()}
+        if all(p is not None and len(p) == 1 for p in arg_poss) and all(
+            p is not None and len(p) == 1 for p in kw_poss.values()
+        ):
+            concrete_args = [p[0] for p in arg_poss if p is not None]
+            concrete_kw = {
+                k: p[0] for k, p in kw_poss.items() if p is not None
+            }
+            try:
+                result = callee(*concrete_args, **concrete_kw)
+                if callee in (zip, enumerate, reversed):
+                    result = tuple(result)
+                return Concrete(result)
+            except Exception:
+                return UNKNOWN
         return UNKNOWN
 
-    def _eval_yield_from(self, node: ast.YieldFrom, state: _AbsState) -> AbstractValue:
-        operand = self._eval(node.value, state)
-        poss = _possible(operand)
-        if poss is None or len(poss) != 1:
-            raise _Top("yield from an unresolved generator")
-        gen = poss[0]
-        if isinstance(gen, _BarrierGen):
-            barrier = gen.barrier
-            count_eff = _StaticEffect(EffectKind.ATOMIC_ADD, (barrier._count,))
-            rel_eff = _StaticEffect(EffectKind.SEM_RELEASE, (barrier._sem,))
-            acq_eff = _StaticEffect(EffectKind.SEM_ACQUIRE, (barrier._sem,))
-            self._apply_effect(count_eff, state)
-            self._apply_effect(rel_eff, state)
-            self._apply_effect(acq_eff, state)
-            return Concrete(None)
-        if isinstance(gen, _GenCall):
-            new_state, ret = self._run_callable(gen.fn, gen.args, gen.kwargs, state)
-            state.may_held = new_state.may_held
-            state.must_held = new_state.must_held
-            state.alive = new_state.alive
-            return ret
-        raise _Top(f"yield from a non-generator value {gen!r}")
+    def _args_conceal_effects(
+        self,
+        pos: Sequence[AbstractValue],
+        kw: Mapping[str, AbstractValue],
+    ) -> bool:
+        """Whether an opaque call could run effectful code on its args.
 
-    # -- effect application -------------------------------------------
+        Flags known callables, adapters, analysis markers and instances
+        of user-defined classes (whose dunder methods an opaque callee
+        might invoke).  ``UNKNOWN`` arguments pass -- the documented
+        precision/soundness trade-off recorded in docs/invivo.md.
+        """
+        values: List[AbstractValue] = list(pos) + list(kw.values())
+        for value in values:
+            poss = _possible(value)
+            if poss is None:
+                continue
+            for item in poss:
+                if self._effect_capable(item):
+                    return True
+                if isinstance(item, (tuple, list, set, frozenset)):
+                    if any(self._effect_capable(sub) for sub in item):
+                        return True
+                elif isinstance(item, dict):
+                    if any(
+                        self._effect_capable(sub)
+                        for sub in list(item.keys()) + list(item.values())
+                    ):
+                        return True
+        return False
 
-    def _record_access(
-        self, kind: EffectKind, target: Any, state: _AbsState
-    ) -> None:
-        name = getattr(target, "name", None)
-        if name is None:
-            return
-        self.collector.accesses.append(
-            StaticAccess(
-                kind=kind,
-                variable=name,
-                is_write=kind in _WRITE_KINDS,
-                must_locks=frozenset(state.must_held),
-            )
+    @staticmethod
+    def _effect_capable(x: Any) -> bool:
+        if isinstance(
+            x, (_ad._Adapter, _StaticFunc, _AdapterMethod, SharedObject, Barrier)
+        ):
+            return True
+        if callable(x) and not isinstance(x, type):
+            return True
+        mod = getattr(type(x), "__module__", "builtins")
+        return mod not in ("builtins", "numbers", "decimal", "fractions")
+
+    # -- adapter operations -------------------------------------------
+
+    def _adapter_attribute(
+        self, objs: Tuple[Any, ...], attr: str
+    ) -> AbstractValue:
+        if attr == "name":
+            return _value_of([o.name for o in objs])
+        if attr == "value":
+            if all(isinstance(o, (_ad.Shared, _ad.Atomic)) for o in objs):
+                # Reading the property performs the read right here.
+                self._record([_data_access(o, False) for o in objs])
+                return UNKNOWN
+            raise _Top("attribute 'value' on a non-data adapter")
+        for o in objs:
+            methods = _methods_of(o)
+            if methods is None or attr not in methods:
+                raise _Top(
+                    f"attribute {attr!r} of adapter {o.name!r} is not a "
+                    "modelled operation"
+                )
+        return Concrete(_AdapterMethod(tuple(objs), attr))
+
+    @staticmethod
+    def _acquire(
+        target: Any,
+        pos: Sequence[AbstractValue],
+        kw: Mapping[str, AbstractValue],
+        kind: EffectKind,
+    ) -> Tuple[List[_Access], AbstractValue]:
+        """A blocking acquire, a try-acquire, or (unknown) either."""
+        blocking = _truth(kw.get("blocking", pos[0] if pos else Concrete(True)))
+        if blocking is True:
+            return [(kind, target)], Concrete(True)
+        try_acquire = (EffectKind.TRY_ACQUIRE, target)
+        if blocking is False:
+            return [try_acquire], UNKNOWN
+        return [(kind, target), try_acquire], UNKNOWN
+
+    def _adapter_op(
+        self,
+        o: Any,
+        attr: str,
+        pos: Sequence[AbstractValue],
+        kw: Mapping[str, AbstractValue],
+    ) -> Tuple[List[_Access], AbstractValue]:
+        """The accesses and abstract result of one adapter call."""
+        if isinstance(o, (_ad.Lock, _ad.RLock, _ad.Condition)):
+            if isinstance(o, _ad.Lock):
+                lock: Any = o._mutex
+            elif isinstance(o, _ad.RLock):
+                lock = o._section
+            else:
+                lock = o._lock._mutex
+            if attr == "__enter__":
+                return self._acquire(lock, (), {}, EffectKind.ACQUIRE)
+            if attr == "acquire":
+                return self._acquire(lock, pos, kw, EffectKind.ACQUIRE)
+            if attr == "release":
+                return [(EffectKind.RELEASE, lock)], Concrete(None)
+            if attr == "__exit__":
+                return [(EffectKind.RELEASE, lock)], Concrete(False)
+            if attr == "locked" and isinstance(o, _ad.Lock):
+                return [(EffectKind.ATOMIC_READ, lock)], UNKNOWN
+            if isinstance(o, _ad.Condition):
+                if attr == "wait":
+                    # The engine's protocol: the CV_WAIT step releases
+                    # the mutex, and the woken thread re-acquires it
+                    # (the runtime rewrites the pending op to ACQUIRE).
+                    return [
+                        (EffectKind.CV_WAIT, o._cv),
+                        (EffectKind.RELEASE, lock),
+                        (EffectKind.ACQUIRE, lock),
+                    ], Concrete(True)
+                if attr == "notify":
+                    return [(EffectKind.CV_NOTIFY, o._cv)], Concrete(None)
+                if attr == "notify_all":
+                    return [(EffectKind.CV_BROADCAST, o._cv)], Concrete(None)
+        elif isinstance(o, _ad.Event):
+            if attr == "is_set":
+                return [(EffectKind.ATOMIC_READ, o._event)], UNKNOWN
+            if attr == "set":
+                return [(EffectKind.SIGNAL, o._event)], Concrete(None)
+            if attr == "clear":
+                return [(EffectKind.RESET, o._event)], Concrete(None)
+            if attr == "wait":
+                return [(EffectKind.WAIT, o._event)], Concrete(True)
+        elif isinstance(o, _ad.Semaphore):
+            if attr == "__enter__":
+                return self._acquire(o._sem, (), {}, EffectKind.SEM_ACQUIRE)
+            if attr == "acquire":
+                return self._acquire(o._sem, pos, kw, EffectKind.SEM_ACQUIRE)
+            if attr == "release":
+                return [(EffectKind.SEM_RELEASE, o._sem)], Concrete(None)
+            if attr == "__exit__":
+                return [(EffectKind.SEM_RELEASE, o._sem)], Concrete(False)
+        elif isinstance(o, _ad.Shared):
+            if attr in ("get", "set"):
+                write = attr == "set"
+                return [_data_access(o, write)], (
+                    Concrete(None) if write else UNKNOWN
+                )
+        elif isinstance(o, _ad.Atomic):
+            kind = _ATOMIC_METHOD_KINDS.get(attr)
+            if kind is not None:
+                ret = Concrete(None) if attr == "set" else UNKNOWN
+                return [(kind, o._var)], ret
+        raise _Top(
+            f"unmodelled operation {attr!r} on adapter "
+            f"{getattr(o, 'name', o)!r}"
         )
 
-    def _apply_effect(self, eff: _StaticEffect, state: _AbsState) -> None:
-        kind = eff.kind
-        if kind is EffectKind.SPAWN:
-            self._register_spawn(eff)
-            return
-        if kind in (EffectKind.JOIN, EffectKind.YIELD, EffectKind.ALLOC):
-            return
-        targets = eff.targets
-        single = len(targets) == 1
-        for target in targets:
-            self._record_access(kind, target, state)
-        if kind is EffectKind.ACQUIRE or kind is EffectKind.RW_ACQUIRE_WRITE:
-            for target in targets:
-                for held in state.may_held:
-                    if held != target.name:
-                        self.collector.lock_edges.add((held, target.name))
-                reentrant = isinstance(target, CriticalSection)
-                if (
-                    single
-                    and not reentrant
-                    and kind is EffectKind.ACQUIRE
-                    and target.name in state.must_held
-                ):
-                    self.collector.double_acquires.append(target.name)
-                state.may_held.add(target.name)
-            if single:
-                state.must_held.add(targets[0].name)
-            return
-        if kind is EffectKind.RW_ACQUIRE_READ:
-            for target in targets:
-                for held in state.may_held:
-                    if held != target.name:
-                        self.collector.lock_edges.add((held, target.name))
-                state.may_held.add(target.name)
-            return
-        if kind is EffectKind.TRY_ACQUIRE:
-            for target in targets:
-                state.may_held.add(target.name)
-            return
-        if kind is EffectKind.RELEASE or kind is EffectKind.RW_RELEASE:
-            for target in targets:
-                state.must_held.discard(target.name)
-                if single:
-                    state.may_held.discard(target.name)
-            return
-        if kind is EffectKind.WAIT:
-            for target in targets:
-                self.collector.waited_events.add(target.name)
-            return
-        if kind is EffectKind.SIGNAL:
-            for target in targets:
-                self.collector.signalled_events.add(target.name)
-            return
-        # RESET, SEM_*, CV_*, data/atomic/heap accesses, FREE: the
-        # access record above is all we track.
-        return
+    def _adapter_call(
+        self,
+        objs: Tuple[Any, ...],
+        attr: str,
+        pos: Sequence[AbstractValue],
+        kw: Mapping[str, AbstractValue],
+        state: _AbsState,
+    ) -> AbstractValue:
+        if attr == "wait_for":
+            return self._condition_wait_for(objs, pos, kw, state)
+        result: AbstractValue = UNKNOWN
+        for i, o in enumerate(objs):
+            accesses, ret = self._adapter_op(o, attr, pos, kw)
+            self._record(accesses)
+            result = ret if i == 0 else _join(result, ret)
+        return result
 
-    def _register_spawn(self, eff: _StaticEffect) -> None:
-        fns = _possible(eff.spawn_fn)
-        if fns is None:
-            raise _Top("spawn of an unresolved function")
-        for fn in fns:
-            if isinstance(fn, _StaticFunc):
-                if not fn.is_generator:
-                    raise _Top(f"spawn of non-generator {fn.name!r}")
-            elif not inspect.isgeneratorfunction(fn):
-                raise _Top(f"spawn of non-generator {fn!r}")
-            self.collector.spawns.append((fn, eff.spawn_args, eff.spawn_name))
-
-
-def _same_abstract(a: AbstractValue, b: AbstractValue) -> bool:
-    if a is b:
-        return True
-    if isinstance(a, Concrete) and isinstance(b, Concrete):
-        return _same_runtime_value(a.value, b.value)
-    if isinstance(a, AnyOf) and isinstance(b, AnyOf):
-        return a == b
-    return False
+    def _condition_wait_for(
+        self,
+        objs: Tuple[Any, ...],
+        pos: Sequence[AbstractValue],
+        kw: Mapping[str, AbstractValue],
+        state: _AbsState,
+    ) -> AbstractValue:
+        if len(objs) != 1 or not isinstance(objs[0], _ad.Condition):
+            raise _Top("wait_for on an ambiguous receiver")
+        cond = objs[0]
+        predicate = kw.get("predicate", pos[0] if pos else None)
+        if predicate is None:
+            raise _Top("wait_for without a predicate")
+        wait_accesses, _ = self._adapter_op(cond, "wait", (), {})
+        self._call_abstract(predicate, (), {}, state)
+        # Two wait+re-check passes merged against the zero-wait path.
+        for _ in range(2):
+            branch = state.copy()
+            self._record(wait_accesses)
+            self._call_abstract(predicate, (), {}, branch)
+            state.adopt(_merge_states(state, branch))
+        return UNKNOWN
 
 
 # ---------------------------------------------------------------------------
@@ -1585,194 +1782,70 @@ def _same_abstract(a: AbstractValue, b: AbstractValue) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _category(obj: Any) -> str:
-    if isinstance(obj, AtomicVar):
-        return "atomic"
-    if isinstance(obj, SharedVar):
-        return "data"
-    if isinstance(obj, HeapField):
-        return "field"
-    if isinstance(obj, HeapRef):
-        return "heap"
-    if isinstance(obj, Mutex):
-        return "mutex"
-    if isinstance(obj, CriticalSection):
-        return "critsec"
-    if isinstance(obj, Event):
-        return "event"
-    if isinstance(obj, Semaphore):
-        return "semaphore"
-    if isinstance(obj, CondVar):
-        return "condvar"
-    if isinstance(obj, RWLock):
-        return "rwlock"
-    return "object"
-
-
-@dataclass(eq=False)
-class _ChildSpec:
-    label: str
-    fn: Any
-    args: Tuple[AbstractValue, ...]
-    dirty: bool = True
-    summary: Optional[ThreadSummary] = None
-
-
-def _spawn_key(fn: Any) -> Any:
-    if isinstance(fn, _StaticFunc):
-        return fn.node
-    return fn.__code__
-
-
 def _analyze_one(
-    label: str,
-    fn: Any,
-    args: Tuple[AbstractValue, ...],
-    multi_instance: bool,
-) -> Tuple[ThreadSummary, List[Tuple[Any, Tuple[AbstractValue, ...], Optional[str]]]]:
-    collector = _Collector()
-    interp = _Interpreter(collector)
-    state = _AbsState({}, set(), set())
+    label: str, fn: Any, args: Tuple[AbstractValue, ...]
+) -> ThreadSummary:
+    interp = _Interpreter()
     try:
-        exit_state, _ = interp._run_callable(fn, list(args), {}, state)
-        exit_unreleased = (
-            frozenset(exit_state.must_held) if exit_state.alive else frozenset()
-        )
+        interp._run_callable(fn, list(args), {})
     except _Top as top:
-        return ThreadSummary.make_top(label, top.reason, multi_instance), []
+        return ThreadSummary.make_top(label, top.reason)
     except RecursionError:  # pragma: no cover - defensive
-        return ThreadSummary.make_top(label, "analyzer recursion limit", multi_instance), []
+        return ThreadSummary.make_top(label, "analyzer recursion limit")
     except Exception as exc:
-        # Safety net: a bug in the analyzer must degrade to TOP, never
-        # to a silently wrong summary.
+        # Safety net: analyzer bugs degrade to TOP, never to a silently
+        # wrong summary.
         reason = f"analyzer error: {type(exc).__name__}: {exc}"
-        return ThreadSummary.make_top(label, reason, multi_instance), []
-    summary = ThreadSummary(
+        return ThreadSummary.make_top(label, reason)
+    return ThreadSummary(
         label=label,
-        top=False,
-        top_reason="",
-        multi_instance=multi_instance,
-        accesses=tuple(collector.accesses),
-        lock_edges=frozenset(collector.lock_edges),
-        exit_unreleased=exit_unreleased,
-        double_acquires=tuple(collector.double_acquires),
-        waited_events=frozenset(collector.waited_events),
-        signalled_events=frozenset(collector.signalled_events),
-        spawned_labels=tuple(
-            name or getattr(fn_, "name", None) or getattr(fn_, "__name__", "child")
-            for fn_, _, name in collector.spawns
-        ),
+        access_pairs=frozenset(interp.accesses),
+        hidden_writes=frozenset(interp.hidden_writes),
+        resolved_attrs=frozenset(interp.resolved),
     )
-    return summary, collector.spawns
 
 
-def analyze_program(program: Program) -> ProgramSummary:
-    """Compute sound static summaries for every thread of ``program``.
+def analyze_program(program: InvivoProgram) -> ProgramSummary:
+    """Compute sound static summaries for an :class:`InvivoProgram`.
 
-    Instantiates the program once (running only its setup function, no
-    thread body executes) to learn the shared-object catalog and the
-    root thread specs, then abstractly interprets each thread body and,
-    transitively, every body it can ``spawn``.
-
-    :class:`~repro.invivo.program.InvivoProgram` instances are routed
-    to the source-level interpreter in :mod:`repro.analysis.invivo`,
-    which understands the adapter vocabulary instead of the effect DSL.
+    Runs the program's setup once (``instantiate_raw``; no thread body
+    executes) to learn the raw thread callables, interprets each
+    callable's source, then cross-checks the hidden-state facts: any
+    thread whose constant-folded attributes or globals
+    (``resolved_attrs``) are written by some checked thread
+    (``hidden_writes``) is degraded to TOP -- its folds may be stale.
     """
-    from ..invivo.program import InvivoProgram
-
-    if isinstance(program, InvivoProgram):
-        from .invivo import analyze_invivo_program
-
-        return analyze_invivo_program(program)
-    world, specs = program.instantiate()
-    variables: Dict[str, str] = {}
-    events_initially_set: Dict[str, bool] = {}
-    for obj in world.objects:
-        variables[obj.name] = _category(obj)
-        if isinstance(obj, Event):
-            events_initially_set[obj.name] = obj.is_set
-
-    summaries: List[ThreadSummary] = []
-    children: Dict[Any, _ChildSpec] = {}
-    used_labels: Set[str] = set()
-
-    def unique_label(base: str) -> str:
-        label = base
-        n = 2
-        while label in used_labels:
-            label = f"{base}~{n}"
-            n += 1
-        used_labels.add(label)
-        return label
-
-    def note_spawns(
-        parent_label: str,
-        spawns: List[Tuple[Any, Tuple[AbstractValue, ...], Optional[str]]],
-    ) -> None:
-        for fn, args, name in spawns:
-            key = _spawn_key(fn)
-            fn_name = (
-                fn.name if isinstance(fn, _StaticFunc) else fn.__name__
-            )
-            spec = children.get(key)
-            if spec is None:
-                label = unique_label(name or f"{parent_label}/{fn_name}")
-                children[key] = _ChildSpec(label, fn, tuple(args))
-                continue
-            # The same body spawned again: join the argument vectors so
-            # one summary covers every instance.
-            if len(spec.args) != len(args):
-                joined: Tuple[AbstractValue, ...] = tuple(
-                    UNKNOWN for _ in range(max(len(spec.args), len(args)))
-                )
-            else:
-                joined = tuple(_join(a, b) for a, b in zip(spec.args, args))
-            if not all(_same_abstract(a, b) for a, b in zip(joined, spec.args)) or len(
-                joined
-            ) != len(spec.args):
-                spec.args = joined
-                spec.dirty = True
-
-    for label, body, args in specs:
-        root_label = unique_label(label)
-        summary, spawns = _analyze_one(
-            root_label,
-            body,
-            tuple(Concrete(a) for a in args),
-            multi_instance=False,
+    if not isinstance(program, InvivoProgram):
+        raise TypeError(
+            "the static analysis reads in-vivo programs only, got "
+            f"{type(program).__name__} {getattr(program, 'name', program)!r}"
         )
-        summaries.append(summary)
-        note_spawns(root_label, spawns)
+    _world, _ctx, specs = program.instantiate_raw()
+    used_labels: Set[str] = set()
+    summaries: List[ThreadSummary] = []
+    for label, fn, args in specs:
+        unique = label
+        n = 2
+        while unique in used_labels:
+            unique = f"{label}~{n}"
+            n += 1
+        used_labels.add(unique)
+        summaries.append(
+            _analyze_one(unique, fn, tuple(Concrete(a) for a in args))
+        )
 
-    # Iterate child analyses to a fixpoint over joined spawn arguments.
-    for _ in range(10_000):
-        dirty = [spec for spec in children.values() if spec.dirty]
-        if not dirty:
-            break
-        for spec in dirty:
-            spec.dirty = False
-            summary, spawns = _analyze_one(
-                spec.label,
-                spec.fn,
-                spec.args,
-                multi_instance=True,
+    written: Set[str] = set()
+    for summary in summaries:
+        written |= summary.hidden_writes
+    out: List[ThreadSummary] = []
+    for summary in summaries:
+        clash = summary.resolved_attrs & written
+        if clash:
+            names = ", ".join(sorted(clash))
+            summary = ThreadSummary.make_top(
+                summary.label,
+                f"statically resolved state ({names}) is mutated by "
+                "a checked thread",
             )
-            spec.summary = summary
-            note_spawns(spec.label, spawns)
-    else:  # pragma: no cover - defensive
-        for spec in children.values():
-            if spec.dirty:
-                spec.summary = ThreadSummary.make_top(
-                    spec.label, "spawn fixpoint did not converge", True
-                )
-
-    for spec in children.values():
-        if spec.summary is not None:
-            summaries.append(spec.summary)
-
-    return ProgramSummary(
-        program=program.name,
-        threads=tuple(summaries),
-        variables=variables,
-        events_initially_set=events_initially_set,
-    )
+        out.append(summary)
+    return ProgramSummary(program=program.name, threads=tuple(out))

@@ -15,13 +15,13 @@ A misspelled built-in name exits 1 with close-match suggestions;
 usual way to check :mod:`repro.invivo` programs -- real ``threading``
 code; see ``docs/invivo.md``).
 
-The static-analysis subsystem (see ``docs/analysis.md``) is exposed
-two ways: ``analyze`` prints a program's access summaries, lock graph
-and race candidates; ``lint`` reports static anomalies (exiting
-non-zero on findings not recorded in a ``--baseline`` file)::
+``lint`` reads the source of an in-vivo program and reports plain
+state that more than one thread writes outside the adapters -- the one
+kind of sharing the checker cannot see (see ``docs/invivo.md``).  It
+exits non-zero on findings not recorded in a ``--baseline`` file::
 
-    python -m repro analyze wsq:pop-race
-    python -m repro lint --all --baseline ci/lint-baseline.txt
+    python -m repro lint --module examples.invivo.hidden_state:make_program \
+        --baseline ci/lint-baseline-invivo.txt
 
 ``check`` exits non-zero when a bug is found, so the CLI slots into CI
 pipelines the way the paper envisions systematic testing replacing
@@ -249,53 +249,23 @@ def _parallel_settings(args: argparse.Namespace):
     return ParallelSettings(progress_interval=args.progress_interval)
 
 
-def _analysis_specs(args: argparse.Namespace) -> list:
-    """The program specs an analyze/lint invocation covers."""
-    module = getattr(args, "module", None)
-    if module is not None:
-        if args.program is not None or getattr(args, "all", False):
-            raise SystemExit(
-                "pass a PROGRAM, --all or --module, not a combination"
-            )
-        if ":" not in module:
-            raise SystemExit(
-                f"--module expects module:factory, got {module!r}"
-            )
-        return [module]
-    if getattr(args, "all", False):
-        if args.program is not None:
-            raise SystemExit("pass a PROGRAM or --all, not both")
-        return sorted(_builtin_programs())
-    if args.program is None:
-        raise SystemExit("pass a PROGRAM, --all or --module")
-    return [args.program]
+#: What ``repro lint`` reads, in the words of its refusal.
+_LINT_SCOPE = (
+    "repro lint checks in-vivo programs given as --module "
+    "pkg.mod:factory; check built-in and DSL programs with repro check"
+)
 
 
-def _program_for_analysis(args: argparse.Namespace, spec: str) -> Program:
-    """Resolve one analyze/lint spec (built-in, spec'd, or --module)."""
-    if getattr(args, "module", None) is not None:
-        return _import_factory(spec)
-    return _resolve_program(spec)
+def _cmd_lint(args: argparse.Namespace, lint_parser: argparse.ArgumentParser) -> int:
+    from .analysis import analyze_program, format_baseline, lint_program, load_baseline
+    from .invivo import InvivoProgram
 
-
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    from .analysis import analyze
-
-    first = True
-    for spec in _analysis_specs(args):
-        if not first:
-            print()
-        first = False
-        print(analyze(_program_for_analysis(args, spec)).render())
-    return 0
-
-
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from .analysis import analyze, format_baseline, load_baseline
-
-    findings: list = []
-    for spec in _analysis_specs(args):
-        findings.extend(analyze(_program_for_analysis(args, spec)).findings)
+    if args.module is None:
+        lint_parser.error(_LINT_SCOPE)
+    program = _import_factory(args.module)
+    if not isinstance(program, InvivoProgram):
+        lint_parser.error(_LINT_SCOPE)
+    findings = lint_program(analyze_program(program))
     if args.update_baseline:
         with open(args.update_baseline, "w", encoding="utf-8") as fh:
             fh.write(format_baseline(findings))
@@ -831,34 +801,15 @@ def _main(argv: Optional[list]) -> int:
     )
     stats_parser.add_argument("file", help="a repro-metrics or repro-events file")
 
-    analyze_parser = commands.add_parser(
-        "analyze",
-        help="print a program's static access summaries, lock graph and "
-        "race candidates",
-    )
-    analyze_parser.add_argument("program", nargs="?", default=None,
-                                help="built-in name or module:factory")
-    analyze_parser.add_argument("--all", action="store_true",
-                                help="analyze every built-in program")
-    analyze_parser.add_argument("--module", default=None,
-                                metavar="MODULE:FACTORY",
-                                help="analyze the Program returned by this "
-                                "factory (e.g. examples.invivo."
-                                "bounded_queue:make_program)")
-
     lint_parser = commands.add_parser(
         "lint",
-        help="report static synchronization anomalies; non-zero exit on "
-        "findings missing from the baseline",
+        help="report plain state shared outside the in-vivo adapters; "
+        "non-zero exit on findings missing from the baseline",
     )
-    lint_parser.add_argument("program", nargs="?", default=None,
-                             help="built-in name or module:factory")
-    lint_parser.add_argument("--all", action="store_true",
-                             help="lint every built-in program")
     lint_parser.add_argument("--module", default=None,
                              metavar="MODULE:FACTORY",
-                             help="lint the Program returned by this factory "
-                             "(e.g. examples.invivo.hidden_state:"
+                             help="lint the in-vivo program returned by this "
+                             "factory (e.g. examples.invivo.hidden_state:"
                              "make_program)")
     lint_parser.add_argument("--baseline", default=None, metavar="FILE",
                              help="known-findings file; only findings not "
@@ -881,6 +832,11 @@ def _main(argv: Optional[list]) -> int:
             and not extras[0].startswith("-")
         ):
             args.out = extras[0]
+        elif args.command == "lint":
+            lint_parser.error(
+                "unrecognized arguments: " + " ".join(extras)
+                + f" ({_LINT_SCOPE})"
+            )
         else:
             parser.error("unrecognized arguments: " + " ".join(extras))
 
@@ -916,10 +872,8 @@ def _main(argv: Optional[list]) -> int:
         return _cmd_corpus_run(args)
     if args.command == "stats":
         return _cmd_stats(args)
-    if args.command == "analyze":
-        return _cmd_analyze(args)
     if args.command == "lint":
-        return _cmd_lint(args)
+        return _cmd_lint(args, lint_parser)
 
     spec = _check_spec(args)
     program = _resolve_check_program(args, spec)

@@ -300,10 +300,6 @@ class Execution:
             return True
         return target.is_enabled(effect, thread)
 
-    def pending_effect(self, tid: ThreadId) -> Optional[Effect]:
-        """NV(alpha, t): the effect ``tid`` will execute next."""
-        return self.threads[tid].pending
-
     def pending_footprint(self, tid: ThreadId) -> frozenset:
         """Names of the shared objects ``tid``'s next step will touch.
 

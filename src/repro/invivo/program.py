@@ -98,7 +98,7 @@ class InvivoProgram(Program):
 
         The raw ``(label, fn, args)`` specs carry the user callables
         themselves, before bridging -- what the static analyzer in
-        :mod:`repro.analysis.invivo` interprets (the bridge generators
+        :mod:`repro.analysis.summary` interprets (the bridge generators
         have no analyzable source).  ``instantiate`` wraps the same
         specs in bridges for execution.
         """

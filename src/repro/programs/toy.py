@@ -396,8 +396,7 @@ def stats_race(rounds: int = 2) -> Program:
     on variables no other thread touches, so ICB spends preemptions
     at them that cannot change any outcome; the race itself is
     already unordered in the round-robin execution and is reported at
-    preemption bound zero.  ``repro analyze`` reports the race
-    candidate on ``stat``.
+    preemption bound zero.
     """
 
     def setup(w: World):

@@ -15,7 +15,7 @@ checked for data races.  This package provides:
 """
 
 from .goldilocks import GoldilocksDetector
-from .happens_before import HBTracker, RaceInfo, race_variable_from_message
+from .happens_before import HBTracker, RaceInfo
 from .vectorclock import VectorClock
 
 __all__ = [
@@ -23,5 +23,4 @@ __all__ = [
     "HBTracker",
     "RaceInfo",
     "VectorClock",
-    "race_variable_from_message",
 ]

@@ -212,19 +212,3 @@ class HBTracker:
             self._journal.append((reads, tid, reads.get(tid, ABSENT)))
             reads[tid] = epoch[1]
         return clock, races
-
-
-def race_variable_from_message(message: str) -> Optional[str]:
-    """The variable a :meth:`RaceInfo.describe` message is about.
-
-    The inverse of the ``"data race on <variable>: ..."`` format used
-    in race bug reports; returns ``None`` for any other message.  The
-    static/dynamic cross-validation in ``tests/analysis`` uses this to
-    map reported races back onto variables without re-running the
-    detector.
-    """
-    prefix = "data race on "
-    if not message.startswith(prefix):
-        return None
-    variable, sep, _ = message[len(prefix) :].partition(": ")
-    return variable if sep else None

@@ -1,98 +1,50 @@
-"""Intentional-violation programs for the static-analysis tests.
+"""In-vivo programs for the static-analysis tests.
 
-Each factory exhibits exactly one anomaly the lint pass must flag (and
-one defeats the analyzer entirely, forcing the TOP fallback).  They
-live outside the builtin registry on purpose: the registry's programs
-feed the committed lint baseline, while these exist to *be* findings.
+They live outside ``examples/invivo`` on purpose: the examples feed
+the committed lint baseline, while these exist to exercise the
+analyzer's edges.
 """
 
 from __future__ import annotations
 
-from repro import Program
+from repro.invivo import InvivoProgram, Shared
 
 
-def unreleased_lock_program() -> Program:
-    """A thread that exits while still holding its mutex."""
-
-    def setup(w):
-        lock = w.mutex("lock")
-        value = w.var("value", 0)
-
-        def sloppy():
-            yield lock.acquire()
-            yield value.write(1)
-            # BUG (lint): falls off the end without releasing.
-
-        def polite():
-            yield lock.acquire()
-            yield value.write(2)
-            yield lock.release()
-
-        return {"sloppy": sloppy, "polite": polite}
-
-    return Program("unreleased-lock", setup)
-
-
-def double_acquire_program() -> Program:
-    """A thread that re-acquires a non-re-entrant mutex it holds."""
-
-    def setup(w):
-        lock = w.mutex("lock")
-        value = w.var("value", 0)
-
-        def stuck():
-            yield lock.acquire()
-            yield lock.acquire()  # BUG (lint): guaranteed self-deadlock.
-            yield value.write(1)
-            yield lock.release()
-
-        return {"stuck": stuck}
-
-    return Program("double-acquire", setup)
-
-
-def never_set_event_program() -> Program:
-    """A thread waiting on an event no thread ever signals."""
-
-    def setup(w):
-        go = w.event("go")
-        other = w.event("other")
-        value = w.var("value", 0)
-
-        def waiter():
-            yield go.wait()  # BUG (lint): nothing ever sets `go`.
-            yield value.write(1)
-
-        def signaller():
-            yield other.set()
-
-        return {"waiter": waiter, "signaller": signaller}
-
-    return Program("never-set-event", setup)
-
-
-def opaque_program() -> Program:
-    """A racy program whose thread bodies defeat the AST analyzer.
+def opaque_program() -> InvivoProgram:
+    """A racy program whose thread bodies defeat the source analyzer.
 
     The bodies are compiled from a source string via ``exec``, so
     ``inspect.getsource`` cannot recover their ASTs and every summary
-    must fall back to TOP -- disabling the reduction while the dynamic
-    checkers still find the race.
+    must fall back to TOP -- an ``incomplete`` lint finding per thread
+    -- while the dynamic checker still finds the race.
     """
 
     source = (
         "def _make(counter):\n"
         "    def worker():\n"
-        "        value = yield counter.read()\n"
-        "        yield counter.write(value + 1)\n"
+        "        counter.set(counter.get() + 1)\n"
         "    return worker\n"
     )
     namespace: dict = {}
     exec(source, namespace)  # noqa: S102 - deliberate, to defeat getsource
 
-    def setup(w):
-        counter = w.var("counter", 0)
+    def setup():
+        counter = Shared(0, name="counter")
         worker = namespace["_make"](counter)
         return {"t0": worker, "t1": worker}
 
-    return Program("opaque", setup)
+    return InvivoProgram("invivo-opaque", setup)
+
+
+def trivial_program() -> InvivoProgram:
+    """One thread writing one ``Shared`` cell."""
+
+    def setup():
+        value = Shared(0, name="value")
+
+        def worker():
+            value.set(1)
+
+        return {"t": worker}
+
+    return InvivoProgram("invivo-trivial", setup)

@@ -1,75 +1,42 @@
-"""The lint findings, one intentional violation per fixture."""
+"""The in-vivo lint findings and the baseline file format."""
 
 from __future__ import annotations
 
 from repro.analysis import (
-    analyze,
+    analyze_program,
     format_baseline,
     lint_program,
     load_baseline,
 )
 
-from .fixtures import (
-    double_acquire_program,
-    never_set_event_program,
-    unreleased_lock_program,
-)
+from examples.invivo import hidden_state, lazy_singleton
+
+from .fixtures import opaque_program
 
 
 def findings_for(program):
-    analysis = analyze(program)
-    return analysis.findings
-
-
-def codes(findings):
-    return [f.code for f in findings]
+    return lint_program(analyze_program(program))
 
 
 class TestFindings:
-    def test_unreleased_lock(self):
-        findings = findings_for(unreleased_lock_program())
-        assert codes(findings) == ["unreleased-lock"]
-        finding = findings[0]
-        assert finding.subject == "sloppy:lock"
-        assert "sloppy" in finding.message and "lock" in finding.message
-
-    def test_double_acquire(self):
-        findings = findings_for(double_acquire_program())
-        assert codes(findings) == ["double-acquire"]
-        assert findings[0].subject == "stuck:lock"
-        assert "self-deadlock" in findings[0].message
-
-    def test_wait_never_set(self):
-        findings = findings_for(never_set_event_program())
-        assert codes(findings) == ["wait-never-set"]
-        assert findings[0].subject == "waiter:go"
-        # `other` IS signalled; only `go` may be flagged.
-        assert all("other" not in f.subject for f in findings)
-
-    def test_lock_cycle_via_facade(self):
-        from repro.programs import toy
-
-        findings = findings_for(toy.lock_order_deadlock())
-        assert codes(findings) == ["lock-cycle"]
-        assert "potential deadlock" in findings[0].message
-
     def test_clean_program_has_no_findings(self):
-        from repro.programs import toy
+        assert findings_for(hidden_state.make_fixed()) == ()
 
-        assert findings_for(toy.locked_counter()) == ()
-
-    def test_lint_program_builds_graph_when_omitted(self):
-        from repro.analysis import analyze_program
-        from repro.programs import toy
-
-        summary = analyze_program(toy.lock_order_deadlock())
-        assert codes(lint_program(summary)) == ["lock-cycle"]
+    def test_each_top_thread_is_an_incomplete_finding(self):
+        # A TOP thread's writes are unknown, so no hidden-state finding
+        # is trusted beside it; the lint says what it could not read.
+        findings = findings_for(opaque_program())
+        assert [(f.code, f.subject) for f in findings] == [
+            ("incomplete", "t0"),
+            ("incomplete", "t1"),
+        ]
+        assert "no source" in findings[0].message
 
 
 class TestBaseline:
     def test_round_trip(self):
-        findings = findings_for(unreleased_lock_program()) + findings_for(
-            double_acquire_program()
+        findings = findings_for(hidden_state.make_program()) + findings_for(
+            lazy_singleton.make_program()
         )
         text = format_baseline(findings)
         assert text.startswith("#")
@@ -81,5 +48,5 @@ class TestBaseline:
         assert parsed == {"prog:code:subject"}
 
     def test_fingerprint_is_stable_identity(self):
-        finding = findings_for(double_acquire_program())[0]
-        assert finding.fingerprint == "double-acquire:double-acquire:stuck:lock"
+        (finding,) = findings_for(hidden_state.make_program())
+        assert finding.fingerprint == "invivo-hidden-state:hidden-state:Stats.total"

@@ -1,18 +1,18 @@
 """In-vivo static analysis: soundness, lint, loud TOP fallback.
 
-:mod:`repro.analysis.invivo` abstractly interprets the *source* of
-real thread callables, so in-vivo programs get the same static
-summaries as the DSL.  These tests pin its contracts over every
+:mod:`repro.analysis.summary` abstractly interprets the *source* of
+real thread callables.  These tests pin its contracts over every
 ``examples/invivo`` program (buggy and fixed variants):
 
 * soundness -- every shared access observed dynamically is covered by
-  the static summary, and every dynamic race variable appears among
-  the static race candidates;
+  the static summary (the only evidence that the walk reaches every
+  path a thread can take);
 * the hidden-state lint -- plain attributes written by more than one
   checked thread are flagged with fingerprints stable across fresh
   interpreters; and
 * no silent TOP -- when a body defeats the analyzer, the summary
-  records *why* and ``repro analyze`` prints the reason.
+  records *why* and ``repro lint`` reports it as an ``incomplete``
+  finding.
 """
 
 from __future__ import annotations
@@ -34,9 +34,8 @@ from repro import (
     SearchLimits,
     monitor_factory,
 )
-from repro.analysis import analyze, analyze_program, lint_program
+from repro.analysis import analyze_program, lint_program
 from repro.invivo import InvivoProgram
-from repro.races import race_variable_from_message
 
 EXAMPLES = [
     "examples.invivo.bounded_queue",
@@ -101,23 +100,6 @@ class TestSoundness:
             if not summary.covers(EffectKind(kind), var)
         ]
         assert not missed, f"dynamic accesses missing from summary: {missed}"
-
-    @pytest.mark.parametrize("name", EXAMPLES)
-    def test_dynamic_races_are_static_candidates(self, name):
-        analysis = analyze(build(name, "make_program"))
-        candidate_vars = {c.variable for c in analysis.candidates}
-
-        result = ChessChecker(build(name, "make_program")).check(
-            max_bound=1, limits=SearchLimits(max_executions=2000)
-        )
-        raced = {
-            variable
-            for bug in result.bugs
-            for variable in [race_variable_from_message(bug.message)]
-            if variable is not None and _is_checkable(variable)
-        }
-        missed = sorted(raced - candidate_vars)
-        assert not missed, f"dynamic races not predicted statically: {missed}"
 
 
 class TestHiddenStateLint:
@@ -210,27 +192,41 @@ class TestHiddenStateLint:
         assert "invivo-hidden-state:hidden-state:Stats.total" in outputs[0]
 
 
+def opaque_program() -> InvivoProgram:
+    """A thread that builds an object mid-run: the analyzer gives up."""
+
+    class Box:
+        def __init__(self) -> None:
+            self.value = 0
+
+    def setup():
+        def builder():
+            Box()
+
+        return {"builder": builder}
+
+    return InvivoProgram("invivo-opaque", setup)
+
+
 class TestTopFallback:
     """Unanalyzable bodies degrade loudly, never silently."""
 
-    @staticmethod
-    def _opaque_program() -> InvivoProgram:
-        class Box:
-            def __init__(self) -> None:
-                self.value = 0
-
-        def setup():
-            def builder():
-                Box()
-
-            return {"builder": builder}
-
-        return InvivoProgram("invivo-opaque", setup)
-
-    def test_top_records_a_reason(self):
-        analysis = analyze(self._opaque_program())
-        assert analysis.summary.any_top
-        (thread,) = analysis.summary.threads
+    def test_top_records_a_reason(self, capsys):
+        summary = analyze_program(opaque_program())
+        (thread,) = summary.threads
         assert thread.top
         assert "construction" in thread.top_reason
-        assert f"builder: TOP -- {thread.top_reason}" in analysis.render()
+        (finding,) = lint_program(summary)
+        assert (finding.code, finding.subject) == ("incomplete", "builder")
+        assert thread.top_reason in finding.message
+
+        # `repro lint --module` alone is the gate: the TOP thread fails it.
+        from repro.cli import main
+
+        spec = f"{__name__}:opaque_program"
+        assert main(["lint", "--module", spec]) == 1
+        out = capsys.readouterr().out
+        assert (
+            "[incomplete] thread 'builder' could not be analyzed: "
+            f"{thread.top_reason}"
+        ) in out

@@ -12,10 +12,9 @@ fingerprints, witness traces) mean the same thing for in-vivo code as
 for the DSL.
 
 The cross-validation half pins how ``repro.analysis`` composes: the
-in-vivo analyzer (:mod:`repro.analysis.invivo`) interprets the real
+analyzer (:mod:`repro.analysis.summary`) interprets the real
 callables' source, so the kitchen sink analyzes without TOP and its
-summary must cover the dynamic trace -- the same soundness obligation
-the DSL twin carries.
+summary must cover the dynamic trace.
 """
 
 from __future__ import annotations
@@ -238,23 +237,10 @@ class TestBugParity:
 class TestAnalysisCrossValidation:
     """How the static analysis composes with in-vivo programs."""
 
-    def test_dsl_twin_is_statically_covered(self):
-        # The DSL twin is analyzable: its summary must cover every
-        # dynamic access the kitchen-sink run performs (the usual
-        # soundness obligation from tests/analysis).
-        program = make_dsl_kitchen_sink()
-        summary = analyze_program(program)
-        execution = Execution(program).run_round_robin()
-        for record in execution.step_records:
-            for kind, name in record.accesses:
-                if name is None or name.startswith("$") or "#" in name:
-                    continue
-                assert summary.covers(kind, name), (kind, name)
-
     def test_invivo_twin_is_statically_covered(self):
-        # The in-vivo analyzer reads the callables' source: the same
-        # program analyzes without TOP and carries the same soundness
-        # obligation as its DSL twin.
+        # The analyzer reads the callables' source: the program
+        # analyzes without TOP and its summary covers every dynamic
+        # access of the round-robin run.
         program = make_invivo_kitchen_sink()
         summary = analyze_program(program)
         assert not summary.any_top, [

@@ -109,6 +109,6 @@ def test_footprints_share_common_lock():
     w0, w1 = ex.enabled_threads()
     ex.execute(w0)  # START; pending is now the lock acquire
     ex.execute(w1)  # START; pending is now the lock acquire
-    assert ex.pending_effect(w0).kind.value == "acquire"
-    assert ex.pending_effect(w1).kind.value == "acquire"
+    assert ex.threads[w0].pending.kind.value == "acquire"
+    assert ex.threads[w1].pending.kind.value == "acquire"
     assert not ex.pending_footprint(w0).isdisjoint(ex.pending_footprint(w1))
