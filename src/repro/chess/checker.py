@@ -142,7 +142,7 @@ class ChessChecker:
             obs: optional :class:`~repro.obs.Instrumentation`; events,
                 metrics and phase timings flow through it (see
                 ``docs/observability.md``).  Under ``workers`` the
-                coordinator merges per-worker metric snapshots into it.
+                coordinator folds per-worker metric snapshots into it.
             checkpoint: path of a durable checkpoint file (see
                 :mod:`repro.service` and ``docs/service.md``).  When
                 the file exists the search *resumes* from it instead

@@ -179,8 +179,8 @@ def _add_check_arguments(parser: argparse.ArgumentParser) -> None:
                         help="with --workers: stream worker progress every N "
                         "transitions (drives heartbeats and global budgets)")
     parser.add_argument("--profile", action="store_true",
-                        help="time every schedule/execute/fingerprint/"
-                        "race-detect/cache-lookup call and print a phase "
+                        help="time every schedule/execute/replay/"
+                        "fingerprint/race-detect call and print a phase "
                         "profile (adds overhead)")
     parser.add_argument("--checkpoint", default=None, metavar="FILE",
                         help="durable checkpoint file: resume from it if it "

@@ -207,15 +207,11 @@ class Execution:
         #: What :meth:`rewind` needs, kept along this execution's path
         #: only (O(depth) memory): one log entry per step, and what each
         #: object's ``save`` last returned (at its creation, or after
-        #: the last step that touched it).  ``None`` when this execution
-        #: cannot be rewound: monitors keep state of their own, an
-        #: in-vivo program's threads are OS threads, and some object
-        #: kinds have no ``restore``.
+        #: the last step that touched it).  ``None`` unless
+        #: :meth:`keep_rewind_log` started it and the execution can
+        #: still be rewound.
         self._log: Optional[List[Tuple[Any, ...]]] = None
         self._saved: Dict[str, Any] = {}
-        if program.restorable and not self.monitors:
-            self._log = []
-            self._saved = {obj.name: obj.save() for obj in world.objects if obj.restorable}
         #: ``(thread, state)`` of the threads the current step changes,
         #: before it (notify adds its waiters').
         self._befores: List[Tuple[ThreadState, Tuple[Any, ...]]] = []
@@ -496,6 +492,23 @@ class Execution:
         return record
 
     # -- rewind ------------------------------------------------------------
+
+    def keep_rewind_log(self) -> None:
+        """Log every step from here on so that :meth:`rewind` can undo it.
+
+        Call before the first step.  The log costs a save of the
+        changed threads and touched objects on every step, so only an
+        execution that will be rewound keeps one.  Nothing is logged
+        when this execution cannot be rewound: monitors keep state of
+        their own, an in-vivo program's threads are OS threads, and some
+        object kinds have no ``restore``.
+        """
+        assert not self.schedule, "the rewind log must start before the first step"
+        if self.program.restorable and not self.monitors:
+            self._log = []
+            self._saved = {
+                obj.name: obj.save() for obj in self.world.objects if obj.restorable
+            }
 
     def _log_step(self, marks: Tuple[int, ...]) -> None:
         """Append the rewind-log entry of the step just executed."""

@@ -168,6 +168,7 @@ class ProgramStateSpace(StateSpace):
             else:
                 current, held = Execution(self.program, self.config), 0
                 current.obs = obs
+                current.keep_rewind_log()
         for tid in schedule[held:]:
             current.execute(tid)
         self._current, self._state = current, schedule

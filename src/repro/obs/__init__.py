@@ -11,11 +11,13 @@ fans observations out three ways:
   live terminal progress line, and a final Figure-2-style report;
 * **metrics** (:mod:`repro.obs.metrics`): counters, gauges, per-bound
   breakdowns and sampled latency histograms, frozen into a picklable
-  :class:`MetricsSnapshot` that merges across parallel workers exactly
-  like ``SearchContext.absorb`` folds their shards;
+  :class:`MetricsSnapshot`; ``MetricsRegistry.absorb`` folds parallel
+  workers' snapshots the way ``SearchContext.absorb`` folds their
+  shards, and the search totals come from ``SearchContext`` once per
+  finished search;
 * **phase profiling** (:mod:`repro.obs.profile`): wall time
-  partitioned into schedule / execute / fingerprint / race-detect /
-  cache-lookup, so benchmarks report *where* time goes.
+  partitioned into schedule / execute / replay / fingerprint /
+  race-detect, so benchmarks report *where* time goes.
 
 The whole subsystem is zero-dependency and costs ~nothing when unused:
 uninstrumented runs carry ``obs=None`` and pay a single attribute test

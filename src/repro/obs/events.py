@@ -8,8 +8,9 @@ subscribed sinks; with no sinks it is inert, and instrumented code is
 expected to test :attr:`EventBus.active` before even *constructing* an
 event, so the disabled path allocates nothing.
 
-Volume discipline: per-transition quantities are aggregated in
-:mod:`repro.obs.metrics`; the bus carries discrete milestones only --
+Volume discipline: per-transition quantities are counted, not
+streamed (by ``SearchContext``, and reported through
+:mod:`repro.obs.metrics`); the bus carries discrete milestones only --
 new states, completed executions, bounds, bugs, race hits, worker
 heartbeats -- keeping event logs proportional to discoveries rather
 than to raw transitions.

@@ -7,25 +7,27 @@ instrumented layers call.  The contract with the hot path:
 * uninstrumented runs pass ``obs=None`` everywhere, and every hook
   site guards with ``if obs is not None`` -- a single attribute test,
   no allocation, no call;
-* with instrumentation on but no sinks subscribed, hooks update the
-  metrics dicts and never construct an event (``bus.active`` is
-  checked before allocating);
+* with instrumentation on but no sinks subscribed, ``SearchContext``
+  makes no call per transition, the remaining hooks update the metrics
+  dicts, and no event is constructed (``bus.active`` is checked before
+  allocating);
 * full phase timing (two clock reads per hooked call) only happens
   with ``profiling=True``.
 
-The per-bound breakdowns maintained here mirror ``SearchContext``
-exactly: ``states_by_bound`` tracks each state's *minimal* reaching
-preemption count, including the re-bucketing when a later visit
-reaches a known state with fewer preemptions, so a snapshot's counts
-can be asserted equal to the context's (the acceptance check in
-``tests/obs``).
+The search totals -- executions, transitions, distinct states and
+their per-bound buckets, bugs, work-item cache lookups and hits -- are
+counted by ``SearchContext`` and the work-item table alone.
+:meth:`Instrumentation.search_finished` adds them to the registry once
+per search, so a snapshot's totals equal the context's (the acceptance
+check in ``tests/obs``), and a registry shared by several searches
+holds their sum.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from .events import (
     BoundCompleted,
@@ -53,6 +55,7 @@ from .profile import Profiler
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from ..errors import BugReport
+    from ..search.strategy import SearchContext
 
 
 class _PhaseHook:
@@ -141,7 +144,6 @@ class Instrumentation:
         self.hook_race = _PhaseHook(
             "race-detect", registry.histogram("race_check_latency"), profiler, sample_stride
         )
-        self.hook_cache = _PhaseHook("cache-lookup", None, profiler)
 
     def now(self) -> float:
         """Seconds since this instrumentation was armed."""
@@ -159,12 +161,28 @@ class Instrumentation:
         strategy: str,
         completed: bool,
         stop_reason: str,
-        executions: int,
-        transitions: int,
-        states: int,
-        bugs: int,
+        ctx: "SearchContext",
+        extras: Dict[str, Any],
     ) -> None:
+        """The run ended: add ``ctx``'s totals, and the work-item
+        table's from ``extras``, to the registry."""
         self._in_execution = False
+        totals = {
+            "executions": ctx.executions,
+            "transitions": ctx.transitions,
+            "distinct_states": len(ctx.states),
+            "bugs_found": len(ctx.bugs),
+        }
+        if "cache_hits" in extras:
+            # Every miss inserts one item, so the table's size counts them.
+            totals["cache_lookups"] = extras["cache_hits"] + extras["cache_size"]
+            totals["cache_hits"] = extras["cache_hits"]
+        self.metrics.absorb(
+            MetricsSnapshot(
+                counters={name: value for name, value in totals.items() if value},
+                states_by_bound=ctx.states_by_bound(),
+            )
+        )
         if self.bus.active:
             self.bus.emit(
                 SearchFinished(
@@ -172,10 +190,10 @@ class Instrumentation:
                     strategy,
                     completed,
                     stop_reason,
-                    executions,
-                    transitions,
-                    states,
-                    bugs,
+                    ctx.executions,
+                    ctx.transitions,
+                    len(ctx.states),
+                    len(ctx.bugs),
                 )
             )
 
@@ -190,49 +208,28 @@ class Instrumentation:
         if self.bus.active:
             self.bus.emit(BoundCompleted(self.now(), bound, executions, states))
 
-    # -- hot-path hooks (called by SearchContext) --------------------------
+    # -- search-context hooks (events, and executions per bound) -----------
 
     def transition_observed(
-        self, preemptions: int, prior: Optional[int], states: int
+        self, preemptions: int, prior: Optional[int], states: int, executions: int
     ) -> None:
-        """One ``visit``: ``prior`` is the state's previously recorded
-        minimal preemption bucket (``None`` for a new state)."""
-        registry = self.metrics
-        registry.counters["transitions"] = registry.counters.get("transitions", 0) + 1
+        """One ``visit`` while sinks listen: ``prior`` is the state's
+        previously recorded minimal preemption count (``None`` for a new
+        state), ``executions`` the context's completed executions."""
         if not self._in_execution:
             self._in_execution = True
-            if self.bus.active:
-                self.bus.emit(
-                    ExecutionStarted(
-                        self.now(), registry.counters.get("executions", 0) + 1
-                    )
-                )
+            self.bus.emit(ExecutionStarted(self.now(), executions + 1))
         if prior is None:
             self.state_discovered(preemptions, states)
-        elif preemptions < prior:
-            # Known state reached more cheaply: move it to the lower
-            # bucket, exactly as SearchContext.states does.
-            buckets = registry.states_by_bound
-            buckets[prior] -= 1
-            buckets[preemptions] = buckets.get(preemptions, 0) + 1
 
     def state_discovered(self, preemptions: int, states: int) -> None:
-        registry = self.metrics
-        registry.counters["distinct_states"] = (
-            registry.counters.get("distinct_states", 0) + 1
-        )
-        buckets = registry.states_by_bound
-        buckets[preemptions] = buckets.get(preemptions, 0) + 1
         if self.bus.active:
             self.bus.emit(StateVisited(self.now(), states, preemptions))
 
     def execution_finished(self, index: int, states: int) -> None:
-        registry = self.metrics
-        registry.counters["executions"] = registry.counters.get("executions", 0) + 1
+        by_bound = self.metrics.executions_by_bound
         bound = self.current_bound
-        registry.executions_by_bound[bound] = (
-            registry.executions_by_bound.get(bound, 0) + 1
-        )
+        by_bound[bound] = by_bound.get(bound, 0) + 1
         if self.bus.active:
             if not self._in_execution:
                 # Zero-transition execution (e.g. a terminal initial
@@ -242,8 +239,6 @@ class Instrumentation:
         self._in_execution = False
 
     def bug_found(self, bug: "BugReport", new: bool) -> None:
-        if new:
-            self.metrics.add("bugs_found")
         if self.bus.active:
             self.bus.emit(
                 BugFound(
@@ -278,14 +273,6 @@ class Instrumentation:
         if restore_steps:
             counters["restores"] = counters.get("restores", 0) + 1
             counters["restore_steps"] = counters.get("restore_steps", 0) + restore_steps
-
-    def cache_lookup(self, hit: bool) -> None:
-        registry = self.metrics
-        registry.counters["cache_lookups"] = (
-            registry.counters.get("cache_lookups", 0) + 1
-        )
-        if hit:
-            registry.counters["cache_hits"] = registry.counters.get("cache_hits", 0) + 1
 
     # -- parallel-engine hooks ---------------------------------------------
 

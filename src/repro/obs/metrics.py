@@ -1,18 +1,20 @@
-"""Counters, gauges, latency histograms and mergeable snapshots.
+"""Counters, gauges, latency histograms and foldable snapshots.
 
-A live :class:`MetricsRegistry` is cheap enough to update on the hot
-path: counters are dict increments, per-bound breakdowns are dict
-increments keyed by the current bound, and latency distributions are
-fed by *sampled* timing (the instrumentation's phase hooks) that reads
-the clock on a stride rather than on every call.
+A live :class:`MetricsRegistry` holds what only the instrumentation
+measures -- executions per bound, replays, race checks, service
+counters, gauges, and latency distributions fed by *sampled* timing
+(the instrumentation's phase hooks read the clock on a stride rather
+than on every call) -- plus the search totals, which arrive from
+``SearchContext`` once per finished search.
 
 A :class:`MetricsSnapshot` freezes the registry into plain dicts: it
-is picklable, JSON-serializable (versioned, like the trace format) and
-mergeable across parallel workers with the same algebra as
-``SearchContext.absorb`` -- sums for counters and per-bound breakdowns,
-bucket-wise sums for histograms, maxima for gauges and elapsed time.
-``merge`` folds a whole sequence at once, so the result is independent
-of how workers are grouped.
+is picklable and JSON-serializable (versioned, like the trace format).
+:meth:`MetricsRegistry.absorb` folds a snapshot into a registry -- a
+parallel worker's shard, a checkpoint's saved metrics, a finished
+search's totals -- with the same algebra as ``SearchContext.absorb``:
+sums for counters and per-bound breakdowns, bucket-wise sums for
+histograms, maxima for gauges, so the result does not depend on the
+order or grouping of the parts.
 """
 
 from __future__ import annotations
@@ -31,6 +33,18 @@ from .profile import Profiler
 #: Identifies a metrics file; version is bumped on schema breaks.
 METRICS_FORMAT = "repro-metrics"
 METRICS_VERSION = 1
+
+#: The counters only ``SearchContext`` and the work-item table count.
+#: They reach a registry, with ``states_by_bound``, once per finished
+#: search (``Instrumentation.search_finished``).
+SEARCH_TOTALS = (
+    "executions",
+    "transitions",
+    "distinct_states",
+    "bugs_found",
+    "cache_lookups",
+    "cache_hits",
+)
 
 #: Default latency buckets (seconds): 1-2-5 per decade, 1us .. 1s.
 DEFAULT_BOUNDS: Tuple[float, ...] = (
@@ -120,23 +134,14 @@ class Histogram:
         self.max = max(self.max, other.max)
 
 
-def _merge_int_maps(maps: Sequence[Dict[Any, int]]) -> Dict[Any, int]:
-    merged: Dict[Any, int] = {}
-    for one in maps:
-        for key, value in one.items():
-            merged[key] = merged.get(key, 0) + value
-    return merged
-
-
 @dataclass
 class MetricsSnapshot:
-    """A frozen, picklable, mergeable view of one run's metrics.
+    """A frozen, picklable view of one run's metrics.
 
-    Per-bound breakdowns mirror ``SearchContext`` exactly:
     ``states_by_bound`` is the histogram of minimal reaching
-    preemption counts (``SearchContext.states_by_bound``) and
-    ``executions_by_bound`` counts completed executions per iteration
-    bound of the strategy that ran.
+    preemption counts (``SearchContext.states_by_bound`` of each
+    finished search) and ``executions_by_bound`` counts completed
+    executions per iteration bound of the strategy that ran.
     """
 
     counters: Dict[str, int] = field(default_factory=dict)
@@ -170,55 +175,6 @@ class MetricsSnapshot:
             "transitions_per_sec": self.transitions / self.elapsed,
             "states_per_sec": self.distinct_states / self.elapsed,
         }
-
-    # -- merging -----------------------------------------------------------
-
-    @classmethod
-    def merge(cls, snapshots: Sequence["MetricsSnapshot"]) -> "MetricsSnapshot":
-        """Fold snapshots of disjoint explorations into one.
-
-        Counters, per-bound breakdowns, histogram buckets and profile
-        phases are summed; gauges and ``elapsed`` take the maximum
-        (parallel parts overlap in wall time).  The whole sequence is
-        folded at once, so grouping workers differently cannot change
-        the result (the associativity property the tests check).
-
-        Note: summed ``distinct_states``/``states_by_bound`` count
-        cross-worker revisits double; the parallel coordinator
-        reconciles them from the merged ``SearchContext``, which holds
-        the true union (see ``MetricsRegistry.reconcile_states``).
-        """
-        if not snapshots:
-            raise ValueError("merge needs at least one snapshot")
-        merged = cls(
-            counters=_merge_int_maps([s.counters for s in snapshots]),
-            executions_by_bound=_merge_int_maps(
-                [s.executions_by_bound for s in snapshots]
-            ),
-            states_by_bound=_merge_int_maps([s.states_by_bound for s in snapshots]),
-            elapsed=max(s.elapsed for s in snapshots),
-        )
-        for snap in snapshots:
-            for key, value in snap.gauges.items():
-                merged.gauges[key] = max(merged.gauges.get(key, value), value)
-        names = [n for s in snapshots for n in s.histograms]
-        for name in dict.fromkeys(names):
-            hist: Optional[Histogram] = None
-            for snap in snapshots:
-                if name in snap.histograms:
-                    part = Histogram.from_dict(snap.histograms[name])
-                    if hist is None:
-                        hist = part
-                    else:
-                        hist.absorb(part)
-            assert hist is not None
-            merged.histograms[name] = hist.to_dict()
-        for snap in snapshots:
-            for phase, cells in snap.profile.items():
-                into = merged.profile.setdefault(phase, {"seconds": 0.0, "calls": 0})
-                into["seconds"] += cells["seconds"]
-                into["calls"] += cells["calls"]
-        return merged
 
     # -- serialization -----------------------------------------------------
 
@@ -381,10 +337,11 @@ class MetricsRegistry:
             hist = self.histograms[name] = Histogram()
         return hist
 
-    # -- cross-process reconciliation --------------------------------------
+    # -- folding -------------------------------------------------------------
 
     def absorb(self, snapshot: MetricsSnapshot) -> None:
-        """Fold a (merged) worker snapshot into this registry."""
+        """Fold ``snapshot``'s counters, gauges, per-bound breakdowns
+        and histograms into this registry."""
         for key, value in snapshot.counters.items():
             self.add(key, value)
         for key, value in snapshot.gauges.items():
@@ -397,21 +354,6 @@ class MetricsRegistry:
             self.states_by_bound[bound] = self.states_by_bound.get(bound, 0) + count
         for name, data in snapshot.histograms.items():
             self.histogram(name).absorb(Histogram.from_dict(data))
-
-    def reconcile_states(
-        self, states_by_bound: Dict[int, int], bugs: int
-    ) -> None:
-        """Overwrite state/bug counts with ground truth from a merged
-        ``SearchContext``.
-
-        Summing per-worker snapshots double-counts states visited by
-        several workers (and bugs re-found across shards); the merged
-        context holds the true union, which this method installs so a
-        parallel run's snapshot equals a serial run's.
-        """
-        self.states_by_bound = dict(states_by_bound)
-        self.counters["distinct_states"] = sum(states_by_bound.values())
-        self.counters["bugs_found"] = bugs
 
     # -- freezing ----------------------------------------------------------
 

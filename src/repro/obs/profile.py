@@ -9,8 +9,7 @@ The search loop decomposes into recurring kinds of work:
   whichever query forced it;
 * ``fingerprint`` -- canonical state hashing;
 * ``race-detect`` -- happens-before data-race checks, on live and
-  replayed steps alike;
-* ``cache-lookup`` -- the work-item table of Algorithm 1.
+  replayed steps alike.
 
 A :class:`Profiler` accumulates exact per-phase totals from
 ``perf_counter`` pairs.  Phases nest (a replay inside a ``schedule``
@@ -36,7 +35,6 @@ PHASES: Tuple[str, ...] = (
     "replay",
     "fingerprint",
     "race-detect",
-    "cache-lookup",
 )
 
 

@@ -265,13 +265,6 @@ class ParallelCoordinator(IterativeContextBounding):
             self._pool = None
             extras["worker_failures"] = pool.shutdown()
             ctx.absorb(pool.streamed)
-            if ctx.obs is not None:
-                # Summed worker snapshots double-count cross-worker
-                # state revisits and re-found bugs; the live context
-                # holds the true union, so install it as ground truth.
-                ctx.obs.metrics.reconcile_states(
-                    ctx.states_by_bound(), bugs=len(ctx.bugs)
-                )
 
     # -- one bound under the barrier -----------------------------------------
 

@@ -49,30 +49,29 @@ class DepthFirstSearch(Strategy):
         stack: List[Tuple[object, ThreadId, int]] = [
             (initial, tid, 0) for tid in reversed(space.enabled(initial))
         ]
-        obs = ctx.obs
         pruned = 0
-        while stack:
-            state, tid, depth = stack.pop()
-            if cache is not None:
-                hit = cache.seen(space.fingerprint(state), tid)
-                if obs is not None:
-                    obs.cache_lookup(hit)
-                if hit:
+        try:
+            while stack:
+                state, tid, depth = stack.pop()
+                if cache is not None and cache.seen(space.fingerprint(state), tid):
                     continue
-            successor = space.execute(state, tid)
-            ctx.visit(space, successor)
-            if space.is_terminal(successor):
-                ctx.note_terminal(space, successor)
-                continue
-            if self.depth_bound is not None and depth + 1 >= self.depth_bound:
-                # A depth-pruned path still counts as one explored
-                # execution, as in the paper's db:N curves.
-                pruned += 1
-                ctx.note_terminal(space, successor)
-                continue
-            for other in reversed(space.enabled(successor)):
-                stack.append((successor, other, depth + 1))
-        extras["pruned_executions"] = pruned
-        if cache is not None:
-            extras["cache_hits"] = cache.hits
-            extras["cache_size"] = len(cache)
+                successor = space.execute(state, tid)
+                ctx.visit(space, successor)
+                if space.is_terminal(successor):
+                    ctx.note_terminal(space, successor)
+                    continue
+                if self.depth_bound is not None and depth + 1 >= self.depth_bound:
+                    # A depth-pruned path still counts as one explored
+                    # execution, as in the paper's db:N curves.
+                    pruned += 1
+                    ctx.note_terminal(space, successor)
+                    continue
+                for other in reversed(space.enabled(successor)):
+                    stack.append((successor, other, depth + 1))
+        finally:
+            # Also on a budget stop: the table's totals are what the
+            # run's metrics report as cache lookups and hits.
+            extras["pruned_executions"] = pruned
+            if cache is not None:
+                extras["cache_hits"] = cache.hits
+                extras["cache_size"] = len(cache)

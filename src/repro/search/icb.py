@@ -201,17 +201,13 @@ class IterativeContextBounding(Strategy):
         table then needs no replay.  Initial and resumed items are
         plain pairs and pay for ``space.fingerprint``.
         """
-        obs = ctx.obs
         stack: List[WorkItem] = [item]
         while stack:
             item = stack.pop()
             state, tid = item[0], item[1]
             if cache is not None:
                 fingerprint = item[2] if len(item) > 2 else space.fingerprint(state)
-                hit = cache.seen(fingerprint, tid)
-                if obs is not None:
-                    obs.cache_lookup(hit)
-                if hit:
+                if cache.seen(fingerprint, tid):
                     continue
             successor = space.execute(state, tid)
             fingerprint = ctx.visit(space, successor)

@@ -71,7 +71,9 @@ class SearchContext:
     ) -> None:
         self.limits = limits or SearchLimits()
         #: Optional instrumentation; ``None`` keeps the hot path free
-        #: of any observability cost beyond one attribute test.
+        #: of any observability cost beyond one attribute test.  The
+        #: totals below are counted here only: the strategy driver hands
+        #: them to ``obs`` once, when the search finishes.
         self.obs = obs
         #: fingerprint -> minimal preemption count at which visited.
         self.states: Dict[Hashable, int] = {}
@@ -108,8 +110,13 @@ class SearchContext:
         known = self.states.get(fingerprint)
         if known is None or preemptions < known:
             self.states[fingerprint] = preemptions
-        if self.obs is not None:
-            self.obs.transition_observed(preemptions, known, len(self.states))
+        obs = self.obs
+        if obs is not None and obs.bus.active:
+            # Only events need a call here: this context is the one
+            # counter of transitions and states (see search_finished).
+            obs.transition_observed(
+                preemptions, known, len(self.states), self.executions
+            )
         for bug in space.bugs(state):
             self.note_bug(bug)
         self._check_budget()
@@ -369,15 +376,7 @@ class Strategy(abc.ABC):
         except SearchInterrupted as exc:
             completed, reason = False, str(exc)
         if obs is not None:
-            obs.search_finished(
-                self.name,
-                completed,
-                reason,
-                ctx.executions,
-                ctx.transitions,
-                len(ctx.states),
-                len(ctx.bugs),
-            )
+            obs.search_finished(self.name, completed, reason, ctx, extras)
         return SearchResult(
             strategy=self.name,
             completed=completed,

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import json
 import pathlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..core.execution import ExecutionConfig
@@ -45,7 +45,7 @@ from ..core.program import Program
 from ..core.thread import ThreadId
 from ..errors import ReproError
 from ..obs.instrument import Instrumentation
-from ..obs.metrics import MetricsSnapshot
+from ..obs.metrics import SEARCH_TOTALS, MetricsSnapshot
 from ..persist import Decoder, ThreadTable, context_to_json, write_atomic
 from ..search.statecache import WorkItemCache
 from ..search.plan import CheckPlan
@@ -311,22 +311,23 @@ class Checkpoint:
         too), so folding the saved statistics in with
         :meth:`~repro.search.strategy.SearchContext.absorb` installs
         them.  When the context is instrumented, the saved metrics
-        snapshot is absorbed and state/bug counts reconciled from the
-        restored ground truth, so resumed metrics line up with the
-        context.
+        snapshot is absorbed without its search totals: the resumed
+        search reports those from ``ctx`` when it finishes, and any
+        saved with the snapshot belong to searches that had finished in
+        the same registry before it.
         """
         saved = self.context
         ctx.absorb(saved)
         obs = ctx.obs
         if obs is not None:
-            if self.metrics is not None:
-                obs.metrics.absorb(self.metrics)
-            else:
-                # Uninstrumented save, instrumented resume: recover the
-                # totals (per-bound execution breakdowns are lost).
-                obs.metrics.add("executions", saved.executions)
-                obs.metrics.add("transitions", saved.transitions)
-            obs.metrics.reconcile_states(ctx.states_by_bound(), bugs=len(ctx.bugs))
+            metrics = self.metrics
+            if metrics is not None:
+                counters = {
+                    name: value
+                    for name, value in metrics.counters.items()
+                    if name not in SEARCH_TOTALS
+                }
+                obs.metrics.absorb(replace(metrics, counters=counters, states_by_bound={}))
             obs.checkpoint_resumed(
                 self.sequence, self.bound, saved.executions, saved.transitions
             )

@@ -16,10 +16,11 @@ from repro import ChessChecker
 from repro.obs import Instrumentation
 from repro.programs.bluetooth import bluetooth
 
-#: Measured at 3.43 calls per transition: ``transition_observed``,
-#: ``hook_execute.start`` and ``hook_fingerprint.start`` on every
-#: transition, plus per-execution and stride-sampled calls.
-MAX_CALLS_PER_TRANSITION = 3.5
+#: Measured at 2.29 calls per transition: ``hook_execute.start`` and
+#: ``hook_fingerprint.start`` on every transition, plus per-execution
+#: and stride-sampled calls.  ``SearchContext.visit`` calls a silent
+#: instrumentation not at all.
+MAX_CALLS_PER_TRANSITION = 2.4
 
 
 class _CountingHook:
@@ -65,4 +66,4 @@ def test_silent_instrumentation_calls_per_transition():
     assert per_transition <= MAX_CALLS_PER_TRANSITION, sorted(counts.items())
     # Every per-transition hook is seen, so a silent wrapper cannot
     # make the count vacuous.
-    assert counts["transition_observed"] == result.transitions
+    assert counts["hook_execute.start"] == result.transitions

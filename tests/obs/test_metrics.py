@@ -1,7 +1,10 @@
 """Metrics correctness: exact counter parity with ``SearchContext``,
-merge algebra (associativity, grouping-independence), serialization."""
+the ``MetricsRegistry.absorb`` fold algebra (associativity, order
+independence), serialization."""
 
 from __future__ import annotations
+
+import collections
 
 import pytest
 from hypothesis import given, settings
@@ -11,8 +14,11 @@ from repro import ChessChecker
 from repro.errors import ReproError
 from repro.obs import Histogram, Instrumentation, MetricsRegistry, MetricsSnapshot
 from repro.obs.metrics import METRICS_VERSION, ObsFormatError
-from repro.programs import toy
+from repro.programs import resolve_builtin, toy
 from repro.programs.bluetooth import bluetooth
+from repro.search import icb
+from repro.search.plan import SearchLimits
+from repro.search.statecache import WorkItemCache
 
 # Dyadic rationals: exactly representable in binary floating point, so
 # sums are associative and snapshot equality is exact, not approximate.
@@ -67,48 +73,57 @@ def snapshots(draw):
     )
 
 
+def fold(*parts):
+    """A fresh registry's snapshot after absorbing ``parts`` in order."""
+    registry = MetricsRegistry()
+    for part in parts:
+        registry.absorb(part)
+    return registry.snapshot()
+
+
+def comparable(snap):
+    """``snap`` as a dict without ``elapsed``, the registry's own age."""
+    data = snap.to_dict()
+    del data["elapsed"]
+    return data
+
+
 class TestMergeAlgebra:
+    """Merging snapshots is ``MetricsRegistry.absorb``: a fold whose
+    result is independent of the order and grouping of the parts."""
+
     @settings(max_examples=50, deadline=None)
     @given(snapshots(), snapshots(), snapshots())
     def test_merge_is_associative(self, a, b, c):
-        left = MetricsSnapshot.merge([MetricsSnapshot.merge([a, b]), c])
-        right = MetricsSnapshot.merge([a, MetricsSnapshot.merge([b, c])])
-        flat = MetricsSnapshot.merge([a, b, c])
-        assert left.to_dict() == flat.to_dict()
-        assert right.to_dict() == flat.to_dict()
+        flat = comparable(fold(a, b, c))
+        assert comparable(fold(fold(a, b), c)) == flat
+        assert comparable(fold(a, fold(b, c))) == flat
 
     @settings(max_examples=50, deadline=None)
     @given(snapshots(), snapshots())
     def test_merge_is_commutative(self, a, b):
-        assert (
-            MetricsSnapshot.merge([a, b]).to_dict()
-            == MetricsSnapshot.merge([b, a]).to_dict()
-        )
+        assert comparable(fold(a, b)) == comparable(fold(b, a))
 
     @settings(max_examples=25, deadline=None)
     @given(snapshots())
     def test_merge_of_one_preserves_totals(self, a):
-        merged = MetricsSnapshot.merge([a])
-        assert merged.counters == a.counters
-        assert merged.executions_by_bound == a.executions_by_bound
-        assert merged.states_by_bound == a.states_by_bound
-        assert merged.elapsed == a.elapsed
-
-    def test_merge_of_none_rejected(self):
-        with pytest.raises(ValueError):
-            MetricsSnapshot.merge([])
+        folded = fold(a)
+        assert folded.counters == a.counters
+        assert folded.gauges == a.gauges
+        assert folded.executions_by_bound == a.executions_by_bound
+        assert folded.states_by_bound == a.states_by_bound
 
     @settings(max_examples=25, deadline=None)
     @given(snapshots(), snapshots())
     def test_counters_sum_and_gauges_max(self, a, b):
-        merged = MetricsSnapshot.merge([a, b])
+        folded = fold(a, b)
         for key in set(a.counters) | set(b.counters):
-            assert merged.counters[key] == a.counters.get(key, 0) + b.counters.get(
+            assert folded.counters[key] == a.counters.get(key, 0) + b.counters.get(
                 key, 0
             )
         for key in set(a.gauges) | set(b.gauges):
             present = [g[key] for g in (a.gauges, b.gauges) if key in g]
-            assert merged.gauges[key] == max(present)
+            assert folded.gauges[key] == max(present)
 
 
 class TestContextParity:
@@ -147,6 +162,71 @@ class TestContextParity:
         snap = obs.snapshot()
         assert snap.executions == result.executions
         assert snap.transitions == result.transitions
+
+
+class TestSearchTotals:
+    """Totals reach the registry once per finished search, from the
+    context and the work-item table."""
+
+    def test_shared_instrumentation_sums_both_contexts(self):
+        # The ``repro serve --metrics-out`` case: one Instrumentation
+        # serves consecutive checks (and ``/v1/stats`` reads it).
+        obs = Instrumentation()
+        first = ChessChecker(toy.atomic_counter_assert()).check(max_bound=2, obs=obs)
+        second = ChessChecker(bluetooth(buggy=True)).check(max_bound=1, obs=obs)
+        a, b = first.search.context, second.search.context
+        snap = obs.snapshot()
+        assert snap.counters["searches"] == 2
+        assert snap.executions == a.executions + b.executions
+        assert snap.transitions == a.transitions + b.transitions
+        assert snap.distinct_states == len(a.states) + len(b.states)
+        assert snap.counters["bugs_found"] == len(a.bugs) + len(b.bugs)
+        buckets = collections.Counter(a.states_by_bound())
+        buckets.update(b.states_by_bound())
+        assert snap.states_by_bound == dict(buckets)
+        assert sum(snap.executions_by_bound.values()) == a.executions + b.executions
+
+    def test_resumed_search_reports_its_own_totals(self, tmp_path):
+        # A checkpoint saved under a shared registry holds the totals of
+        # the searches that finished in it before; resuming into a fresh
+        # registry must not count them again.
+        path = tmp_path / "shared.ckpt.json"
+        shared = Instrumentation()
+        ChessChecker(toy.atomic_counter_assert()).check(max_bound=2, obs=shared)
+        ChessChecker(resolve_builtin("wsq:pop-race")).check(
+            max_bound=2, obs=shared, limits=SearchLimits(max_transitions=600),
+            checkpoint=path,
+        )
+        fresh = Instrumentation()
+        result = ChessChecker(resolve_builtin("wsq:pop-race")).check(
+            max_bound=2, obs=fresh, checkpoint=path
+        )
+        ctx = result.search.context
+        snap = fresh.snapshot()
+        assert result.search.extras.get("resumed") is True
+        assert snap.executions == ctx.executions
+        assert snap.transitions == ctx.transitions
+        assert snap.distinct_states == len(ctx.states)
+        assert snap.states_by_bound == ctx.states_by_bound()
+        assert snap.counters["bugs_found"] == len(ctx.bugs)
+
+    def test_cache_totals_count_every_table_lookup(self, monkeypatch):
+        lookups = []
+
+        class CountingCache(WorkItemCache):
+            def seen(self, fingerprint, tid):
+                hit = super().seen(fingerprint, tid)
+                lookups.append(hit)
+                return hit
+
+        monkeypatch.setattr(icb, "WorkItemCache", CountingCache)
+        obs = Instrumentation()
+        ChessChecker(bluetooth(buggy=True)).check(
+            max_bound=2, state_caching=True, obs=obs
+        )
+        snap = obs.snapshot()
+        assert snap.counters["cache_lookups"] == len(lookups)
+        assert snap.counters["cache_hits"] == sum(lookups) > 0
 
 
 class TestSerialization:
@@ -218,16 +298,6 @@ class TestHistogram:
 
 
 class TestRegistry:
-    def test_reconcile_overwrites_state_counts(self):
-        registry = MetricsRegistry()
-        registry.add("distinct_states", 100)
-        registry.states_by_bound = {0: 60, 1: 40}
-        registry.reconcile_states({0: 30, 1: 20}, bugs=2)
-        snap = registry.snapshot()
-        assert snap.distinct_states == 50
-        assert snap.states_by_bound == {0: 30, 1: 20}
-        assert snap.counters["bugs_found"] == 2
-
     def test_absorb_sums_worker_snapshot(self):
         registry = MetricsRegistry()
         registry.add("executions", 10)
