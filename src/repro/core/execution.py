@@ -501,11 +501,15 @@ class Execution:
         execution that will be rewound keeps one.  Nothing is logged
         when this execution cannot be rewound: monitors keep state of
         their own, an in-vivo program's threads are OS threads, and some
-        object kinds have no ``restore``.
+        object kinds have no ``restore``.  The race detectors start
+        their undo journals here too.
         """
         assert not self.schedule, "the rewind log must start before the first step"
         if self.program.restorable and not self.monitors:
             self._log = []
+            self.hb.keep_journal()
+            if self.goldilocks is not None:
+                self.goldilocks.keep_journal()
             self._saved = {
                 obj.name: obj.save() for obj in self.world.objects if obj.restorable
             }

@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import functools
 from hashlib import blake2b
-from typing import TYPE_CHECKING, Any, Callable, Dict, Hashable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, Hashable, Optional, Set, Tuple
 
 from ..errors import BugKind, ProgramDefinitionError
 
@@ -74,6 +74,18 @@ def encode(value: Any) -> bytes:
 def digest(data: bytes) -> int:
     """64-bit BLAKE2b digest of ``data`` as an unsigned integer."""
     return int.from_bytes(blake2b(data, digest_size=8).digest(), "little")
+
+
+#: Exact types whose equal values always encode to the same bytes (not
+#: ``float``: ``0.0 == -0.0``); thread ids register in thread.py.
+MEMO_TYPES: Set[type] = {str, int, bool, type(None)}
+#: Entries the digest memo holds before it is cleared.
+MEMO_SIZE = 4096
+#: ``(prefix, snapshot, element types) -> digest`` for tuple snapshots
+#: of :data:`MEMO_TYPES` elements.  The types keep ``(1,)`` apart from
+#: ``(True,)``.  A digest is a pure function of the key, so the memo is
+#: shared by every world and program in the process.
+_memo: Dict[Tuple[bytes, Tuple[Any, ...], Tuple[type, ...]], int] = {}
 
 
 class BugSignal(Exception):
@@ -157,12 +169,24 @@ class SharedObject:
         raise NotImplementedError(f"{type(self).__name__} cannot be restored")
 
     def digest(self) -> int:
-        """Fresh digest of ``encode((name, snapshot()))``."""
+        """Digest of ``encode((name, snapshot()))``, memoised for
+        snapshots whose equality implies equal encodings."""
         prefix = self._prefix
         if prefix is None:
             prefix = self._prefix = b"(2:" + _encode_str(self.name)
+        snapshot = self.snapshot()
+        if type(snapshot) is tuple:
+            types = tuple(map(type, snapshot))
+            if MEMO_TYPES.issuperset(types):
+                key = (prefix, snapshot, types)
+                value = _memo.get(key)
+                if value is None:
+                    if len(_memo) >= MEMO_SIZE:
+                        _memo.clear()
+                    value = _memo[key] = digest(prefix + encode(snapshot))
+                return value
         try:
-            return digest(prefix + encode(self.snapshot()))
+            return digest(prefix + encode(snapshot))
         except ProgramDefinitionError as exc:
             raise ProgramDefinitionError(f"{exc} (shared object {self.name!r})") from None
 

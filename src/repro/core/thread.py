@@ -36,7 +36,7 @@ from typing import (
 )
 
 from ..errors import ProgramDefinitionError
-from .objects import ENCODERS, digest, encode
+from .objects import ENCODERS, MEMO_TYPES, digest, encode
 
 if TYPE_CHECKING:  # pragma: no cover
     from .effects import Effect
@@ -183,6 +183,7 @@ class ThreadHandle:
 
 # Identity is the path alone, so labels stay out of the encoding.
 ENCODERS[ThreadId] = lambda value: value._encoded
+MEMO_TYPES.add(ThreadId)
 ENCODERS[ThreadHandle] = lambda value: b"h" + value.tid._encoded[1:]
 
 

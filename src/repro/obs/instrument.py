@@ -125,7 +125,7 @@ class Instrumentation:
         self.bus = bus or EventBus()
         self.metrics = metrics or MetricsRegistry()
         self.profiling = profiling
-        self.profile = Profiler()
+        self.profile = self.metrics.profile
         #: The strategy's current iteration bound (ICB preemption
         #: bound, IDDFS depth); keys ``executions_by_bound``.
         self.current_bound = 0
@@ -357,7 +357,7 @@ class Instrumentation:
 
     def snapshot(self) -> MetricsSnapshot:
         """Freeze the metrics (with phase timings when profiling)."""
-        return self.metrics.snapshot(profile=self.profile if self.profiling else None)
+        return self.metrics.snapshot()
 
     def close(self) -> None:
         """Close every subscribed sink."""

@@ -24,7 +24,7 @@ import pathlib
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Sequence, Tuple, Union
 
 from ..errors import ReproError
 from .events import ObsFormatError
@@ -321,6 +321,9 @@ class MetricsRegistry:
         self.executions_by_bound: Dict[int, int] = {}
         self.states_by_bound: Dict[int, int] = {}
         self.histograms: Dict[str, Histogram] = {}
+        #: Phase timings: billed by a profiling ``Instrumentation``,
+        #: summed from absorbed snapshots.
+        self.profile = Profiler()
         self._started = time.perf_counter()
 
     # -- updates (hot path: plain dict arithmetic) -------------------------
@@ -340,8 +343,8 @@ class MetricsRegistry:
     # -- folding -------------------------------------------------------------
 
     def absorb(self, snapshot: MetricsSnapshot) -> None:
-        """Fold ``snapshot``'s counters, gauges, per-bound breakdowns
-        and histograms into this registry."""
+        """Fold ``snapshot``'s counters, gauges, per-bound breakdowns,
+        histograms and phase profile into this registry."""
         for key, value in snapshot.counters.items():
             self.add(key, value)
         for key, value in snapshot.gauges.items():
@@ -354,10 +357,11 @@ class MetricsRegistry:
             self.states_by_bound[bound] = self.states_by_bound.get(bound, 0) + count
         for name, data in snapshot.histograms.items():
             self.histogram(name).absorb(Histogram.from_dict(data))
+        self.profile.absorb(snapshot.profile)
 
     # -- freezing ----------------------------------------------------------
 
-    def snapshot(self, profile: Optional[Profiler] = None) -> MetricsSnapshot:
+    def snapshot(self) -> MetricsSnapshot:
         return MetricsSnapshot(
             counters=dict(self.counters),
             gauges=dict(self.gauges),
@@ -366,6 +370,6 @@ class MetricsRegistry:
             histograms={
                 name: hist.to_dict() for name, hist in self.histograms.items()
             },
-            profile=profile.as_dict() if profile is not None else {},
+            profile=self.profile.as_dict(),
             elapsed=time.perf_counter() - self._started,
         )

@@ -98,7 +98,7 @@ class _Pool:
         limits: SearchLimits,
         workers: int,
         settings: ParallelSettings,
-        collect_metrics: bool,
+        obs: Optional[Instrumentation],
     ) -> None:
         mp_ctx = _mp_context(space)
         self.tasks = mp_ctx.Queue()
@@ -132,9 +132,10 @@ class _Pool:
                     self.deadline,
                     settings.progress_interval,
                     wid in settings.fault_crash_workers,
-                    collect_metrics,
+                    obs is not None,
                     settings.fault_crash_shard,
                     settings.fault_crash_attempts,
+                    obs is not None and obs.profiling,
                 ),
                 daemon=True,
             )
@@ -257,7 +258,7 @@ class ParallelCoordinator(IterativeContextBounding):
         for key in ("shards", "shard_retries", "unexplored_items"):
             extras[key] = carried.get(key, 0)
         pool = self._pool = _Pool(
-            space, ctx.limits, self.workers, self.settings, ctx.obs is not None
+            space, ctx.limits, self.workers, self.settings, ctx.obs
         )
         try:
             super()._search(space, ctx, extras)

@@ -197,6 +197,7 @@ def worker_main(
     collect_metrics: bool = False,
     fault_crash_shard: Optional[int] = None,
     fault_crash_attempts: int = 0,
+    profiling: bool = False,
 ) -> None:
     """Entry point of one worker process.
 
@@ -208,6 +209,8 @@ def worker_main(
     claiming that shard dies while ``task.attempt`` is below the
     attempt threshold, so a shard can be made to kill several workers
     in a row (the worker-killed-twice path) before one survives.
+    ``profiling`` times every phase, as the coordinator's instrumentation
+    does; the shard's snapshot carries the phase table back.
     """
 
     parent_pid = os.getppid()
@@ -242,7 +245,7 @@ def worker_main(
             # One fresh Instrumentation per task: its snapshot ships in
             # the ShardOutcome, so cross-task aggregation happens
             # coordinator-side and double counting is impossible.
-            obs = Instrumentation()
+            obs = Instrumentation(profiling=profiling)
             obs.current_bound = task.bound
             space.attach_obs(obs)
         ctx = WorkerContext(

@@ -27,7 +27,8 @@ in the ablation benchmarks.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set, Tuple, Union
+from collections import deque
+from typing import Any, Dict, List, MutableSequence, Optional, Set, Tuple, Union
 
 from ..core.effects import EffectKind
 from ..core.objects import ABSENT, SharedObject
@@ -81,18 +82,23 @@ class GoldilocksDetector:
 
     Variables and synchronization objects are keyed by name, unique
     within an execution and equal across executions of one program.
-    Every change is journaled; :meth:`rollback` undoes changes back to
-    a :meth:`mark`.
+    Once :meth:`keep_journal` has started the journal, every change is
+    journaled, and :meth:`rollback` undoes changes back to a :meth:`mark`.
     """
 
     def __init__(self, conservative: bool = True) -> None:
         self.conservative = conservative
         self._locksets: Dict[str, Set[Element]] = {}
         #: ``(lockset, elements added)`` for a transfer, or
-        #: ``(None, (name, previous lockset or ABSENT))`` for an access.
-        self._journal: List[Tuple[Optional[Set[Element]], Any]] = []
+        #: ``(None, (name, previous lockset or ABSENT))`` for an access;
+        #: until :meth:`keep_journal`, a deque that drops what is appended.
+        self._journal: MutableSequence[Tuple[Optional[Set[Element]], Any]] = deque(maxlen=0)
 
     # -- undo journal ---------------------------------------------------------
+
+    def keep_journal(self) -> None:
+        """Journal every change from here on, so it can be rolled back."""
+        self._journal = []
 
     def mark(self) -> int:
         """A position in the journal to :meth:`rollback` to."""

@@ -26,8 +26,9 @@ definition.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, MutableSequence, Optional, Tuple
 
 from ..core.objects import ABSENT, SharedObject
 from ..core.thread import ThreadId
@@ -82,9 +83,9 @@ class HBTracker:
 
     Objects are keyed by name, which is unique within an execution and
     the same in every execution of the program, so the tracker of one
-    execution can serve another that reached the same state.  Every
-    change is journaled; :meth:`rollback` undoes changes back to a
-    :meth:`mark`.
+    execution can serve another that reached the same state.  Once
+    :meth:`keep_journal` has started the journal, every change is
+    journaled, and :meth:`rollback` undoes changes back to a :meth:`mark`.
     """
 
     def __init__(self, strict: bool = False) -> None:
@@ -92,10 +93,15 @@ class HBTracker:
         self._thread_clocks: Dict[ThreadId, VectorClock] = {}
         self._sync_clocks: Dict[str, VectorClock] = {}
         self._var_state: Dict[str, _VarState] = {}
-        #: ``(dict, key, previous value or ABSENT)`` per change.
-        self._journal: List[Tuple[Dict[Any, Any], Any, Any]] = []
+        #: ``(dict, key, previous value or ABSENT)`` per change; until
+        #: :meth:`keep_journal`, a deque that drops what is appended.
+        self._journal: MutableSequence[Tuple[Dict[Any, Any], Any, Any]] = deque(maxlen=0)
 
     # -- undo journal ---------------------------------------------------------
+
+    def keep_journal(self) -> None:
+        """Journal every change from here on, so it can be rolled back."""
+        self._journal = []
 
     def mark(self) -> int:
         """A position in the journal to :meth:`rollback` to."""

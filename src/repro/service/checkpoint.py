@@ -314,7 +314,8 @@ class Checkpoint:
         snapshot is absorbed without its search totals: the resumed
         search reports those from ``ctx`` when it finishes, and any
         saved with the snapshot belong to searches that had finished in
-        the same registry before it.
+        the same registry before it.  Its phase profile is left out
+        too: the resumed run's shares are of its own elapsed time.
         """
         saved = self.context
         ctx.absorb(saved)
@@ -327,7 +328,9 @@ class Checkpoint:
                     for name, value in metrics.counters.items()
                     if name not in SEARCH_TOTALS
                 }
-                obs.metrics.absorb(replace(metrics, counters=counters, states_by_bound={}))
+                obs.metrics.absorb(
+                    replace(metrics, counters=counters, states_by_bound={}, profile={})
+                )
             obs.checkpoint_resumed(
                 self.sequence, self.bound, saved.executions, saved.transitions
             )

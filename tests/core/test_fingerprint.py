@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import importlib
+import itertools
 import os
 import pathlib
 import random
@@ -21,13 +22,14 @@ import sys
 import pytest
 
 import repro
+from repro.core import objects
 from repro.core.execution import Execution
 from repro.core.objects import DIGEST_MASK, SharedObject, digest, encode
 from repro.core.program import Program
 from repro.core.thread import ThreadHandle, ThreadId, ThreadState
 from repro.core.world import World
 from repro.errors import ProgramDefinitionError
-from repro.programs import builtin_registry
+from repro.programs import builtin_registry, resolve_builtin
 
 REPO = pathlib.Path(repro.__file__).resolve().parents[2]
 
@@ -39,6 +41,10 @@ class Colour(enum.Enum):
 
 class Opaque:
     """Hashable, but with no canonical encoding."""
+
+
+class Level(enum.IntEnum):
+    ONE = 1
 
 
 class TestEncoding:
@@ -162,6 +168,72 @@ class TestIncrementalDigest:
     def test_world_digest_matches_recompute_in_vivo(self, module):
         examples = importlib.import_module(f"examples.invivo.{module}")
         assert _random_schedule_checks(examples.make_program(), 0) > 0
+
+
+class _Box(SharedObject):
+    """A shared object whose snapshot is whatever the test puts in it."""
+
+    state = None
+
+    def snapshot(self):
+        return self.state
+
+
+#: Snapshots that compare equal but need not encode alike.
+_EQUAL_SNAPSHOTS = [
+    [(1,), (True,), (1.0,)],
+    [(1,), (Level.ONE,)],
+    [(0.0,), (-0.0,)],
+    [("t", (1,)), ("t", (True,))],
+    [1, True, 1.0],
+]
+
+
+class TestDigestMemo:
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            pair
+            for group in _EQUAL_SNAPSHOTS
+            for pair in itertools.permutations(group, 2)
+        ],
+        ids=repr,
+    )
+    def test_equal_snapshots_keep_their_own_digests(self, monkeypatch, first, second):
+        """Whichever of two equal snapshots is digested first, each
+        object digest equals a from-scratch digest of its encoding."""
+        monkeypatch.setattr(objects, "_memo", {})
+        box = _Box(World(), "box")
+        seen = []
+        for snapshot in (first, second, first, second):
+            box.state = snapshot
+            assert box.digest() == digest(encode(("box", snapshot))), snapshot
+            seen.append(box.digest())
+        # An IntEnum member encodes as its int (``int`` precedes
+        # ``Enum`` in its MRO); every other pair encodes apart.
+        assert (seen[0] == seen[1]) == (encode(first) == encode(second))
+        assert seen[:2] == seen[2:]
+
+    def test_memo_keys_only_exact_scalar_tuples(self, monkeypatch):
+        monkeypatch.setattr(objects, "_memo", {})
+        box = _Box(World(), "box")
+        for snapshot in [(1,), (True,), ("s", None), (ThreadId((0, 1)),)]:
+            box.state = snapshot
+            box.digest()
+        assert len(objects._memo) == 4
+        for snapshot in [(1.0,), (Level.ONE,), ((1,),), (frozenset(),), 1]:
+            box.state = snapshot
+            box.digest()
+        assert len(objects._memo) == 4
+
+    @pytest.mark.parametrize("size", [1, 8])
+    def test_memo_stays_within_its_bound(self, monkeypatch, size):
+        monkeypatch.setattr(objects, "_memo", {})
+        monkeypatch.setattr(objects, "MEMO_SIZE", size)
+        program = resolve_builtin("wsq")
+        for seed in range(3):
+            _random_schedule_checks(program, seed)
+            assert 0 < len(objects._memo) <= size
 
 
 class TestLaziness:

@@ -9,6 +9,7 @@ from repro import ChessChecker
 from repro.obs import Instrumentation, Profiler
 from repro.obs.instrument import _PhaseHook
 from repro.obs.profile import UNACCOUNTED
+from repro.programs import resolve_builtin
 from repro.programs.bluetooth import bluetooth
 
 
@@ -43,3 +44,15 @@ def test_phases_partition_elapsed_time():
     assert abs(billed + unaccounted - snapshot.elapsed) < 1e-3
     shares = sum(float(row[-1].rstrip("%")) for row in rows.values())
     assert abs(shares - 100.0) < 0.1 * len(rows)
+
+
+def test_parallel_profile_sums_the_workers_phases():
+    obs = Instrumentation(profiling=True)
+    result = ChessChecker(resolve_builtin("toy:stats-race")).check(
+        max_bound=1, workers=2, obs=obs
+    )
+    assert result.executions > 0
+    profile = obs.snapshot().profile
+    for phase in ("execute", "fingerprint"):
+        assert profile[phase]["calls"] > 0, profile
+        assert profile[phase]["seconds"] > 0, profile

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from repro import (
     BugKind,
+    ChessChecker,
     Execution,
     ExecutionConfig,
     Program,
@@ -13,6 +14,7 @@ from repro.core.effects import EffectKind
 from repro.core.thread import ThreadId
 from repro.core.variables import AtomicVar, SharedVar
 from repro.core.world import World
+from repro.programs import resolve_builtin
 from repro.races.goldilocks import GoldilocksDetector
 
 T0 = ThreadId((0,), "t0")
@@ -114,3 +116,31 @@ class TestEngineIntegration:
                 program, ExecutionConfig(race_detection=RaceDetection.GOLDILOCKS)
             ).run_round_robin()
             assert bool(vc.bugs) == bool(gl.bugs), program.name
+
+
+class TestUndoJournals:
+    """Only an execution that can be rewound journals detector changes."""
+
+    CONFIG = ExecutionConfig(race_detection=RaceDetection.BOTH)
+
+    @classmethod
+    def witness(cls):
+        program = resolve_builtin("wsq:pop-race")
+        bug = ChessChecker(program, cls.CONFIG).find_bug(max_bound=2)
+        assert bug is not None
+        return program, bug.schedule
+
+    def test_one_shot_replay_journals_nothing(self):
+        program, schedule = self.witness()
+        ex = Execution.replay(program, schedule, self.CONFIG)
+        assert len(ex.schedule) == len(schedule) > 0
+        assert not ex.hb._journal
+        assert not ex.goldilocks._journal
+
+    def test_rewind_log_starts_the_journals(self):
+        program, schedule = self.witness()
+        ex = Execution(program, self.CONFIG)
+        ex.keep_rewind_log()
+        for tid in schedule:
+            ex.execute(tid)
+        assert ex.hb._journal and ex.goldilocks._journal
