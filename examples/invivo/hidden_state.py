@@ -10,11 +10,11 @@ read and its locked write, let the other worker run its whole
 increment, then resume).  The checker thread then observes a total of
 1 instead of 2 and fails its assertion.
 
-The in-vivo static analyzer flags exactly this shape before any
-execution: ``repro lint --module examples.invivo.hidden_state:make_program``
-reports a ``hidden-state`` finding for ``Stats.total`` because two
-checked threads write a plain attribute without a ``Shared``/``Atomic``
-wrapper.  The fixed variant keeps the counter in ``Shared`` and lints
+The hidden-state lint flags exactly this shape:
+``repro lint --module examples.invivo.hidden_state:make_program``
+watches a bounded search of the program and reports a ``hidden-state``
+finding for ``Stats.total`` because two checked threads write a plain
+attribute without a ``Shared``/``Atomic`` wrapper.  The fixed variant keeps the counter in ``Shared`` and lints
 clean, and the checker certifies it clean.
 
 Each worker also owns a private ``Atomic`` scratch slot that no other

@@ -17,12 +17,14 @@ pending lock acquire.
 
 The instance fields are *plain attributes*: invisible to the
 checker's race detection and state fingerprints (see the hidden-state
-caveat in ``docs/invivo.md``).  The static lint sees them, though:
+caveat in ``docs/invivo.md``).  The lint sees them, though:
 ``repro lint --module examples.invivo.lazy_singleton:make_program``
-reports ``hidden-state`` findings for ``Registry._instance`` and
-``Registry._creations`` in *both* variants (the fixed one is correct
-only because it re-checks under the lock, which race detection cannot
-observe); ``ci/lint-baseline-invivo.txt`` records them as known.  The
+watches a bounded search and reports ``hidden-state`` findings for
+``Registry._instance`` and ``Registry._creations`` in *both* variants:
+in the fixed one, too, each client is the writer in some execution
+(it is correct only because it re-checks under the lock, which race
+detection cannot observe); ``ci/lint-baseline-invivo.txt`` records
+them as known.  The
 bug still surfaces dynamically because the program asserts its own
 invariant -- the assertion runs on real Python state -- which is
 exactly how unmodified code under in-vivo checking reports

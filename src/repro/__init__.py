@@ -51,7 +51,8 @@ Package layout:
   figure of the evaluation.
 * :mod:`repro.invivo` -- real ``threading`` code under the checker
   (see ``docs/invivo.md``); :mod:`repro.analysis` lints its plain
-  shared state statically.  Neither is imported by ``import repro``.
+  shared state by watching a bounded search of it.  Neither is
+  imported by ``import repro``.
 """
 
 from .chess.checker import CheckResult, ChessChecker

@@ -15,10 +15,10 @@ A misspelled built-in name exits 1 with close-match suggestions;
 usual way to check :mod:`repro.invivo` programs -- real ``threading``
 code; see ``docs/invivo.md``).
 
-``lint`` reads the source of an in-vivo program and reports plain
-state that more than one thread writes outside the adapters -- the one
-kind of sharing the checker cannot see (see ``docs/invivo.md``).  It
-exits non-zero on findings not recorded in a ``--baseline`` file::
+``lint`` watches a bounded search of an in-vivo program and reports
+plain state that more than one thread writes outside the adapters --
+the one kind of sharing the checker cannot see (see ``docs/invivo.md``).
+It exits non-zero on findings not recorded in a ``--baseline`` file::
 
     python -m repro lint --module examples.invivo.hidden_state:make_program \
         --baseline ci/lint-baseline-invivo.txt
@@ -257,7 +257,7 @@ _LINT_SCOPE = (
 
 
 def _cmd_lint(args: argparse.Namespace, lint_parser: argparse.ArgumentParser) -> int:
-    from .analysis import analyze_program, format_baseline, lint_program, load_baseline
+    from .analysis import format_baseline, lint_program, load_baseline
     from .invivo import InvivoProgram
 
     if args.module is None:
@@ -265,7 +265,7 @@ def _cmd_lint(args: argparse.Namespace, lint_parser: argparse.ArgumentParser) ->
     program = _import_factory(args.module)
     if not isinstance(program, InvivoProgram):
         lint_parser.error(_LINT_SCOPE)
-    findings = lint_program(analyze_program(program))
+    findings = lint_program(program)
     if args.update_baseline:
         with open(args.update_baseline, "w", encoding="utf-8") as fh:
             fh.write(format_baseline(findings))

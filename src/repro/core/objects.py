@@ -57,14 +57,19 @@ ENCODERS: Dict[type, Callable[[Any], bytes]] = {
 def encode(value: Any) -> bytes:
     """Canonical bytes for a state value, the same in every process.
 
-    Covers the types in :data:`ENCODERS` and their subclasses.  Anything
-    else raises :class:`ProgramDefinitionError`: a ``repr`` or identity
-    fallback would make fingerprints differ between processes.
+    Covers the types in :data:`ENCODERS` and their subclasses.  An enum
+    member encodes by class and name, even when its class also derives
+    from ``int`` (``IntEnum``, ``IntFlag``).  Anything else raises
+    :class:`ProgramDefinitionError`: a ``repr`` or identity fallback
+    would make fingerprints differ between processes.
     """
     cls = type(value)
     encoder = ENCODERS.get(cls)
     if encoder is None:
-        base = next((base for base in cls.__mro__ if base in ENCODERS), None)
+        if issubclass(cls, enum.Enum):
+            base: Optional[type] = enum.Enum
+        else:
+            base = next((base for base in cls.__mro__ if base in ENCODERS), None)
         if base is None:
             raise ProgramDefinitionError(f"type {cls.__qualname__!r} has no canonical state encoding")
         encoder = ENCODERS[cls] = ENCODERS[base]

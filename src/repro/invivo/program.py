@@ -91,17 +91,7 @@ class InvivoProgram(Program):
             "abandoned": 0,
         }
 
-    def instantiate_raw(
-        self,
-    ) -> Tuple[World, InvivoContext, List[ThreadSpec]]:
-        """Run setup once; return the world, context and *raw* specs.
-
-        The raw ``(label, fn, args)`` specs carry the user callables
-        themselves, before bridging -- what the static analyzer in
-        :mod:`repro.analysis.summary` interprets (the bridge generators
-        have no analyzable source).  ``instantiate`` wraps the same
-        specs in bridges for execution.
-        """
+    def instantiate(self) -> Tuple[World, List[ThreadSpec]]:
         if self.patch is not None:
             self.patch.apply()
         world = World()
@@ -115,10 +105,6 @@ class InvivoProgram(Program):
                     "the initial threads"
                 )
             specs = _normalize_threads(result)
-        return world, ctx, specs
-
-    def instantiate(self) -> Tuple[World, List[ThreadSpec]]:
-        world, ctx, specs = self.instantiate_raw()
         return world, [
             (label, make_bridge(ctx, label, fn, args), ())
             for label, fn, args in specs

@@ -176,6 +176,40 @@ class MetricsSnapshot:
             "states_per_sec": self.distinct_states / self.elapsed,
         }
 
+    def since(self, base: "MetricsSnapshot") -> "MetricsSnapshot":
+        """What the registry counted after ``base``, an earlier
+        snapshot of it.
+
+        Counters, per-bound breakdowns and histogram buckets are
+        differences; gauges, folded by maximum, and a histogram's
+        ``min``/``max`` are kept as they are now.  The phase profile is
+        left out.
+        """
+
+        def minus(now: Dict[Any, int], then: Dict[Any, int]) -> Dict[Any, int]:
+            return {k: v - then.get(k, 0) for k, v in now.items() if v != then.get(k, 0)}
+
+        histograms: Dict[str, Dict[str, Any]] = {}
+        for name, data in self.histograms.items():
+            old = base.histograms.get(name)
+            if old is None:
+                histograms[name] = data
+            elif data["count"] != old["count"]:
+                histograms[name] = dict(
+                    data,
+                    counts=[a - b for a, b in zip(data["counts"], old["counts"])],
+                    total=data["total"] - old["total"],
+                    count=data["count"] - old["count"],
+                )
+        return MetricsSnapshot(
+            counters=minus(self.counters, base.counters),
+            gauges=dict(self.gauges),
+            executions_by_bound=minus(self.executions_by_bound, base.executions_by_bound),
+            states_by_bound=minus(self.states_by_bound, base.states_by_bound),
+            histograms=histograms,
+            elapsed=self.elapsed - base.elapsed,
+        )
+
     # -- serialization -----------------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:

@@ -311,11 +311,11 @@ class Checkpoint:
         too), so folding the saved statistics in with
         :meth:`~repro.search.strategy.SearchContext.absorb` installs
         them.  When the context is instrumented, the saved metrics
-        snapshot is absorbed without its search totals: the resumed
-        search reports those from ``ctx`` when it finishes, and any
-        saved with the snapshot belong to searches that had finished in
-        the same registry before it.  Its phase profile is left out
-        too: the resumed run's shares are of its own elapsed time.
+        snapshot is absorbed without its search totals and without
+        ``searches``: the resumed search reports the totals from
+        ``ctx`` when it finishes and counts itself when it starts.  Its
+        phase profile is left out too: the resumed run's shares are of
+        its own elapsed time.
         """
         saved = self.context
         ctx.absorb(saved)
@@ -326,7 +326,7 @@ class Checkpoint:
                 counters = {
                     name: value
                     for name, value in metrics.counters.items()
-                    if name not in SEARCH_TOTALS
+                    if name not in SEARCH_TOTALS and name != "searches"
                 }
                 obs.metrics.absorb(
                     replace(metrics, counters=counters, states_by_bound={}, profile={})
@@ -368,6 +368,10 @@ class Checkpointer:
         self._since_save = 0
         self._resumed: Optional[Checkpoint] = None
         self._loaded = False
+        #: The registry as this search found it: a registry shared by
+        #: several searches holds the earlier ones' counts too, and a
+        #: checkpoint saves only what this search added.
+        self._base = obs.snapshot() if obs is not None else None
 
     # -- resuming -----------------------------------------------------------
 
@@ -397,12 +401,14 @@ class Checkpointer:
         ctx: SearchContext,
         completed_bound: Optional[int],
         cache: Optional[WorkItemCache] = None,
-        metrics: Optional[MetricsSnapshot] = None,
         parallel: Optional[Dict[str, int]] = None,
     ) -> Checkpoint:
         """Capture and atomically persist the current search state."""
-        if metrics is None and ctx.obs is not None:
+        metrics = None
+        if ctx.obs is not None:
             metrics = ctx.obs.snapshot()
+            if self._base is not None:
+                metrics = metrics.since(self._base)
         self.sequence += 1
         self._since_save = 0
         checkpoint = Checkpoint.capture(

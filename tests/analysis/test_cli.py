@@ -11,7 +11,7 @@ import pytest
 
 from repro.cli import main
 
-FIXTURES = "tests.analysis.fixtures"
+HIDDEN_STATE = "examples.invivo.hidden_state:make_program"
 
 
 def refusal(argv, capsys) -> str:
@@ -24,10 +24,10 @@ def refusal(argv, capsys) -> str:
 
 class TestLint:
     def test_findings_exit_nonzero(self, capsys):
-        code = main(["lint", "--module", f"{FIXTURES}:opaque_program"])
+        code = main(["lint", "--module", HIDDEN_STATE])
         captured = capsys.readouterr()
         assert code == 1
-        assert "[incomplete]" in captured.out
+        assert "[hidden-state]" in captured.out
         assert "not in the baseline" in captured.err
 
     def test_clean_program_exits_zero(self, capsys):
@@ -37,7 +37,7 @@ class TestLint:
 
     def test_baseline_round_trip(self, tmp_path, capsys):
         baseline = tmp_path / "baseline.txt"
-        spec = f"{FIXTURES}:opaque_program"
+        spec = HIDDEN_STATE
         assert (
             main(["lint", "--module", spec, "--update-baseline", str(baseline)])
             == 0

@@ -12,7 +12,6 @@ guarantee:
 * serial ICB, stateless (CHESS) and with the work-item table
   (``state_caching``); stateless ICB explores every execution, so it
   must also keep the canonical witness;
-* ICB with the static-analysis reduction (``analysis=True``);
 * a second, identical check served from the result cache;
 * a check stopped by an execution budget and resumed from its
   checkpoint;

@@ -142,6 +142,40 @@ def test_resumed_metrics_match_an_uninterrupted_run(tmp_path):
     assert snap.counters.get("checkpoint_resumes") == 1
 
 
+def test_a_checkpoint_saves_only_its_own_search_metrics(tmp_path):
+    """A registry shared by several searches (``repro serve
+    --metrics-out``) holds the earlier ones' counts too; a checkpoint
+    carries only its own search's, so the resume in a fresh registry
+    counts nothing twice."""
+    spec, bound = "wsq:pop-race", 2
+
+    def check(obs, **kwargs):
+        return ChessChecker(resolve_builtin(spec)).check(
+            max_bound=bound, obs=obs, **kwargs
+        )
+
+    uninterrupted = Instrumentation(bus=EventBus())
+    check(uninterrupted)
+    expected = uninterrupted.snapshot()
+    assert expected.executions_by_bound == {0: 3, 1: 44, 2: 542}
+    assert expected.counters["searches"] == 1
+
+    shared = Instrumentation(bus=EventBus())
+    ChessChecker(resolve_builtin("toy:stats-race")).check(max_bound=1, obs=shared)
+    path = tmp_path / "shared.ckpt.json"
+    stopped = check(shared, limits=SearchLimits(max_transitions=2000), checkpoint=path)
+    assert not stopped.search.completed and path.exists()
+
+    fresh = Instrumentation(bus=EventBus())
+    resumed = check(fresh, checkpoint=path)
+    assert resumed.search.extras.get("resumed") is True
+    snap = fresh.snapshot()
+    assert snap.executions_by_bound == expected.executions_by_bound
+    assert snap.counters["searches"] == 1
+    for counter in ("executions", "transitions", "distinct_states", "bugs_found"):
+        assert snap.counters.get(counter, 0) == expected.counters.get(counter, 0)
+
+
 def test_worker_killed_twice_on_one_shard_still_matches_serial(tmp_path):
     """The crash-requeue path, twice over: the same shard kills two
     successive workers; the third attempt survives, the run completes
