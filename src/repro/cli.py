@@ -175,9 +175,6 @@ def _add_check_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--progress", action=argparse.BooleanOptionalAction,
                         default=False,
                         help="render a live progress line on stderr")
-    parser.add_argument("--progress-interval", type=int, default=None, metavar="N",
-                        help="with --workers: stream worker progress every N "
-                        "transitions (drives heartbeats and global budgets)")
     parser.add_argument("--profile", action="store_true",
                         help="time every schedule/execute/replay/"
                         "fingerprint/race-detect call and print a phase "
@@ -235,18 +232,6 @@ def _run_checker(entry: Callable[..., Any], **kwargs: Any) -> Any:
         return entry(**kwargs)
     except (ReproError, ValueError) as exc:
         raise SystemExit(str(exc))
-
-
-def _parallel_settings(args: argparse.Namespace):
-    if args.progress_interval is None:
-        return None
-    if args.progress_interval < 1:
-        raise SystemExit("--progress-interval must be at least 1")
-    if args.workers is None or args.workers < 2:
-        raise SystemExit("--progress-interval requires --workers 2 or more")
-    from .parallel.coordinator import ParallelSettings
-
-    return ParallelSettings(progress_interval=args.progress_interval)
 
 
 #: What ``repro lint`` reads, in the words of its refusal.
@@ -884,14 +869,12 @@ def _main(argv: Optional[list]) -> int:
         stop_on_first_bug=args.stop_on_first_bug or args.command == "explain",
     )
 
-    parallel_settings = _parallel_settings(args)
     cache = _result_cache(args)
     obs = _make_obs(args, limits)
     options = dict(
         max_bound=args.bound,
         limits=limits,
         workers=args.workers,
-        parallel_settings=parallel_settings,
         trace_dir=args.trace_dir,
         trace_spec=spec,
         obs=obs,

@@ -75,15 +75,11 @@ class ParallelSettings:
     #: Wall-clock seconds a claimed shard may run before its worker is
     #: terminated and the shard requeued (``None`` disables).
     shard_timeout: Optional[float] = None
-    #: Worker-side cadence (in transitions) of progress streaming.
-    progress_interval: int = 256
-    #: Fault injection (tests only): these worker ids claim their
-    #: first shard and then die hard, like a segfault would.
-    fault_crash_workers: Tuple[int, ...] = ()
-    #: Targeted fault injection (tests only): any worker claiming this
-    #: shard dies while the task's ``attempt`` is below
-    #: ``fault_crash_attempts``, so one shard can kill several workers
-    #: in a row (the worker-killed-twice path) before a retry survives.
+    #: Fault injection (tests only): any worker claiming this shard
+    #: dies hard, like a segfault would, while the task's ``attempt``
+    #: is below ``fault_crash_attempts``, so one shard can kill several
+    #: workers in a row (the worker-killed-twice path) before a retry
+    #: survives.
     fault_crash_shard: Optional[int] = None
     fault_crash_attempts: int = 0
 
@@ -104,8 +100,10 @@ class _Pool:
         self.tasks = mp_ctx.Queue()
         self.results = mp_ctx.Queue()
         self.stop_event = mp_ctx.Event()
+        #: The time budget counts from here, in every worker too.
+        self.started_at = time.monotonic()
         self.deadline = (
-            time.monotonic() + limits.max_seconds
+            self.started_at + limits.max_seconds
             if limits.max_seconds is not None
             else None
         )
@@ -129,12 +127,9 @@ class _Pool:
                     self.results,
                     self.stop_event,
                     limits,
-                    self.deadline,
-                    settings.progress_interval,
-                    wid in settings.fault_crash_workers,
+                    self.started_at,
+                    settings,
                     obs is not None,
-                    settings.fault_crash_shard,
-                    settings.fault_crash_attempts,
                     obs is not None and obs.profiling,
                 ),
                 daemon=True,

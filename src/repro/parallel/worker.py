@@ -23,10 +23,11 @@ Workers communicate exclusively through the result queue:
   :class:`~repro.parallel.workitem.ShardOutcome`, which the coordinator
   folds into the run's live context with ``SearchContext.absorb``.
 
-Budgets are honored cooperatively: the context checks the
-coordinator-broadcast stop event and the shared wall-clock deadline
-every few transitions and unwinds with ``SearchBudgetExceeded``, which
-marks the shard (and therefore the bound and the whole run) incomplete.
+Budgets are honored cooperatively: the serial budget check enforces
+the pool's wall-clock budget, the context polls the
+coordinator-broadcast stop event every :data:`POLL_STRIDE` checks, and
+either unwinds with ``SearchBudgetExceeded``, which marks the shard
+(and therefore the bound and the whole run) incomplete.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import os
 import queue
 import time
 from dataclasses import replace
-from typing import Any, List, Optional
+from typing import TYPE_CHECKING, Any, List, Optional
 
 from ..core.execution import ExecutionConfig
 from ..core.program import Program
@@ -45,6 +46,9 @@ from ..obs.instrument import Instrumentation
 from ..search.icb import IterativeContextBounding
 from ..search.strategy import SearchContext, SearchLimits
 from .workitem import Pair, ShardOutcome, ShardTask
+
+if TYPE_CHECKING:  # pragma: no cover - type-only import
+    from .coordinator import ParallelSettings
 
 #: Result-queue message tags (kept as constants so coordinator and
 #: worker cannot drift apart silently).
@@ -56,26 +60,28 @@ MSG_DONE = "done"
 #: Task-queue sentinel telling a worker to exit its loop.
 STOP_TASK = "stop"
 
-#: How many budget checks pass between polls of the coordinator's
-#: stop event, the shared deadline and the parent process.
-STOP_CHECK_INTERVAL = 64
+#: How many budget checks pass between polls of the coordinator's stop
+#: event and the parent process; each poll also streams the progress
+#: deltas that drive the pool's global budgets and heartbeats.
+POLL_STRIDE = 256
 
 
 class WorkerContext(SearchContext):
     """A :class:`SearchContext` wired into the coordinator's queues.
 
-    Differences from the serial context:
+    It differs from the serial context in three ways only:
 
     * ``stop_on_first_bug`` never raises locally -- the bound barrier
       is what preserves the minimal-preemption guarantee, so the
       coordinator stops the pool at the end of the bound instead;
-    * wall-clock budgets use a *shared* absolute deadline (monotonic
-      clocks are system-wide on the supported platforms), so every
-      worker times out together;
-    * the coordinator's stop event is polled every
-      :data:`STOP_CHECK_INTERVAL` budget checks;
-    * executions/transitions are streamed as deltas every
-      ``progress_interval`` transitions for global budget accounting.
+    * the time budget counts from the pool's ``started_at``, not the
+      shard's (monotonic clocks are system-wide on the supported
+      platforms), so every worker times out together at the
+      coordinator's deadline, and the serial budget check words the
+      stop;
+    * every :data:`POLL_STRIDE` budget checks it polls the coordinator's
+      stop event and the parent process and streams its execution and
+      transition deltas for global budget accounting.
     """
 
     def __init__(
@@ -84,21 +90,19 @@ class WorkerContext(SearchContext):
         worker_id: int,
         stop_event: Any,
         result_queue: Any,
-        deadline: Optional[float],
-        progress_interval: int = 256,
+        started_at: float,
+        parent_pid: int,
         obs: Optional[Instrumentation] = None,
-        parent_pid: Optional[int] = None,
     ) -> None:
-        super().__init__(
-            replace(limits, stop_on_first_bug=False, max_seconds=None), obs=obs
-        )
+        super().__init__(replace(limits, stop_on_first_bug=False), obs=obs)
+        self.started_at = started_at
         self.worker_id = worker_id
         self.stop_event = stop_event
         self.result_queue = result_queue
-        self.deadline = deadline
-        self.progress_interval = max(1, progress_interval)
         self.parent_pid = parent_pid
-        self._checks = 0
+        # Zero polls at the first check, so even a short shard sees a
+        # stop the coordinator broadcast before it started.
+        self._poll_countdown = 0
         self._reported_executions = 0
         self._reported_transitions = 0
 
@@ -106,19 +110,17 @@ class WorkerContext(SearchContext):
 
     def _check_budget(self) -> None:
         super()._check_budget()
-        self._checks += 1
-        if self._checks % STOP_CHECK_INTERVAL == 0:
+        self._poll_countdown -= 1
+        if self._poll_countdown < 0:
+            self._poll_countdown = POLL_STRIDE - 1
             if self.stop_event.is_set():
                 raise SearchBudgetExceeded("coordinator stop")
-            if self.deadline is not None and time.monotonic() >= self.deadline:
-                raise SearchBudgetExceeded("time budget reached")
-            if self.parent_pid is not None and os.getppid() != self.parent_pid:
+            if os.getppid() != self.parent_pid:
                 # The coordinator died without cleanup (SIGKILL): this
                 # worker was reparented.  Stop exploring instead of
                 # grinding on as an orphan; the resumed coordinator
                 # re-dispatches the shard from its checkpoint journal.
                 raise SearchBudgetExceeded("coordinator process vanished")
-        if self.transitions - self._reported_transitions >= self.progress_interval:
             self.flush_progress()
 
     def flush_progress(self) -> None:
@@ -157,15 +159,19 @@ def explore_shard(
 ) -> ShardOutcome:
     """Explore every item of ``task`` within the current bound.
 
-    Uses the serial ICB item loop verbatim, so a shard's exploration is indistinguishable from the same items being
-    drained by the serial engine.  Stops early (``completed=False``)
-    only when a budget or the coordinator's stop event fires.
+    Uses the serial ICB item loop verbatim, so a shard's exploration
+    is indistinguishable from the same items being drained by the
+    serial engine.  The shard starts from whatever execution ``space``
+    holds live (the previous shard's last one): every item is a
+    schedule prefix the engine restores or replays from there, and the
+    coordinator's context already records the initial state.  Stops
+    early (``completed=False``) only when a budget or the
+    coordinator's stop event fires.
     """
 
     icb = IterativeContextBounding()
     deferred: List[Pair] = []
     completed, reason = True, "shard exhausted"
-    ctx.record_initial(space, space.initial_state())
     for item in task.items:
         try:
             icb._search_item(space, ctx, item, deferred, None)  # type: ignore[arg-type]
@@ -191,26 +197,23 @@ def worker_main(
     result_queue: Any,
     stop_event: Any,
     limits: SearchLimits,
-    deadline: Optional[float],
-    progress_interval: int,
-    crash_on_first_claim: bool = False,
+    started_at: float,
+    settings: "ParallelSettings",
     collect_metrics: bool = False,
-    fault_crash_shard: Optional[int] = None,
-    fault_crash_attempts: int = 0,
     profiling: bool = False,
 ) -> None:
     """Entry point of one worker process.
 
-    ``crash_on_first_claim`` is a fault-injection hook used by the
-    robustness tests: the worker claims its first shard and then dies
-    hard (``os._exit``), exactly like a segfault in the program under
-    test would kill a real worker.  ``fault_crash_shard`` /
-    ``fault_crash_attempts`` are the targeted variant: *any* worker
-    claiming that shard dies while ``task.attempt`` is below the
-    attempt threshold, so a shard can be made to kill several workers
-    in a row (the worker-killed-twice path) before one survives.
-    ``profiling`` times every phase, as the coordinator's instrumentation
-    does; the shard's snapshot carries the phase table back.
+    The worker builds one :class:`ProgramStateSpace` and keeps its live
+    execution across shards.  ``settings`` carries the targeted
+    fault-injection hook of the robustness tests: any worker claiming
+    shard ``settings.fault_crash_shard`` dies hard (``os._exit``, as a
+    segfault in the program under test would kill it) while
+    ``task.attempt`` is below ``settings.fault_crash_attempts``, so a
+    shard can kill several workers in a row before a retry survives.
+    ``collect_metrics`` ships one metrics snapshot per shard;
+    ``profiling`` times every phase, as the coordinator's
+    instrumentation does, and the snapshot carries the phase table back.
     """
 
     parent_pid = os.getppid()
@@ -230,12 +233,10 @@ def worker_main(
             break
         assert isinstance(task, ShardTask)
         result_queue.put((MSG_CLAIM, worker_id, task.shard_id))
-        crash = crash_on_first_claim or (
-            fault_crash_shard is not None
-            and task.shard_id == fault_crash_shard
-            and task.attempt < fault_crash_attempts
-        )
-        if crash:
+        if (
+            task.shard_id == settings.fault_crash_shard
+            and task.attempt < settings.fault_crash_attempts
+        ):
             # Give the queue's feeder thread a moment to flush the
             # claim, then die without any cleanup.
             time.sleep(0.2)
@@ -249,14 +250,7 @@ def worker_main(
             obs.current_bound = task.bound
             space.attach_obs(obs)
         ctx = WorkerContext(
-            limits,
-            worker_id,
-            stop_event,
-            result_queue,
-            deadline,
-            progress_interval=progress_interval,
-            obs=obs,
-            parent_pid=parent_pid,
+            limits, worker_id, stop_event, result_queue, started_at, parent_pid, obs
         )
         outcome = explore_shard(space, task, ctx)
         if collect_metrics:

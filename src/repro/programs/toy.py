@@ -428,10 +428,7 @@ def stats_assert(increments: int = 2) -> Program:
     1)`` on a shared atomic ``total``, each also bumping a private
     atomic ``ops<i>`` before every update and signalling a done event
     at the end; a checker thread waits for both events and asserts the
-    total.  (Root-spec threads rather than ``spawn``: the analyzer
-    treats all instances of a spawned body as one multi-instance
-    summary, whose per-worker counters would then look shared.)
-    Exposing the lost update requires preempting a worker *between its
+    total.  Exposing the lost update requires preempting a worker *between its
     read and write of ``total``*.  A preemption spent at a private
     ``ops<i>`` access instead leaves no budget for a second one at
     bound 1, so the rest of that execution is serial and the

@@ -28,6 +28,7 @@ class TestLint:
         captured = capsys.readouterr()
         assert code == 1
         assert "[hidden-state]" in captured.out
+        assert "Stats.total" in captured.out
         assert "not in the baseline" in captured.err
 
     def test_clean_program_exits_zero(self, capsys):
@@ -42,7 +43,7 @@ class TestLint:
             main(["lint", "--module", spec, "--update-baseline", str(baseline)])
             == 0
         )
-        assert baseline.exists()
+        assert "hidden-state" in baseline.read_text()
         capsys.readouterr()
 
         assert main(["lint", "--module", spec, "--baseline", str(baseline)]) == 0
@@ -72,15 +73,6 @@ class TestLint:
         err = refusal(["analyze", "toy:deadlock"], capsys)
         assert "invalid choice: 'analyze'" in err
 
-    def test_module_flag_lints_invivo_program(self, capsys):
-        code = main(
-            ["lint", "--module", "examples.invivo.hidden_state:make_program"]
-        )
-        captured = capsys.readouterr()
-        assert code == 1
-        assert "hidden-state" in captured.out
-        assert "Stats.total" in captured.out
-
     def test_module_flag_clean_program_exits_zero(self, capsys):
         code = main(
             ["lint", "--module", "examples.invivo.hidden_state:make_fixed"]
@@ -91,18 +83,6 @@ class TestLint:
     def test_module_flag_requires_factory_spec(self):
         with pytest.raises(SystemExit, match="module:factory"):
             main(["lint", "--module", "examples.invivo.hidden_state"])
-
-    def test_module_flag_respects_baseline(self, tmp_path, capsys):
-        baseline = tmp_path / "baseline.txt"
-        spec = "examples.invivo.hidden_state:make_program"
-        assert (
-            main(["lint", "--module", spec, "--update-baseline", str(baseline)])
-            == 0
-        )
-        assert "hidden-state" in baseline.read_text()
-        capsys.readouterr()
-        assert main(["lint", "--module", spec, "--baseline", str(baseline)]) == 0
-        assert "all baselined" in capsys.readouterr().out
 
 
 def test_import_repro_leaves_the_analyzer_unloaded():

@@ -98,17 +98,6 @@ class TestProgressAndProfile:
         for phase in ("schedule", "execute", "fingerprint"):
             assert phase in err
 
-    def test_progress_interval_requires_workers(self):
-        with pytest.raises(SystemExit, match="requires --workers"):
-            main(["check", "toy:atomic-counter", "--progress-interval", "10"])
-
-    def test_progress_interval_must_be_positive(self):
-        with pytest.raises(SystemExit, match="at least 1"):
-            main(
-                ["check", "toy:atomic-counter", "--workers", "2",
-                 "--progress-interval", "0"]
-            )
-
 
 class TestStatsErrors:
     def test_unknown_file_kind(self, tmp_path):

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 from repro import ChessChecker
 from repro.obs import Instrumentation, Sink
-from repro.parallel.coordinator import ParallelSettings
 from repro.programs.bluetooth import bluetooth
 from repro.search.strategy import SearchContext
 
@@ -71,7 +70,6 @@ class TestCoordinatorEvents:
             max_bound=1,
             workers=2,
             obs=obs,
-            parallel_settings=ParallelSettings(progress_interval=16),
         )
         kinds = [e.kind for e in recorder.events]
         assert kinds[0] == "search_started"
@@ -87,7 +85,6 @@ class TestCoordinatorEvents:
             max_bound=1,
             workers=2,
             obs=obs,
-            parallel_settings=ParallelSettings(progress_interval=16),
         )
         per_worker = {}
         for event in recorder.events:

@@ -3,6 +3,11 @@ budget termination and crash robustness."""
 
 from __future__ import annotations
 
+import os
+import queue
+import threading
+import time
+
 import pytest
 
 from repro import (
@@ -11,6 +16,8 @@ from repro import (
     ParallelSettings,
     SearchLimits,
 )
+from repro.errors import SearchBudgetExceeded
+from repro.parallel.worker import WorkerContext
 from repro.programs import toy
 from repro.programs.bluetooth import bluetooth
 
@@ -158,16 +165,38 @@ class TestBudgets:
         assert result.certified_bound in (None, 0)
 
 
+    def test_worker_words_a_time_budget_stop_like_the_serial_engine(self):
+        # The pool started 0.6 s ago: its 0.5 s deadline has passed.
+        ctx = WorkerContext(
+            SearchLimits(max_seconds=0.5),
+            0,
+            threading.Event(),
+            queue.Queue(),
+            time.monotonic() - 0.6,
+            os.getppid(),
+        )
+        with pytest.raises(
+            SearchBudgetExceeded, match=r"^time budget 0\.5s reached$"
+        ):
+            ctx._check_budget()
+
+
 class TestRobustness:
     """A dead worker's shard is requeued; exhausted retries surface
-    the items as unexplored instead of silently dropping them."""
+    the items as unexplored instead of silently dropping them.
+
+    Bluetooth's bound 0 is three one-item shards: the hook kills every
+    worker that claims shard 0 while its attempt is below
+    ``fault_crash_attempts``, and the other shards still complete."""
 
     def test_crash_recovery_matches_serial(self):
         serial = ChessChecker(bluetooth(buggy=True)).check(max_bound=1)
         crashed = ChessChecker(bluetooth(buggy=True)).check(
             max_bound=1,
             workers=2,
-            parallel_settings=ParallelSettings(fault_crash_workers=(0,)),
+            parallel_settings=ParallelSettings(
+                fault_crash_shard=0, fault_crash_attempts=1
+            ),
         )
         assert summary(crashed) == summary(serial)
         assert crashed.search.completed
@@ -179,7 +208,7 @@ class TestRobustness:
             max_bound=1,
             workers=2,
             parallel_settings=ParallelSettings(
-                fault_crash_workers=(0,), max_shard_retries=0
+                fault_crash_shard=0, fault_crash_attempts=1, max_shard_retries=0
             ),
         )
         assert not result.search.completed
@@ -193,9 +222,10 @@ class TestRobustness:
             max_bound=0,
             workers=2,
             parallel_settings=ParallelSettings(
-                fault_crash_workers=(0, 1), max_shard_retries=1
+                fault_crash_shard=0, fault_crash_attempts=2, max_shard_retries=1
             ),
         )
+        assert result.search.extras["worker_failures"] == 2
         assert not result.search.completed
         assert result.search.extras["unexplored_items"] > 0
         assert result.certified_bound is None
