@@ -12,6 +12,7 @@ import pytest
 from repro.cli import main
 
 HIDDEN_STATE = "examples.invivo.hidden_state:make_program"
+GLOBAL = "tests.analysis.fixtures:global_program"
 
 
 def refusal(argv, capsys) -> str:
@@ -24,11 +25,11 @@ def refusal(argv, capsys) -> str:
 
 class TestLint:
     def test_findings_exit_nonzero(self, capsys):
-        code = main(["lint", "--module", HIDDEN_STATE])
+        code = main(["lint", "--module", GLOBAL])
         captured = capsys.readouterr()
         assert code == 1
         assert "[hidden-state]" in captured.out
-        assert "Stats.total" in captured.out
+        assert "tests.analysis.fixtures.hits" in captured.out
         assert "not in the baseline" in captured.err
 
     def test_clean_program_exits_zero(self, capsys):
@@ -38,7 +39,7 @@ class TestLint:
 
     def test_baseline_round_trip(self, tmp_path, capsys):
         baseline = tmp_path / "baseline.txt"
-        spec = HIDDEN_STATE
+        spec = GLOBAL
         assert (
             main(["lint", "--module", spec, "--update-baseline", str(baseline)])
             == 0
@@ -73,6 +74,14 @@ class TestLint:
         err = refusal(["analyze", "toy:deadlock"], capsys)
         assert "invalid choice: 'analyze'" in err
 
+    def test_module_flag_lints_invivo_program(self, capsys):
+        code = main(["lint", "--module", HIDDEN_STATE])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "[hidden-state]" in captured.out
+        assert "Stats.total" in captured.out
+        assert "not in the baseline" in captured.err
+
     def test_module_flag_clean_program_exits_zero(self, capsys):
         code = main(
             ["lint", "--module", "examples.invivo.hidden_state:make_fixed"]
@@ -83,6 +92,20 @@ class TestLint:
     def test_module_flag_requires_factory_spec(self):
         with pytest.raises(SystemExit, match="module:factory"):
             main(["lint", "--module", "examples.invivo.hidden_state"])
+
+    def test_module_flag_respects_baseline(self, tmp_path, capsys):
+        baseline = tmp_path / "baseline.txt"
+        spec = HIDDEN_STATE
+        assert (
+            main(["lint", "--module", spec, "--update-baseline", str(baseline)])
+            == 0
+        )
+        assert "hidden-state" in baseline.read_text()
+        capsys.readouterr()
+        assert main(["lint", "--module", spec, "--baseline", str(baseline)]) == 0
+        out = capsys.readouterr().out
+        assert "(baselined)" in out
+        assert "all baselined" in out
 
 
 def test_import_repro_leaves_the_analyzer_unloaded():
